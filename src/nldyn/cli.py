@@ -6,18 +6,16 @@ ill-typed keys reject the whole config (strict parsing). See README for
 the full grammar and the list of keys.
 
 Subcommands: simulate, rearrange, predict, check, sweep. Exit codes:
-0 success, 1 failed audit, 2 config error, 3 numerical failure,
-4 prediction infeasible.
+0 success, 1 failed audit, 2 config error, 3 numerical failure or any
+other library error, 4 prediction infeasible.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +23,7 @@ import numpy as np
 from . import dynamics, energy, exprparse, field as field_mod, model, omega
 from .errors import (
     ConfigError,
+    FieldError,
     InfeasibleMeasureError,
     NldynError,
     NoRootError,
@@ -34,8 +33,6 @@ from .errors import (
 
 # test hook: called with the finished trajectory before auditing (cmd_check)
 _trajectory_hook = None
-
-_WORKERS_ENV = "NLDYN_WORKERS"
 
 _KEYS: dict[str, tuple[str, object]] = {
     "model.builtin": ("str", None),
@@ -184,11 +181,12 @@ def _typed(raw: str, typ: str, key: str):
             raise ConfigError(f"key {key!r} needs true or false, got {raw!r}")
         return raw == "true"
     try:
-        if typ == "int":
-            return int(raw)
-        return float(raw)
+        value = int(raw) if typ == "int" else float(raw)
     except ValueError:
         raise ConfigError(f"key {key!r} needs a {typ} value, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} needs a finite value, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -393,7 +391,10 @@ def cmd_rearrange(
             raise ConfigError(f"bad --values list: {inline_values!r}") from None
         if not samples:
             raise ConfigError("empty --values list")
-        u = field_mod.from_samples(samples, inline_measure)
+        try:
+            u = field_mod.from_samples(samples, inline_measure)
+        except FieldError as exc:
+            raise ConfigError(f"--values/--domain-measure: {exc}") from None
         cfg = None
     base_cfg = cfg if cfg is not None else replace(
         parse_config_text(""), output_dir=out_dir, output_base=out_base
@@ -462,26 +463,6 @@ def cmd_predict(
     return 0
 
 
-@dataclass
-class _Audit:
-    rows: list[tuple[str, bool, float, float, str]] = dc_field(default_factory=list)
-
-    def add(self, name: str, passed: bool, worst: float, tol: float, detail: str = ""):
-        self.rows.append((name, passed, worst, tol, detail))
-
-    @property
-    def passed(self) -> bool:
-        return all(r[1] for r in self.rows)
-
-    def print(self):
-        for name, ok, worst, tol, detail in self.rows:
-            mark = "pass" if ok else "FAIL"
-            line = f"{mark:4s}  {name:30s} worst {worst:.3e}  tol {tol:.3e}"
-            if detail:
-                line += f"  ({detail})"
-            print(line)
-
-
 def cmd_check(config_path: str) -> int:
     cfg = load_config(config_path)
     # the dissipation identity needs fine sampling
@@ -497,18 +478,19 @@ def cmd_check(config_path: str) -> int:
     if _trajectory_hook is not None:
         tr = _trajectory_hook(tr)
 
-    audit = _Audit()
-    for c in dynamics.verify_trajectory(tr, pair, tr.hypothesis).checks:
-        audit.add(c.name, c.passed, c.worst, c.tol, c.detail)
+    checks = list(dynamics.verify_trajectory(tr, pair, tr.hypothesis).checks)
+
+    def add(*row):
+        checks.append(dynamics.CheckResult(*row))
 
     # integrated dissipation identity
     if tr.hypothesis.tag is not None and tr.times.size >= 3:
         integral = float(np.trapezoid(tr.dissipation_series, tr.times))
         drop = float(tr.energy_series[-1] - tr.energy_series[0])
         tol = 1e-6 * max(abs(tr.energy_series[0]), 1e-12)
-        audit.add("dissipation-identity", abs(drop - integral) <= tol, abs(drop - integral), tol)
+        add("dissipation-identity", abs(drop - integral) <= tol, abs(drop - integral), tol)
     else:
-        audit.add("dissipation-identity", True, 0.0, 0.0, "skipped: no hypothesis or too few samples")
+        add("dissipation-identity", True, 0.0, 0.0, "skipped: no hypothesis or too few samples")
 
     # rearrangement isometry on random snapshot pairs
     rng = np.random.default_rng(cfg.seed)
@@ -522,7 +504,7 @@ def cmd_check(config_path: str) -> int:
                 field_mod.rearrange(tr.snapshots[i]), field_mod.rearrange(tr.snapshots[j])
             )
             worst_iso = max(worst_iso, abs(d1 - d2))
-    audit.add("rearrangement-isometry", worst_iso <= 1e-12, worst_iso, 1e-12)
+    add("rearrangement-isometry", worst_iso <= 1e-12, worst_iso, 1e-12)
 
     # commutation: integrate the rearranged initial state, compare staircases
     u0_sorted = field_mod.rearrange(u0).to_field()
@@ -540,14 +522,14 @@ def cmd_check(config_path: str) -> int:
                     field_mod.rearrange(tr2.snapshots[i]),
                 ),
             )
-        audit.add(
+        add(
             "rearrangement-commutation-flow",
             times_match and worst_comm <= 1e-12,
             worst_comm if times_match else math.inf,
             1e-12,
         )
     except NumericalFailureError as exc:
-        audit.add("rearrangement-commutation-flow", False, math.inf, 1e-12, str(exc))
+        add("rearrangement-commutation-flow", False, math.inf, 1e-12, str(exc))
 
     # predictor consistency (H1/H3 only)
     tag = tr.hypothesis.tag
@@ -562,18 +544,19 @@ def cmd_check(config_path: str) -> int:
                 pred = omega.predict_h3(m0, elim.value, u0.domain_measure, pair)
             rep = omega.consistency_check(pred, emp, tol=1e-3)
             worst = max(rep.value_diff, rep.measure_diff, rep.profile_distance)
-            audit.add("predictor-consistency", rep.passed, worst, rep.tol)
+            add("predictor-consistency", rep.passed, worst, rep.tol)
             res = max(abs(pred.mass_residual), abs(pred.energy_residual))
-            audit.add("predictor-residuals", res <= 1e-10, res, 1e-10)
+            add("predictor-residuals", res <= 1e-10, res, 1e-10)
         except NotConvergedError:
-            audit.add("predictor-consistency", True, 0.0, 1e-3, "skipped: run not stationary")
+            add("predictor-consistency", True, 0.0, 1e-3, "skipped: run not stationary")
         except (NoRootError, InfeasibleMeasureError) as exc:
-            audit.add("predictor-consistency", False, math.inf, 1e-3, str(exc))
+            add("predictor-consistency", False, math.inf, 1e-3, str(exc))
     else:
-        audit.add("predictor-consistency", True, 0.0, 1e-3, f"skipped: hypothesis {tag}")
+        add("predictor-consistency", True, 0.0, 1e-3, f"skipped: hypothesis {tag}")
 
-    audit.print()
-    return 0 if audit.passed else 1
+    report = dynamics.TrajectoryReport(tuple(checks))
+    print("\n".join(report.lines()))
+    return 0 if report.passed else 1
 
 
 def _sweep_one(cfg: RunConfig, key: str, value: float, index: int):
@@ -618,24 +601,18 @@ def cmd_sweep(config_path: str, vary: str) -> int:
         raise ConfigError(f"bad sweep grid {grid_text!r}") from None
     if count < 1:
         raise ConfigError("sweep count must be >= 1")
-    apply_override(cfg, key, start)  # validates the key before spawning work
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"sweep grid bounds must be finite, got {grid_text!r}")
+    apply_override(cfg, key, start)  # validates the key before any run
 
     grid = [start] if count == 1 else np.linspace(start, stop, count).tolist()
-    workers = max(1, int(os.environ.get(_WORKERS_ENV, "4")))
-    results: list[tuple] = [None] * len(grid)  # type: ignore[list-item]
-    errors: list[tuple[int, Exception]] = []
-
-    def run(i: int, v: float):
+    results = []
+    for i, v in enumerate(grid):
         try:
-            results[i] = _sweep_one(cfg, key, v, i)
-        except Exception as exc:  # recorded per-run, not fatal to the sweep
-            errors.append((i, exc))
-            results[i] = (v, None, None, None, f"error:{type(exc).__name__}")
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, i, v) for i, v in enumerate(grid)]
-        for f in futures:
-            f.result()
+            results.append(_sweep_one(cfg, key, v, i))
+        except Exception as exc:  # recorded per run, not fatal to the sweep
+            print(f"sweep run {i} ({key} = {v:.17g}) failed: {exc}", file=sys.stderr)
+            results.append((v, None, None, None, f"error:{type(exc).__name__}"))
 
     lines = ["parameter,mu_or_xi,a1,energy_limit,termination"]
     ok = 0
@@ -715,6 +692,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except NldynError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

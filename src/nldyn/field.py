@@ -50,8 +50,10 @@ class AtomField:
             raise FieldError("field needs a nonempty 1-d list of atom values")
         if weights.shape != values.shape:
             raise FieldError("values and weights must have identical shape")
-        if domain_measure <= 0.0:
-            raise FieldError(f"domain measure must be positive, got {domain_measure!r}")
+        if not 0.0 < domain_measure < math.inf:
+            raise FieldError(
+                f"domain measure must be positive and finite, got {domain_measure!r}"
+            )
         if not np.all(np.isfinite(values)):
             raise FieldError("atom values must be finite")
         if not np.all(weights > 0.0):

@@ -190,10 +190,14 @@ def validate_pair(
     if abs(p0) > 1e-12:
         raise ModelValidationError("antiderivative vanishes at 0", 0.0, f"got {p0!r}")
     h = 1e-6
+    eps = float(np.finfo(float).eps)
     for s in np.linspace(lo + 2 * h, hi - 2 * h, 17):
         s = float(s)
-        fd = (float(pair.antideriv_P(s + h)) - float(pair.antideriv_P(s - h))) / (2 * h)
-        if abs(fd - float(pair.p(s))) > 1e-8:
+        p_plus, p_minus = float(pair.antideriv_P(s + h)), float(pair.antideriv_P(s - h))
+        fd = (p_plus - p_minus) / (2 * h)
+        # the difference quotient carries roundoff of order eps * |P| / h
+        tol = 1e-8 + 4.0 * eps * (abs(p_plus) + abs(p_minus)) / h
+        if abs(fd - float(pair.p(s))) > tol:
             raise ModelValidationError(
                 "d(antiderivative)/ds = p", s, f"fd {fd!r} vs p {float(pair.p(s))!r}"
             )

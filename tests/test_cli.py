@@ -91,6 +91,14 @@ class TestConfigParsing:
     def test_missing_file(self):
         assert cli.main(["simulate", "/nonexistent/path.cfg"]) == 2
 
+    @pytest.mark.parametrize("key", ["domain.measure", "integrator.rtol"])
+    def test_nan_value_exit_2(self, tmp_path, capsys, key):
+        text = H1_CONFIG.replace("domain.measure = 1.0\n", "") + f"{key} = nan\n"
+        cfg = _write(tmp_path, "nan.cfg", text)
+        assert cli.main(["simulate", cfg]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
+
 
 class TestSimulate:
     def test_h1_run_outputs(self, tmp_path, capsys):
@@ -123,6 +131,26 @@ class TestSimulate:
         assert cli.main(["simulate", cfg]) == 3
         diag = (tmp_path / "out" / "h1.failure.txt").read_text()
         assert "synthetic blow-up" in diag and "1.5" in diag
+
+    def test_cubic_model_beyond_range_four(self, tmp_path):
+        """The antiderivative check tolerates roundoff on the range +-4."""
+        text = H1_CONFIG.replace('"logistic-identity"', '"logistic-cubic"').replace(
+            '"1.5:0.5, 2.0:0.5"', '"3.0:0.5, 1.5:0.5"'
+        ).replace("integrator.t_max = 200.0", "integrator.t_max = 5.0")
+        cfg = _write(tmp_path, "cubic.cfg", text)
+        assert cli.main(["simulate", cfg]) == 0
+
+    def test_other_library_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        from nldyn.errors import PairingError
+
+        def refuse(u0, pair, cfg):
+            raise PairingError("synthetic pairing fault")
+
+        monkeypatch.setattr(cli.dynamics, "integrate", refuse)
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        assert cli.main(["simulate", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: synthetic pairing fault\n"
 
     def test_deterministic_csv(self, tmp_path):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
@@ -162,6 +190,13 @@ class TestRearrange:
 
     def test_empty_values_rejected(self, tmp_path):
         assert cli.main(["rearrange", "--values", "", "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "args", [["--values", "1,nan"], ["--values", "1,2", "--domain-measure", "-1"]]
+    )
+    def test_bad_inline_field_exit_2(self, tmp_path, capsys, args):
+        assert cli.main(["rearrange", *args, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestPredict:
@@ -260,7 +295,7 @@ class TestSweep:
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         assert cli.main(["sweep", cfg, "--vary", "integrator.scheme=1:2:2"]) == 2
 
-    def test_all_runs_failing_exit_3(self, tmp_path):
+    def test_all_runs_failing_exit_3(self, tmp_path, capsys):
         """Negative weights make every grid point fail field construction."""
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         rc = cli.main(["sweep", cfg, "--vary", "initial.atoms.0.weight=-1.0:-0.5:3"])
@@ -268,10 +303,18 @@ class TestSweep:
         lines = (tmp_path / "out" / "h1.sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 4
         assert all("error:" in line for line in lines[1:])
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert err[0].startswith("sweep run 0 (initial.atoms.0.weight = -1) failed: ")
+        assert "weights must be positive" in err[0]
 
     def test_bad_grid_exit_2(self, tmp_path):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         assert cli.main(["sweep", cfg, "--vary", "integrator.t_max=1:2"]) == 2
+
+    def test_non_finite_grid_exit_2(self, tmp_path):
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        assert cli.main(["sweep", cfg, "--vary", "initial.samples=nan:4:2"]) == 2
 
 
 class TestConsoleScript:

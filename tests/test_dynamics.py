@@ -12,7 +12,9 @@ from nldyn import (
     IntegratorConfig,
     Termination,
     build_model,
+    builtin_model,
     characteristic_flow,
+    from_samples,
     integrate,
     l1_distance,
     mass,
@@ -273,6 +275,53 @@ class TestVerifyTrajectory:
         report = verify_trajectory(tr, logistic, tr.hypothesis)
         assert report.passed
 
+    @staticmethod
+    def _order_row(report):
+        return next(c for c in report.checks if c.name == "order-preservation")
+
+    def test_gaps_settling_to_exact_ties_pass(self, logistic):
+        """100 samples of 1 + x settle on 1.5; neighbours meet to the last bit."""
+        u0 = from_samples((1.0 + (np.arange(100) + 0.5) / 100).tolist(), 1.0)
+        tr = integrate(u0, logistic, IntegratorConfig(t_max=200.0, record_every=0.5))
+        assert tr.termination == Termination.STATIONARY
+        row = self._order_row(verify_trajectory(tr, logistic, tr.hypothesis))
+        assert row.passed and row.worst == 0.0
+
+    def test_non_adjacent_swap_detected(self, logistic):
+        """Swapping atoms 0 and 2 keeps input-adjacent signs but breaks the order."""
+        u0 = AtomField([1.5, 2.0, 1.2], [0.25, 0.25, 0.25], 0.75)
+        tr = integrate(u0, logistic, IntegratorConfig(t_max=5.0, record_every=0.1))
+        snaps = list(tr.snapshots)
+        mid = len(snaps) // 2
+        bad = snaps[mid].values.copy()
+        bad[[0, 2]] = bad[[2, 0]]
+        snaps[mid] = snaps[mid].with_values(bad)
+        swapped = dataclasses.replace(tr, snapshots=tuple(snaps))
+        row = self._order_row(verify_trajectory(swapped, logistic, tr.hypothesis))
+        assert not row.passed and row.worst < 0.0
+
+    def test_broken_tie_detected(self, logistic):
+        """Initially tied atoms must stay tied to the last bit."""
+        u0 = AtomField([1.5, 2.0, 1.5], [0.25, 0.5, 0.25], 1.0)
+        tr = integrate(u0, logistic, IntegratorConfig(t_max=5.0, record_every=0.1))
+        snaps = list(tr.snapshots)
+        bad = snaps[-1].values.copy()
+        bad[2] += 1e-12
+        snaps[-1] = snaps[-1].with_values(bad)
+        split = dataclasses.replace(tr, snapshots=tuple(snaps))
+        row = self._order_row(verify_trajectory(split, logistic, tr.hypothesis))
+        assert not row.passed and row.worst == pytest.approx(-1e-12, rel=1e-3)
+
+    def test_audit_rows(self, h1_run, logistic):
+        report = verify_trajectory(h1_run, logistic, h1_run.hypothesis)
+        assert [c.name for c in report.checks] == [
+            "mass-conservation",
+            "order-preservation",
+            "invariant-region",
+            "lambda-bound",
+            "energy-monotonicity",
+        ]
+
 
 class TestIntegratorConfigValidation:
     def test_negative_tolerance(self):
@@ -286,3 +335,8 @@ class TestIntegratorConfigValidation:
     def test_nonpositive_t_max(self):
         with pytest.raises(ValueError):
             IntegratorConfig(t_max=0.0)
+
+    @pytest.mark.parametrize("name", ["rtol", "t_max", "record_every", "eps_den"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            IntegratorConfig(**{name: float("nan")})

@@ -74,6 +74,11 @@ class TestAtomField:
         with pytest.raises(FieldError):
             AtomField([1.0, 2.0], [1.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("measure", [float("nan"), math.inf, -1.0])
+    def test_bad_domain_measure_rejected(self, measure):
+        with pytest.raises(FieldError, match="domain measure"):
+            AtomField([1.0], [1.0], measure)
+
     def test_non_canonical_order_permitted(self):
         u = AtomField([1.0, 3.0, 2.0], [0.25, 0.25, 0.5], 1.0)
         assert not u.is_canonical

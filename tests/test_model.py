@@ -1,5 +1,6 @@
 """Tests for nldyn.model: nonlinearities, multiplier, rates, Lipschitz data."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from nldyn import (
     ModelValidationError,
     UnknownModelError,
     antiderivative_value,
+    build_model,
     builtin_model,
     classify_hypothesis,
     lambda_of,
@@ -92,6 +94,22 @@ class TestAntiderivativeQuadrature:
 class TestValidatePair:
     def test_builtin_passes_wide_range(self, logistic):
         validate_pair(logistic, (-5.0, 5.0))
+
+    @pytest.mark.parametrize("radius", [4.0, 10.0, 30.0])
+    def test_cubic_p_passes_wide_range(self, radius):
+        """Difference-quotient roundoff grows like eps*|P|/h; it is not an error."""
+        validate_pair(builtin_model("logistic-cubic"), (-radius, radius))
+        build_model("u*(1-u)", "u^3+u", (-radius, radius))
+
+    @pytest.mark.parametrize("radius", [2.0, 4.0, 10.0])
+    def test_wrong_antiderivative_rejected(self, radius):
+        cubic = builtin_model("logistic-cubic")
+        bad = dataclasses.replace(
+            cubic, antideriv_P=lambda s: cubic.antideriv_P(s) + 1e-6 * s
+        )
+        with pytest.raises(ModelValidationError) as info:
+            validate_pair(bad, (-radius, radius))
+        assert info.value.check.startswith("d(antiderivative)")
 
     def test_g_sign_violation_carries_witness(self, logistic):
         bad = type(logistic)(

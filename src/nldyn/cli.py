@@ -667,6 +667,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # overflow and NaN are checked where they matter and reported as one
+    # line below; numpy's own floating-point warnings would only add noise
+    with np.errstate(all="ignore"):
+        return _dispatch(args)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     try:
         if args.command == "simulate":
             return cmd_simulate(args.config)

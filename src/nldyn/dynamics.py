@@ -6,9 +6,14 @@ Each atom value follows the characteristic equation
 
 with the multiplier lam recomputed from the full field at every stage, so
 the weighted rate sum vanishes stage by stage and mass drift stays at the
-integrator's roundoff level. The scheme is the classic 4-stage
-Runge-Kutta with step-doubling error control: no stiffness is expected
-inside the invariant regions, and the method is simple to audit.
+integrator's roundoff level. The scheme is the Dormand-Prince 5(4)
+embedded pair with first-same-as-last stages and its 4th-order continuous
+extension, which places records on their grid without cutting steps. The
+flow is at most mildly stiff near its rest states, so an explicit method
+suffices once each step stays inside its stability interval. Any
+Runge-Kutta method and its interpolant are linear combinations of stages,
+each with a zero weighted sum, so mass is conserved at interpolated
+records too.
 
 Values are never clamped and mass is never projected back: drift and
 region violations are diagnostics of integrator health, and violations
@@ -20,10 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import field as field_mod
 from .errors import (
@@ -110,60 +113,42 @@ class Trajectory:
 
 # ----------------------------------------------------------- rate evaluation
 
-def _observe(values, weights, omega, pair, eps_den):
-    """Rates, multiplier, dissipation integrand sum, denominator, guard state.
+def _multiplier(t, values, weights, pair):
+    """g and p at the atoms, the multiplier lam and the g-integral.
 
-    The multiplier is computed unguarded (diagnostics at the terminal
-    state need it); ``guard_ok`` reports whether the run may continue.
+    lam is refined once from the residual of the weighted rate sum, which
+    then vanishes to the roundoff of the rates g*(p - lam) rather than of
+    the terms g*p: mass drift stays at a few ulps however long the steps.
+    lam is nan when the g-integral is exactly 0 (a terminal guard state).
+    A non-finite g or p value (an overflow) raises NumericalFailureError:
+    no rate, multiplier or energy computed from it could be trusted.
     """
     gv = np.asarray(pair.g(values), dtype=float)
     pv = np.asarray(pair.p(values), dtype=float)
-    num = math.fsum((weights * gv * pv).tolist())
-    den = math.fsum((weights * gv).tolist())
-    if eps_den is None:
-        eps = 1e-10 * omega * float(np.max(np.abs(gv)))
-    else:
-        eps = float(eps_den)
-    guard_ok = den != 0.0 and abs(den) >= eps
-    lam = num / den if den != 0.0 else math.nan
-    rates = gv * pv - gv * lam
-    diss_sum = math.fsum((weights * gv * (pv - lam) ** 2).tolist())
-    return rates, lam, diss_sum, den, guard_ok
+    wg = weights * gv
+    wgp = wg * pv
+    # also keeps fsum clear of inf - inf and of intermediate overflow
+    if not math.isfinite(float(np.sum(np.abs(wg)) + np.sum(np.abs(wgp)))):
+        raise NumericalFailureError("non-finite g or p value", t, values)
+    den = math.fsum(wg.tolist())
+    if den == 0.0:
+        return gv, pv, math.nan, den
+    lam = math.fsum(wgp.tolist()) / den
+    lam += math.fsum((wg * (pv - lam)).tolist()) / den
+    return gv, pv, lam, den
 
 
-def _g_integral(values, weights, pair) -> float:
-    gv = np.asarray(pair.g(values), dtype=float)
-    return math.fsum((weights * gv).tolist())
+def _rates(t, values, weights, omega, pair, eps_den):
+    """Per-atom rates and the g-integral at one state.
 
-
-def _rates_strict(values, weights, omega, pair, eps_den):
-    rates, _, _, den, ok = _observe(values, weights, omega, pair, eps_den)
-    if not ok:
-        gv = np.asarray(pair.g(values), dtype=float)
-        eps = (
-            1e-10 * omega * float(np.max(np.abs(gv)))
-            if eps_den is None
-            else float(eps_den)
-        )
+    Raises DenominatorVanishingError when |g-integral| falls below the
+    guard threshold (scale-aware when ``eps_den`` is None).
+    """
+    gv, pv, lam, den = _multiplier(t, values, weights, pair)
+    eps = 1e-10 * omega * float(np.max(np.abs(gv))) if eps_den is None else float(eps_den)
+    if den == 0.0 or abs(den) < eps:
         raise DenominatorVanishingError(den, eps)
-    return rates
-
-
-def _rk4_values(values, weights, omega, dt, pair, eps_den):
-    def stage(v, fraction):
-        try:
-            return _rates_strict(v, weights, omega, pair, eps_den)
-        except DenominatorVanishingError as exc:
-            # let the driver know where inside the step the guard tripped
-            exc.stage_values = v
-            exc.stage_fraction = fraction
-            raise
-
-    k1 = stage(values, 0.0)
-    k2 = stage(values + 0.5 * dt * k1, 0.5)
-    k3 = stage(values + 0.5 * dt * k2, 0.5)
-    k4 = stage(values + dt * k3, 1.0)
-    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return gv * (pv - lam), den
 
 
 def step_rk4(
@@ -175,8 +160,93 @@ def step_rk4(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    new_values = _rk4_values(u.values, u.weights, u.domain_measure, dt, pair, eps_den)
-    return u.with_values(new_values)
+    v, w, omega = u.values, u.weights, u.domain_measure
+    k1, _ = _rates(0.0, v, w, omega, pair, eps_den)
+    k2, _ = _rates(0.5 * dt, v + 0.5 * dt * k1, w, omega, pair, eps_den)
+    k3, _ = _rates(0.5 * dt, v + 0.5 * dt * k2, w, omega, pair, eps_den)
+    k4, _ = _rates(dt, v + dt * k3, w, omega, pair, eps_den)
+    return u.with_values(v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+# ------------------------------------------------------ Dormand-Prince 5(4)
+
+# Nodes and rows of the Dormand & Prince (1980) tableau for stages 2..7.
+# The last row is the 5th-order solution, so stage 7 is the rate at the
+# new state and serves as the next step's stage 1 (FSAL).
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+# 5th- minus 4th-order weights of the seven stages: the local error estimate
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# 4th-order continuous extension (Shampine 1986): stage i enters the
+# interpolant at step fraction theta with weight sum_j P[i, j] theta^(j+1)
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_DP_SAFETY = 0.9
+_DP_MIN_FACTOR = 0.2
+_DP_MAX_FACTOR = 10.0
+_DP_STABLE_DT_RHO = 2.0
+
+
+def _combine(coeffs, ks) -> np.ndarray:
+    """sum_i coeffs[i] * ks[i], one elementwise operation at a time.
+
+    Every atom sees the same sequence of roundings, so tied atoms stay
+    bitwise tied and a permuted input gives a permuted output.
+    """
+    acc = None
+    for c, k in zip(coeffs, ks):
+        if c != 0.0:
+            acc = c * k if acc is None else acc + c * k
+    return acc
+
+
+def _dp_attempt(t, values, k1, dt, weights, omega, pair, eps_den):
+    """One Dormand-Prince attempt from (t, values) with first stage k1.
+
+    Returns the 5th-order values, the seven stage rates (the last is the
+    rate at the new values), the g-integral at the new values and an
+    estimate of the Jacobian's largest eigenvalue. A guard trip raises
+    DenominatorVanishingError carrying the stage state and its step
+    fraction.
+    """
+    ks = [k1]
+    v = values
+    for c, row in zip(_DP_C, _DP_A):
+        v6, v = v, values + dt * _combine(row, ks)
+        try:
+            k, den = _rates(t + c * dt, v, weights, omega, pair, eps_den)
+        except DenominatorVanishingError as exc:
+            # let the driver know where inside the step the guard tripped
+            exc.stage_values = v
+            exc.stage_fraction = c
+            raise
+        ks.append(k)
+    # stages 6 and 7 share the time t + dt: their rate difference over
+    # their state difference estimates the Jacobian's largest eigenvalue
+    # (Hairer & Wanner, Solving ODEs II, IV.2)
+    dv = float(np.max(np.abs(v - v6)))
+    rho = float(np.max(np.abs(ks[6] - ks[5]))) / dv if dv > 0.0 else 0.0
+    return v, ks, den, rho
+
+
+def _dp_dense(values, dt, ks, theta: float) -> np.ndarray:
+    """The continuous extension at fraction theta of an accepted step."""
+    q = _DP_P @ (theta ** np.arange(1, 5))
+    return values + dt * _combine(q.tolist(), ks)
 
 
 # ----------------------------------------------------------------- integrate
@@ -192,10 +262,15 @@ _REGION = {
 def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the field until t_max, stationarity, or the guard.
 
-    Adaptive step doubling: a full step is compared against two half
-    steps; the step is halved when the error estimate exceeds
-    rtol*scale + atol and grown by 1.5 when far below. Snapshots are
-    recorded on the uniform grid k*record_every plus the final state.
+    Adaptive Dormand-Prince 5(4) with first-same-as-last stages: six new
+    rate evaluations per step attempt. The step is accepted when the
+    largest atom error estimate is within rtol*scale + atol; the next
+    step size follows the usual 5th-root controller, capped so that it
+    times the estimated largest eigenvalue stays well inside the
+    method's stability interval. Steps are cut only at t_max. Snapshots
+    are recorded on the uniform grid k*record_every from the 4th-order
+    continuous extension, plus the final state; each record evaluates
+    the rates once for the multiplier and the dissipation sum.
     Stationarity (max |rate| < stat_tol on two consecutive accepted
     steps) and the denominator guard terminate the run early; both are
     recorded as termination tags, not raised.
@@ -217,14 +292,31 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     energy_series: list[float] = []
     diss_series: list[float] = []
 
-    def record(t: float, vals: np.ndarray, lam: float, diss_sum: float):
+    def check_state(t: float, vals: np.ndarray):
+        if not np.all(np.isfinite(vals)):
+            raise NumericalFailureError("non-finite atom value", t, vals)
+        if region is not None:
+            vmin, vmax = float(np.min(vals)), float(np.max(vals))
+            if vmin < region[0] or vmax > region[1]:
+                raise NumericalFailureError(
+                    f"invariant region violated beyond {_REGION_ABORT_TOL:g} "
+                    f"(values in [{vmin!r}, {vmax!r}], region {region!r})",
+                    t,
+                    vals,
+                )
+
+    def record(t: float, vals: np.ndarray):
+        gv, pv, lam, _ = _multiplier(t, vals, weights, pair)
         snap = u0.with_values(vals)
+        energy = sign * field_mod.integral_of(snap, pair.antideriv_P)
+        if not math.isfinite(energy):
+            raise NumericalFailureError("non-finite energy", t, vals)
         times.append(t)
         snaps.append(snap)
         lam_series.append(lam)
         mass_series.append(field_mod.mass(snap))
-        energy_series.append(sign * field_mod.integral_of(snap, pair.antideriv_P))
-        diss_series.append(sign * diss_sum)
+        energy_series.append(energy)
+        diss_series.append(sign * math.fsum((weights * gv * (pv - lam) ** 2).tolist()))
 
     def finish(term: Termination, final_rates) -> Trajectory:
         final_max = float(np.max(np.abs(final_rates))) if final_rates is not None else math.inf
@@ -245,9 +337,10 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
 
     values = np.asarray(u0.values, dtype=float).copy()
     t = 0.0
-    rates, lam, diss_sum, den, guard_ok = _observe(values, weights, omega, pair, cfg.eps_den)
-    record(0.0, values, lam, diss_sum)
-    if not guard_ok:
+    record(0.0, values)
+    try:
+        rates, den = _rates(0.0, values, weights, omega, pair, cfg.eps_den)
+    except DenominatorVanishingError:
         return finish(Termination.DENOMINATOR_VANISHING, None)
     if float(np.max(np.abs(rates))) < cfg.stat_tol:
         return finish(Termination.STATIONARY, rates)
@@ -255,6 +348,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     dt = min(cfg.dt_init, cfg.dt_max)
     rec_count = 1
     stationary_streak = 0
+    rejected = False  # the current step has had a rejected attempt
     lip_cache: tuple[float, float] | None = None  # (cbar used, dt cap)
 
     def lipschitz_dt_cap(vals: np.ndarray) -> float:
@@ -275,51 +369,55 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
         return cap
 
     while t < cfg.t_max:
-        next_rec = rec_count * cfg.record_every
-        next_stop = min(next_rec, cfg.t_max)
         dt_try = min(dt, cfg.dt_max)
         if cfg.lipschitz_cap:
             dt_try = min(dt_try, lipschitz_dt_cap(values))
-        hit_stop = False
-        if t + dt_try >= next_stop - 1e-12 * max(1.0, next_stop):
-            dt_try = next_stop - t
-            hit_stop = True
+        last = t + dt_try >= cfg.t_max - 1e-12 * max(1.0, cfg.t_max)
+        if last:
+            dt_try = cfg.t_max - t
 
         try:
-            big = _rk4_values(values, weights, omega, dt_try, pair, cfg.eps_den)
-            half = _rk4_values(values, weights, omega, 0.5 * dt_try, pair, cfg.eps_den)
-            fine = _rk4_values(half, weights, omega, 0.5 * dt_try, pair, cfg.eps_den)
+            new, ks, den_new, rho = _dp_attempt(
+                t, values, rates, dt_try, weights, omega, pair, cfg.eps_den
+            )
+        except NumericalFailureError:
+            # a stage state left the range where g and p are finite: the
+            # trial step was too long
+            err_ratio = math.inf
         except DenominatorVanishingError as exc:
             # refine before concluding: stage states of a large trial step
             # are poor witnesses of the obstruction
             if dt_try > 1e-3 * max(1.0, t):
                 dt = 0.5 * dt_try
+                rejected = True
                 continue
             if times[-1] != t:
-                record(t, values, lam, diss_sum)
-            sv = getattr(exc, "stage_values", None)
-            if sv is not None and bool(np.all(np.isfinite(sv))):
-                t_stage = t + getattr(exc, "stage_fraction", 1.0) * dt_try
+                record(t, values)
+            sv = exc.stage_values
+            if bool(np.all(np.isfinite(sv))):
+                t_stage = t + exc.stage_fraction * dt_try
                 if t_stage > times[-1]:
-                    _, lam_s, diss_s, _, _ = _observe(sv, weights, omega, pair, cfg.eps_den)
-                    record(t_stage, np.asarray(sv, dtype=float), lam_s, diss_s)
+                    record(t_stage, sv)
             return finish(Termination.DENOMINATOR_VANISHING, rates)
-
-        finite = bool(np.all(np.isfinite(fine)) and np.all(np.isfinite(big)))
-        flip = False
-        if finite:
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(values), np.abs(fine))
-            err_ratio = float(np.max(np.abs(big - fine) / scale))
-            # a sign flip of the g-integral inside the step means the step
-            # straddles the continuation obstruction: refine toward it
-            flip = err_ratio <= 1.0 and math.copysign(
-                1.0, _g_integral(fine, weights, pair)
-            ) != math.copysign(1.0, den)
         else:
+            err = dt_try * _combine(_DP_E, ks)
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(values), np.abs(new))
+            err_ratio = float(np.max(np.abs(err) / scale))
+
+        if not math.isfinite(err_ratio):
             err_ratio = math.inf
+        # a sign flip of the g-integral inside the step means the step
+        # straddles the continuation obstruction: refine toward it
+        flip = err_ratio <= 1.0 and math.copysign(1.0, den_new) != math.copysign(1.0, den)
+        factor = (
+            _DP_MAX_FACTOR
+            if err_ratio == 0.0
+            else min(_DP_MAX_FACTOR, max(_DP_MIN_FACTOR, _DP_SAFETY * err_ratio ** -0.2))
+        )
 
         if err_ratio > 1.0 or flip:
-            dt = 0.5 * dt_try
+            dt = 0.5 * dt_try if flip else factor * dt_try
+            rejected = True
             floor = 1e-30 if flip else 1e-14 * max(1.0, t)
             if dt < floor:
                 # step control collapsed; decide whether the denominator
@@ -328,62 +426,67 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
                 gmax = float(np.max(np.abs(np.asarray(pair.g(values), dtype=float))))
                 if flip or abs(den) < 1e-6 * omega * gmax:
                     if times[-1] != t:
-                        record(t, values, lam, diss_sum)
+                        record(t, values)
                     return finish(Termination.DENOMINATOR_VANISHING, rates)
                 raise NumericalFailureError(
                     "step size underflow (error control cannot proceed)", t, values
                 )
             continue
 
-        t_new = next_stop if hit_stop else t + dt_try
-        values = fine
-        rates, lam, diss_sum, den, guard_ok = _observe(values, weights, omega, pair, cfg.eps_den)
-
-        if not np.all(np.isfinite(values)):
-            raise NumericalFailureError("non-finite atom value", t_new, values)
-        if region is not None:
-            vmin, vmax = float(np.min(values)), float(np.max(values))
-            if vmin < region[0] or vmax > region[1]:
-                raise NumericalFailureError(
-                    f"invariant region violated beyond {_REGION_ABORT_TOL:g} "
-                    f"(values in [{vmin!r}, {vmax!r}], region {region!r})",
-                    t_new,
-                    values,
-                )
-
-        recorded = False
-        if hit_stop and next_stop == next_rec:
-            record(t_new, values, lam, diss_sum)
-            recorded = True
+        t_new = cfg.t_max if last else t + dt_try
+        check_state(t_new, new)
+        while rec_count * cfg.record_every <= t_new:
+            t_rec = rec_count * cfg.record_every
+            if t_rec == t_new:
+                vals = new
+            else:
+                vals = _dp_dense(values, dt_try, ks, (t_rec - t) / dt_try)
+                check_state(t_rec, vals)
+            record(t_rec, vals)
             rec_count += 1
 
-        t = t_new
-
-        if not guard_ok:
-            if not recorded:
-                record(t, values, lam, diss_sum)
-            return finish(Termination.DENOMINATOR_VANISHING, rates)
+        t, values, rates, den = t_new, new, ks[-1], den_new
 
         if float(np.max(np.abs(rates))) < cfg.stat_tol:
             stationary_streak += 1
             if stationary_streak >= 2:
-                if not recorded:
-                    record(t, values, lam, diss_sum)
+                if times[-1] != t:
+                    record(t, values)
                 return finish(Termination.STATIONARY, rates)
         else:
             stationary_streak = 0
 
-        if err_ratio < 0.1:
-            dt = min(dt_try * 1.5, cfg.dt_max)
-        else:
-            dt = dt_try
+        dt = dt_try * (min(1.0, factor) if rejected else factor)
+        if rho > 0.0:
+            # keep dt * |eigenvalue| well inside the real stability interval
+            # (about [-3.3, 0]); at its edge the settled state would stay
+            # at tolerance-level noise and never read stationary
+            dt = min(dt, _DP_STABLE_DT_RHO / rho)
+        rejected = False
 
     if times[-1] != cfg.t_max:
-        record(cfg.t_max, values, lam, diss_sum)
+        record(cfg.t_max, values)
     return finish(Termination.REACHED_TMAX, rates)
 
 
 # -------------------------------------------------------- characteristic flow
+
+def _lambda_slopes(tr: Trajectory, pair: NonlinearityPair) -> np.ndarray:
+    """Exact d(lam)/dt at every record, from the recorded states.
+
+    With u' = g(u)(p(u) - lam) at each atom,
+    lam' = (sum w (g p)'(u) u' - lam sum w g'(u) u') / sum w g(u).
+    """
+    vals = np.stack([s.values for s in tr.snapshots])
+    w = tr.snapshots[0].weights
+    lam = tr.lambda_series[:, None]
+    gv = np.asarray(pair.g(vals), dtype=float)
+    pv = np.asarray(pair.p(vals), dtype=float)
+    gp = np.asarray(pair.g_prime(vals), dtype=float)
+    udot = gv * (pv - lam)
+    fprime = gp * pv + gv * np.asarray(pair.p_prime(vals), dtype=float)
+    return ((fprime - lam * gp) * udot) @ w / (gv @ w)
+
 
 def characteristic_flow(
     s0: float, companion: Trajectory, pair: NonlinearityPair
@@ -391,29 +494,36 @@ def characteristic_flow(
     """Evolve a passive tracer value through the companion's multiplier.
 
     Integrates ds/dt = g(s)(p(s) - lam(t)) with lam(t) the piecewise-cubic
-    interpolant of the companion's multiplier series, and returns the
-    tracer value at the companion's sample times.
+    Hermite interpolant of the companion's multiplier series, whose slopes
+    are exact at the records (linear interpolation below four records),
+    and returns the tracer value at the companion's sample times.
     """
     times = companion.times
     out = [float(s0)]
     if times.size < 2:
         return np.asarray(out)
-    lam_of_t: Callable[[float], float]
-    if times.size < 4:
-        lam_of_t = lambda tt: float(np.interp(tt, times, companion.lambda_series))
-    else:
-        spline = CubicSpline(times, companion.lambda_series)
-        lam_of_t = lambda tt: float(spline(tt))
-
-    def f(tt: float, y: float) -> float:
-        return float(pair.g(y)) * (float(pair.p(y)) - lam_of_t(tt))
+    lam = companion.lambda_series
+    slopes = _lambda_slopes(companion, pair) if times.size >= 4 else None
 
     y = float(s0)
-    for t0, t1 in zip(times[:-1], times[1:]):
-        span = float(t1 - t0)
+    for i in range(times.size - 1):
+        t0, t1 = float(times[i]), float(times[i + 1])
+        span = t1 - t0
+        l0, dl = float(lam[i]), float(lam[i + 1] - lam[i])
+        if slopes is None:
+            c1, c2, c3 = dl, 0.0, 0.0
+        else:
+            m0, m1 = float(slopes[i]) * span, float(slopes[i + 1]) * span
+            c1, c2, c3 = m0, 3.0 * dl - 2.0 * m0 - m1, m0 + m1 - 2.0 * dl
+
+        def f(tt: float, yy: float) -> float:
+            s = (tt - t0) / span
+            lam_t = l0 + s * (c1 + s * (c2 + s * c3))
+            return float(pair.g(yy)) * (float(pair.p(yy)) - lam_t)
+
         n_sub = max(1, math.ceil(span / 0.01))
         h = span / n_sub
-        tt = float(t0)
+        tt = t0
         for _ in range(n_sub):
             k1 = f(tt, y)
             k2 = f(tt + 0.5 * h, y + 0.5 * h * k1)

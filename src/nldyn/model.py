@@ -195,9 +195,10 @@ def validate_pair(
         s = float(s)
         p_plus, p_minus = float(pair.antideriv_P(s + h)), float(pair.antideriv_P(s - h))
         fd = (p_plus - p_minus) / (2 * h)
-        # the difference quotient carries roundoff of order eps * |P| / h
+        # the difference quotient carries roundoff of order eps * |P| / h;
+        # written so that a NaN quotient (P overflowed) fails the check
         tol = 1e-8 + 4.0 * eps * (abs(p_plus) + abs(p_minus)) / h
-        if abs(fd - float(pair.p(s))) > tol:
+        if not abs(fd - float(pair.p(s))) <= tol:
             raise ModelValidationError(
                 "d(antiderivative)/ds = p", s, f"fd {fd!r} vs p {float(pair.p(s))!r}"
             )

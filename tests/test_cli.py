@@ -152,6 +152,30 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == "error: synthetic pairing fault\n"
 
+    def test_overflowing_atom_exit_3_one_line(self, tmp_path):
+        """g*p overflows at 1e150: exit 3 with the failure file, no warnings."""
+        import subprocess
+        import sys
+
+        text = H1_CONFIG.replace('"1.5:0.5, 2.0:0.5"', '"1e150:1.0"')
+        cfg = _write(tmp_path, "big.cfg", text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "nldyn.cli", "simulate", cfg],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.count("\n") == 1
+        diag = (tmp_path / "out" / "h1.failure.txt").read_text()
+        assert "non-finite g or p value" in diag
+
+    def test_overflowing_antiderivative_exit_2(self, tmp_path, capsys):
+        """P overflows on the working range of 1e200: the model is refused."""
+        text = H1_CONFIG.replace('"1.5:0.5, 2.0:0.5"', '"1e200:1.0"')
+        cfg = _write(tmp_path, "big.cfg", text)
+        assert cli.main(["simulate", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: model: ")
+
     def test_deterministic_csv(self, tmp_path):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         assert cli.main(["simulate", cfg]) == 0
@@ -318,6 +342,20 @@ class TestSweep:
 
 
 class TestConsoleScript:
+    def test_no_scipy_import(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, nldyn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_entry_point_runs(self, tmp_path):
         import subprocess
         import sys

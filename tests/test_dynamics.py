@@ -10,6 +10,7 @@ from nldyn import (
     AtomField,
     DenominatorVanishingError,
     IntegratorConfig,
+    NumericalFailureError,
     Termination,
     build_model,
     builtin_model,
@@ -184,6 +185,58 @@ class TestIntegrate:
             np.testing.assert_allclose(
                 plain.snapshots[i].values, capped.snapshots[i].values, atol=1e-7
             )
+
+    def test_evaluation_budget(self, logistic):
+        """Records no longer cut steps: the H1 fixture needs few g calls."""
+        calls = []
+
+        def counted_g(u):
+            calls.append(1)
+            return logistic.g(u)
+
+        pair = dataclasses.replace(logistic, g=counted_g)
+        u0 = AtomField([2.0, 1.5], [0.5, 0.5], 1.0)
+        tr = integrate(u0, pair, IntegratorConfig(t_max=200.0, rtol=1e-8, record_every=0.01))
+        assert tr.termination == Termination.STATIONARY
+        assert len(calls) < 5000
+
+    def test_record_grid_does_not_shape_steps(self, h1_run, logistic):
+        """A coarser record grid gives the same states at the shared times."""
+        u0 = AtomField([2.0, 1.5], [0.5, 0.5], 1.0)
+        coarse = integrate(u0, logistic, IntegratorConfig(t_max=200.0, rtol=1e-8, record_every=0.5))
+        assert coarse.times.size > 20
+        for t, snap in zip(coarse.times[:-1], coarse.snapshots[:-1]):
+            k = int(np.argmin(np.abs(h1_run.times - t)))
+            assert abs(h1_run.times[k] - t) <= 1e-12
+            np.testing.assert_allclose(h1_run.snapshots[k].values, snap.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("run", ["h1_run", "h3_run"])
+    def test_mass_drift_at_every_record(self, request, run):
+        """Interpolated records are stage combinations: mass stays at roundoff."""
+        tr = request.getfixturevalue(run)
+        assert float(np.max(np.abs(tr.mass_series - tr.mass_series[0]))) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("case", ["g overflow", "energy overflow"])
+    def test_non_finite_state_raises(self, logistic, case):
+        """An overflowing g*p or energy ends the run instead of recording inf."""
+        if case == "g overflow":
+            u0, pair = AtomField([1e200], [1.0], 1.0), logistic
+        else:
+            u0 = AtomField([2.0, 1.5], [0.5, 0.5], 1.0)
+            pair = dataclasses.replace(logistic, antideriv_P=lambda s: s * np.inf)
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            integrate(u0, pair, IntegratorConfig(t_max=1.0))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_stage_overflow_rejects_step(self):
+        """A first step far beyond the stability limit overflows in a stage
+        state; that rejects the step instead of ending the run."""
+        cubic = builtin_model("logistic-cubic")
+        u0 = AtomField([-20.0, -0.5], [0.5, 0.5], 1.0)
+        tr = integrate(u0, cubic, IntegratorConfig(t_max=5.0))
+        assert tr.termination == Termination.STATIONARY
+        np.testing.assert_allclose(tr.snapshots[-1].values, -10.25, atol=1e-9)
 
     def test_csv_layout(self, h3_run):
         text = h3_run.to_csv()

@@ -111,6 +111,13 @@ class TestValidatePair:
             validate_pair(bad, (-radius, radius))
         assert info.value.check.startswith("d(antiderivative)")
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_antiderivative_rejected(self, logistic):
+        """P(s) = s^2/2 overflows near 1e200: a NaN difference quotient fails."""
+        with pytest.raises(ModelValidationError) as info:
+            validate_pair(logistic, (-1e200, 1e200))
+        assert info.value.check.startswith("d(antiderivative)")
+
     def test_g_sign_violation_carries_witness(self, logistic):
         bad = type(logistic)(
             g=lambda u: u * 1.0,  # g(1) = 1 != 0

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .field import AtomField
 from .model import HypothesisClass, NonlinearityPair, classify_hypothesis, lipschitz_bound
+from .model import atom_rates, dissipation_sum, g_terms, guard_threshold, multiplier
 
 _REGION_ABORT_TOL = 1e-6  # hard abort beyond this
 _REGION_REPORT_TOL = 1e-9  # audit threshold
@@ -91,7 +92,6 @@ class Trajectory:
     dissipation_series: np.ndarray
     termination: Termination
     hypothesis: HypothesisClass
-    energy_index: int
     final_max_rhs: float
     config: IntegratorConfig
     pair: NonlinearityPair
@@ -110,46 +110,13 @@ class Trajectory:
             lines.append(",".join(f"{x:.17g}" for x in row))
         return "\n".join(lines) + "\n"
 
+    @property
+    def energy_index(self) -> int:
+        """Lyapunov index of the run's regime."""
+        return self.hypothesis.energy_index
+
 
 # ----------------------------------------------------------- rate evaluation
-
-def _multiplier(t, values, weights, pair):
-    """g and p at the atoms, the multiplier lam and the g-integral.
-
-    lam is refined once from the residual of the weighted rate sum, which
-    then vanishes to the roundoff of the rates g*(p - lam) rather than of
-    the terms g*p: mass drift stays at a few ulps however long the steps.
-    lam is nan when the g-integral is exactly 0 (a terminal guard state).
-    A non-finite g or p value (an overflow) raises NumericalFailureError:
-    no rate, multiplier or energy computed from it could be trusted.
-    """
-    gv = np.asarray(pair.g(values), dtype=float)
-    pv = np.asarray(pair.p(values), dtype=float)
-    wg = weights * gv
-    wgp = wg * pv
-    # also keeps fsum clear of inf - inf and of intermediate overflow
-    if not math.isfinite(float(np.sum(np.abs(wg)) + np.sum(np.abs(wgp)))):
-        raise NumericalFailureError("non-finite g or p value", t, values)
-    den = math.fsum(wg.tolist())
-    if den == 0.0:
-        return gv, pv, math.nan, den
-    lam = math.fsum(wgp.tolist()) / den
-    lam += math.fsum((wg * (pv - lam)).tolist()) / den
-    return gv, pv, lam, den
-
-
-def _rates(t, values, weights, omega, pair, eps_den):
-    """Per-atom rates and the g-integral at one state.
-
-    Raises DenominatorVanishingError when |g-integral| falls below the
-    guard threshold (scale-aware when ``eps_den`` is None).
-    """
-    gv, pv, lam, den = _multiplier(t, values, weights, pair)
-    eps = 1e-10 * omega * float(np.max(np.abs(gv))) if eps_den is None else float(eps_den)
-    if den == 0.0 or abs(den) < eps:
-        raise DenominatorVanishingError(den, eps)
-    return gv * (pv - lam), den
-
 
 def step_rk4(
     u: AtomField, dt: float, pair: NonlinearityPair, eps_den: float | None = None
@@ -161,10 +128,10 @@ def step_rk4(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     v, w, omega = u.values, u.weights, u.domain_measure
-    k1, _ = _rates(0.0, v, w, omega, pair, eps_den)
-    k2, _ = _rates(0.5 * dt, v + 0.5 * dt * k1, w, omega, pair, eps_den)
-    k3, _ = _rates(0.5 * dt, v + 0.5 * dt * k2, w, omega, pair, eps_den)
-    k4, _ = _rates(dt, v + dt * k3, w, omega, pair, eps_den)
+    k1, _ = atom_rates(0.0, v, w, omega, pair, eps_den)
+    k2, _ = atom_rates(0.5 * dt, v + 0.5 * dt * k1, w, omega, pair, eps_den)
+    k3, _ = atom_rates(0.5 * dt, v + 0.5 * dt * k2, w, omega, pair, eps_den)
+    k4, _ = atom_rates(dt, v + dt * k3, w, omega, pair, eps_den)
     return u.with_values(v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
@@ -228,7 +195,7 @@ def _dp_attempt(t, values, k1, dt, weights, omega, pair, eps_den):
     for c, row in zip(_DP_C, _DP_A):
         v6, v = v, values + dt * _combine(row, ks)
         try:
-            k, den = _rates(t + c * dt, v, weights, omega, pair, eps_den)
+            k, den = atom_rates(t + c * dt, v, weights, omega, pair, eps_den)
         except DenominatorVanishingError as exc:
             # let the driver know where inside the step the guard tripped
             exc.stage_values = v
@@ -251,14 +218,6 @@ def _dp_dense(values, dt, ks, theta: float) -> np.ndarray:
 
 # ----------------------------------------------------------------- integrate
 
-_REGION = {
-    # hypothesis tag -> (lower bound, upper bound) as functions of (a, b)
-    "H1": lambda a, b: (1.0, b),
-    "H2": lambda a, b: (0.0, 1.0),
-    "H3": lambda a, b: (a, 0.0),
-}
-
-
 def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the field until t_max, stationarity, or the guard.
 
@@ -278,11 +237,11 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     hyp = classify_hypothesis(u0, pair)
     weights = u0.weights
     omega = u0.domain_measure
-    sign = -1.0 if hyp.energy_index == 2 else 1.0
+    sign = hyp.energy_sign
 
     region = None
-    if hyp.tag is not None:
-        lo, hi = _REGION[hyp.tag](hyp.essinf_a, hyp.esssup_b)
+    if hyp.region is not None:
+        lo, hi = hyp.region
         region = (lo - _REGION_ABORT_TOL, hi + _REGION_ABORT_TOL)
 
     times: list[float] = []
@@ -306,7 +265,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
                 )
 
     def record(t: float, vals: np.ndarray):
-        gv, pv, lam, _ = _multiplier(t, vals, weights, pair)
+        gv, pv, lam, _ = multiplier(t, vals, weights, pair)
         snap = u0.with_values(vals)
         energy = sign * field_mod.integral_of(snap, pair.antideriv_P)
         if not math.isfinite(energy):
@@ -316,7 +275,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
         lam_series.append(lam)
         mass_series.append(field_mod.mass(snap))
         energy_series.append(energy)
-        diss_series.append(sign * math.fsum((weights * gv * (pv - lam) ** 2).tolist()))
+        diss_series.append(sign * dissipation_sum(weights, gv, pv, lam))
 
     def finish(term: Termination, final_rates) -> Trajectory:
         final_max = float(np.max(np.abs(final_rates))) if final_rates is not None else math.inf
@@ -329,7 +288,6 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
             dissipation_series=np.asarray(diss_series),
             termination=term,
             hypothesis=hyp,
-            energy_index=hyp.energy_index,
             final_max_rhs=final_max,
             config=cfg,
             pair=pair,
@@ -339,7 +297,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     t = 0.0
     record(0.0, values)
     try:
-        rates, den = _rates(0.0, values, weights, omega, pair, cfg.eps_den)
+        rates, den = atom_rates(0.0, values, weights, omega, pair, cfg.eps_den)
     except DenominatorVanishingError:
         return finish(Termination.DENOMINATOR_VANISHING, None)
     if float(np.max(np.abs(rates))) < cfg.stat_tol:
@@ -423,8 +381,8 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
                 # step control collapsed; decide whether the denominator
                 # obstruction (a finite-time crossing of the g-integral,
                 # unreachable by explicit steps) caused it
-                gmax = float(np.max(np.abs(np.asarray(pair.g(values), dtype=float))))
-                if flip or abs(den) < 1e-6 * omega * gmax:
+                gv, _ = g_terms(values, weights, pair)
+                if flip or abs(den) < guard_threshold(gv, omega, 1e-6):
                     if times[-1] != t:
                         record(t, values)
                     return finish(Termination.DENOMINATOR_VANISHING, rates)
@@ -604,12 +562,12 @@ def verify_trajectory(
         )
     )
 
-    if hyp.tag is None:
+    if hyp.region is None:
         checks.append(CheckResult("invariant-region", True, 0.0, _REGION_REPORT_TOL, "no hypothesis"))
         checks.append(CheckResult("lambda-bound", True, 0.0, _LAMBDA_BOUND_TOL, "no hypothesis"))
         checks.append(CheckResult("energy-monotonicity", True, 0.0, _ENERGY_MONOTONE_TOL, "no hypothesis"))
     else:
-        lo, hi = _REGION[hyp.tag](hyp.essinf_a, hyp.esssup_b)
+        lo, hi = hyp.region
         worst_region = max(0.0, float(np.max(vals)) - hi, lo - float(np.min(vals)))
         checks.append(
             CheckResult(
@@ -621,12 +579,7 @@ def verify_trajectory(
             )
         )
 
-        ref = {
-            "H1": (1.0, hyp.esssup_b),
-            "H2": (0.0, 1.0),
-            "H3": (hyp.essinf_a, 0.0),
-        }[hyp.tag]
-        bound = max(abs(float(pair.p(ref[0]))), abs(float(pair.p(ref[1]))))
+        bound = max(abs(float(pair.p(lo))), abs(float(pair.p(hi))))
         finite = np.isfinite(tr.lambda_series)
         if not np.all(finite):
             checks.append(
@@ -641,7 +594,7 @@ def verify_trajectory(
                     worst_lam <= bound + _LAMBDA_BOUND_TOL,
                     worst_lam,
                     bound + _LAMBDA_BOUND_TOL,
-                    f"max(|p({ref[0]:g})|, |p({ref[1]:g})|) = {bound:g}",
+                    f"max(|p({lo:g})|, |p({hi:g})|) = {bound:g}",
                 )
             )
 

@@ -11,47 +11,29 @@ is the quantity the limit-profile predictor consumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import field as field_mod
 from .dynamics import Termination, Trajectory
-from .errors import (
-    DenominatorVanishingError,
-    DissipationUnavailableError,
-    NotConvergedError,
-)
+from .errors import DissipationUnavailableError, NotConvergedError
 from .field import AtomField
-from .model import HypothesisClass, NonlinearityPair, default_eps_den
-
-
-def _sign(i: int) -> float:
-    if i not in (1, 2, 3):
-        raise ValueError(f"hypothesis index must be 1, 2 or 3, got {i!r}")
-    return -1.0 if i == 2 else 1.0
+from .model import HypothesisClass, NonlinearityPair, dissipation_sum, guarded_multiplier
 
 
 def lyapunov(u: AtomField, pair: NonlinearityPair, i: int) -> float:
     """Energy of the field for hypothesis index i."""
-    return _sign(i) * field_mod.integral_of(u, pair.antideriv_P)
+    return HypothesisClass.energy_sign_of(i) * field_mod.integral_of(u, pair.antideriv_P)
 
 
 def dissipation_rate(
     u: AtomField, pair: NonlinearityPair, i: int, eps_den: float | None = None
 ) -> float:
     """Instantaneous energy rate; nonpositive inside the regime's region."""
-    sign = _sign(i)
-    gv = np.asarray(pair.g(u.values), dtype=float)
-    pv = np.asarray(pair.p(u.values), dtype=float)
-    num = math.fsum((u.weights * gv * pv).tolist())
-    den = math.fsum((u.weights * gv).tolist())
-    eps = default_eps_den(u, pair) if eps_den is None else float(eps_den)
-    if den == 0.0 or abs(den) < eps:
-        raise DenominatorVanishingError(den, eps)
-    lam = num / den
-    return sign * math.fsum((u.weights * gv * (pv - lam) ** 2).tolist())
+    sign = HypothesisClass.energy_sign_of(i)
+    gv, pv, lam, _ = guarded_multiplier(0.0, u.values, u.weights, u.domain_measure, pair, eps_den)
+    return sign * dissipation_sum(u.weights, gv, pv, lam)
 
 
 def dissipation_constant(
@@ -63,16 +45,13 @@ def dissipation_constant(
     sampling). Unavailable for H2, where g vanishes at both region
     endpoints, and for degenerate intervals (b = 1 or a = 0).
     """
-    if hyp.tag == "H1":
-        lo, hi = 1.0, hyp.esssup_b
-    elif hyp.tag == "H3":
-        lo, hi = hyp.essinf_a, 0.0
-    elif hyp.tag == "H2":
+    if hyp.tag == "H2":
         raise DissipationUnavailableError(
             "no dissipation constant under H2: g vanishes at both region endpoints"
         )
-    else:
+    if hyp.region is None:
         raise DissipationUnavailableError("no hypothesis holds")
+    lo, hi = hyp.region
     if hi <= lo:
         raise DissipationUnavailableError(
             f"degenerate interval [{lo:g}, {hi:g}]"

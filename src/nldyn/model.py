@@ -25,10 +25,10 @@ from .errors import (
     BallTooLargeError,
     DenominatorVanishingError,
     ModelValidationError,
+    NumericalFailureError,
     UnknownModelError,
 )
 from .field import AtomField
-from .quad import adaptive_simpson
 
 ScalarFn = Callable[[float], float]
 
@@ -69,6 +69,24 @@ class HypothesisClass:
     def energy_index(self) -> int:
         """Lyapunov index for this regime (1 when no hypothesis holds)."""
         return {"H1": 1, "H2": 2, "H3": 3}.get(self.tag, 1)
+
+    @staticmethod
+    def energy_sign_of(i: int) -> float:
+        """The sign (-1)^(i+1) of the Lyapunov energy E_i, i in {1, 2, 3}."""
+        if i not in (1, 2, 3):
+            raise ValueError(f"hypothesis index must be 1, 2 or 3, got {i!r}")
+        return -1.0 if i == 2 else 1.0
+
+    @property
+    def energy_sign(self) -> float:
+        """The sign of this regime's Lyapunov energy."""
+        return self.energy_sign_of(self.energy_index)
+
+    @property
+    def region(self) -> tuple[float, float] | None:
+        """Invariant interval: H1 [1, b], H2 [0, 1], H3 [a, 0]; None without a regime."""
+        a, b = self.essinf_a, self.esssup_b
+        return {"H1": (1.0, b), "H2": (0.0, 1.0), "H3": (a, 0.0)}.get(self.tag)
 
 
 @dataclass(frozen=True)
@@ -204,6 +222,77 @@ def validate_pair(
             )
 
 
+# -------------------------------------------------------------- rate kernel
+# The only code that evaluates g and p at the atoms and sums them: the
+# integrator and the public functions agree to the last bit.
+
+def g_terms(values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
+    """g at the atom values, and the terms w * g of the g-integral."""
+    gv = np.asarray(pair.g(values), dtype=float)
+    return gv, weights * gv
+
+
+def g_integral(wg: np.ndarray) -> float:
+    """The g-integral from its terms w * g, summed exactly (order-free)."""
+    return math.fsum(wg.tolist())
+
+
+def multiplier(t: float, values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
+    """g and p at the atoms, the multiplier lam and the g-integral (unguarded).
+
+    lam is refined once from the residual of the weighted rate sum, which
+    then vanishes to the roundoff of the rates g*(p - lam) rather than of
+    the terms g*p: mass drift stays at a few ulps however long the steps.
+    lam is nan when the g-integral is exactly 0 (a terminal guard state).
+    A non-finite g or p value (an overflow) raises NumericalFailureError
+    at time t: nothing computed from it could be trusted.
+    """
+    gv, wg = g_terms(values, weights, pair)
+    pv = np.asarray(pair.p(values), dtype=float)
+    wgp = wg * pv
+    # also keeps fsum clear of inf - inf and of intermediate overflow
+    if not math.isfinite(float(np.sum(np.abs(wg)) + np.sum(np.abs(wgp)))):
+        raise NumericalFailureError("non-finite g or p value", t, values)
+    den = g_integral(wg)
+    if den == 0.0:
+        return gv, pv, math.nan, den
+    lam = math.fsum(wgp.tolist()) / den
+    lam += math.fsum((wg * (pv - lam)).tolist()) / den
+    return gv, pv, lam, den
+
+
+def guard_threshold(gv: np.ndarray, omega: float, rel: float = 1e-10) -> float:
+    """Scale-aware guard threshold: rel * |Omega| * max |g| over the atoms.
+
+    Shrinks together with g as all atoms approach roots of g, so the
+    guard only fires when the integral is small relative to its terms.
+    """
+    return rel * omega * float(np.max(np.abs(gv)))
+
+
+def guarded_multiplier(t, values, weights, omega, pair, eps_den):
+    """``multiplier``, raising DenominatorVanishingError below the guard.
+
+    The guard is ``eps_den``, or ``guard_threshold`` when it is None.
+    """
+    gv, pv, lam, den = multiplier(t, values, weights, pair)
+    eps = guard_threshold(gv, omega) if eps_den is None else float(eps_den)
+    if den == 0.0 or abs(den) < eps:
+        raise DenominatorVanishingError(den, eps)
+    return gv, pv, lam, den
+
+
+def atom_rates(t, values, weights, omega, pair, eps_den):
+    """Per-atom rates g*(p - lam) and the g-integral at one state (guarded)."""
+    gv, pv, lam, den = guarded_multiplier(t, values, weights, omega, pair, eps_den)
+    return gv * (pv - lam), den
+
+
+def dissipation_sum(weights: np.ndarray, gv: np.ndarray, pv: np.ndarray, lam: float) -> float:
+    """The energy rate of E_1: the exact sum of w * g * (p - lam)^2."""
+    return math.fsum((weights * gv * (pv - lam) ** 2).tolist())
+
+
 # ----------------------------------------------------------- classification
 
 def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClass:
@@ -214,9 +303,7 @@ def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClas
     """
     a = float(np.min(u0.values))
     b = float(np.max(u0.values))
-    integral_g = math.fsum(
-        (u0.weights * np.asarray(pair.g(u0.values), dtype=float)).tolist()
-    )
+    integral_g = g_integral(g_terms(u0.values, u0.weights, pair)[1])
     tag = None
     if a >= 1.0 and b > 1.0:
         tag = "H1"
@@ -229,49 +316,23 @@ def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClas
 
 # ------------------------------------------------------- rate and multiplier
 
-def default_eps_den(u: AtomField, pair: NonlinearityPair) -> float:
-    """Scale-aware guard threshold: 1e-10 * |Omega| * max |g| over the field.
-
-    Shrinks together with g as all atoms approach roots of g, so the
-    guard only fires when the integral is small relative to its terms.
-    """
-    gmax = float(np.max(np.abs(np.asarray(pair.g(u.values), dtype=float))))
-    return 1e-10 * u.domain_measure * gmax
-
-
-def _g_sums(values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
-    gv = np.asarray(pair.g(values), dtype=float)
-    pv = np.asarray(pair.p(values), dtype=float)
-    num = math.fsum((weights * gv * pv).tolist())
-    den = math.fsum((weights * gv).tolist())
-    return gv, pv, num, den
-
-
 def lambda_of(u: AtomField, pair: NonlinearityPair, eps_den: float | None = None) -> float:
     """Nonlocal multiplier of the field: g-weighted average of p.
 
-    Exact quadrature for step functions. Raises DenominatorVanishingError
-    when |sum of m*g| falls below ``eps_den`` (scale-aware default).
+    Exact quadrature for step functions; the value the integrator records.
+    Raises DenominatorVanishingError when |sum of m*g| falls below
+    ``eps_den`` (scale-aware default), NumericalFailureError on overflow.
     """
-    _, _, num, den = _g_sums(u.values, u.weights, pair)
-    eps = default_eps_den(u, pair) if eps_den is None else float(eps_den)
-    if den == 0.0 or abs(den) < eps:
-        raise DenominatorVanishingError(den, eps)
-    return num / den
+    return guarded_multiplier(0.0, u.values, u.weights, u.domain_measure, pair, eps_den)[2]
 
 
 def rhs(u: AtomField, pair: NonlinearityPair, eps_den: float | None = None) -> np.ndarray:
     """Per-atom rates of the mass-conserving dynamics.
 
-    r_i = g(s_i) p(s_i) - g(s_i) * lam. The weighted rate sum vanishes
+    r_i = g(s_i) (p(s_i) - lam). The weighted rate sum vanishes
     identically, which is the discrete mass-conservation identity.
     """
-    gv, pv, num, den = _g_sums(u.values, u.weights, pair)
-    eps = default_eps_den(u, pair) if eps_den is None else float(eps_den)
-    if den == 0.0 or abs(den) < eps:
-        raise DenominatorVanishingError(den, eps)
-    lam = num / den
-    return gv * pv - gv * lam
+    return atom_rates(0.0, u.values, u.weights, u.domain_measure, pair, eps_den)[0]
 
 
 def lipschitz_bound(
@@ -305,9 +366,7 @@ def lipschitz_bound(
             np.max(np.abs(gpv)),
         )
     )
-    integral_g = math.fsum(
-        (u.weights * np.asarray(pair.g(u.values), dtype=float)).tolist()
-    )
+    integral_g = g_integral(g_terms(u.values, u.weights, pair)[1])
     omega = u.domain_measure
     alpha = abs(integral_g) - K * float(ball_radius) * omega
     if alpha <= 0.0:
@@ -327,9 +386,7 @@ __all__ = [
     "antiderivative_value",
     "validate_pair",
     "classify_hypothesis",
-    "default_eps_den",
     "lambda_of",
     "rhs",
     "lipschitz_bound",
-    "adaptive_simpson",
 ]

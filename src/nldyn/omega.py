@@ -382,7 +382,7 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
 
     values = tuple(c[0] for c in clusters)
     measures = tuple(c[1] for c in clusters)
-    sign = -1.0 if tr.energy_index == 2 else 1.0
+    sign = tr.hypothesis.energy_sign
     mass_res = math.fsum(v * m for v, m in clusters) - float(tr.mass_series[0])
     energy_res = (
         sign * math.fsum(float(tr.pair.antideriv_P(v)) * m for v, m in clusters)

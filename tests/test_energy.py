@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from helpers import random_h1_atoms
 from nldyn import (
     AtomField,
     DissipationUnavailableError,
     IntegratorConfig,
     NotConvergedError,
+    NumericalFailureError,
+    builtin_model,
     classify_hypothesis,
     dissipation_constant,
     dissipation_rate,
@@ -51,6 +54,25 @@ class TestDissipationRate:
         u = AtomField([0.3, 0.7], [0.5, 0.5], 1.0)
         assert dissipation_rate(u, logistic, 2) == pytest.approx(-0.0084, abs=1e-14)
         assert dissipation_rate(u, logistic, 2) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "values", [[1e150, 2.0], [1e200, -1e200]], ids=["g*p overflow", "opposite infinities"]
+    )
+    def test_overflow_raises(self, logistic, values):
+        """A non-finite g or p at an atom raises, as it does in integrate."""
+        with pytest.raises(NumericalFailureError):
+            dissipation_rate(AtomField(values, [0.5, 0.5], 1.0), logistic, 1)
+
+    @pytest.mark.parametrize("name", ["logistic-identity", "logistic-cubic"])
+    def test_equals_integrator_record(self, name):
+        """On H1 fields the rate is bitwise the one integrate records at t = 0."""
+        pair = builtin_model(name)
+        cfg = IntegratorConfig(t_max=1e-3, record_every=1e-3)
+        for values, weights in random_h1_atoms(5, 100):
+            u = AtomField(values, weights, float(np.sum(weights)))
+            expected = integrate(u, pair, cfg).dissipation_series[0]
+            assert dissipation_rate(u, pair, 1) == expected
 
 
 class TestDissipationConstant:

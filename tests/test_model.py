@@ -6,16 +6,20 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_h1_atoms
 from nldyn import (
     AtomField,
     BallTooLargeError,
     DenominatorVanishingError,
+    IntegratorConfig,
     ModelValidationError,
+    NumericalFailureError,
     UnknownModelError,
     antiderivative_value,
     build_model,
     builtin_model,
     classify_hypothesis,
+    integrate,
     lambda_of,
     lipschitz_bound,
     rhs,
@@ -24,6 +28,11 @@ from nldyn import (
 from nldyn.quad import adaptive_simpson
 
 RNG = np.random.default_rng(7)
+
+# g*p overflows at 1e150, and to infinities of both signs at +-1e200
+OVERFLOWING = pytest.mark.parametrize(
+    "values", [[1e150, 2.0], [1e200, -1e200]], ids=["g*p overflow", "opposite infinities"]
+)
 
 
 class TestBuiltinModel:
@@ -185,11 +194,33 @@ class TestLambda:
         with pytest.raises(DenominatorVanishingError):
             lambda_of(u, logistic, eps_den=0.5)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @OVERFLOWING
+    def test_overflow_raises(self, logistic, values):
+        """A non-finite g or p at an atom raises, as it does in integrate."""
+        with pytest.raises(NumericalFailureError):
+            lambda_of(AtomField(values, [0.5, 0.5], 1.0), logistic)
+
+    @pytest.mark.parametrize("name", ["logistic-identity", "logistic-cubic"])
+    def test_equals_integrator_record(self, name):
+        """lambda_of is bitwise the multiplier integrate records at t = 0."""
+        pair = builtin_model(name)
+        cfg = IntegratorConfig(t_max=1e-3, record_every=1e-3)
+        for values, weights in random_h1_atoms(5, 100):
+            u = AtomField(values, weights, float(np.sum(weights)))
+            assert lambda_of(u, pair) == integrate(u, pair, cfg).lambda_series[0]
+
 
 class TestRhs:
     def test_constant_field_is_stationary(self, logistic):
         r = rhs(AtomField([0.5], [1.0], 1.0), logistic)
         np.testing.assert_allclose(r, 0.0, atol=1e-16)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @OVERFLOWING
+    def test_overflow_raises(self, logistic, values):
+        with pytest.raises(NumericalFailureError):
+            rhs(AtomField(values, [0.5, 0.5], 1.0), logistic)
 
     def test_pinned_plus_matched_atom(self, logistic):
         """{(1, .5), (2, .5)}: g(1) = 0 and p(2) = lam, so both rates vanish."""

@@ -50,7 +50,6 @@ _KEYS: dict[str, tuple[str, object]] = {
     "integrator.eps_den": ("float", None),
     "integrator.stat_tol": ("float", 1e-10),
     "integrator.record_every": ("float", 0.1),
-    "integrator.lipschitz_cap": ("bool", False),
     "omega.cluster_tol": ("float", 1e-4),
     "output.dir": ("str", "."),
     "output.base": ("str", "run"),
@@ -77,7 +76,6 @@ class RunConfig:
     eps_den: float | None
     stat_tol: float
     record_every: float
-    lipschitz_cap: bool
     cluster_tol: float
     output_dir: str
     output_base: str
@@ -94,7 +92,6 @@ class RunConfig:
                 eps_den=self.eps_den,
                 stat_tol=self.stat_tol,
                 record_every=self.record_every,
-                lipschitz_cap=self.lipschitz_cap,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -176,10 +173,6 @@ def _typed(raw: str, typ: str, key: str):
         if len(raw) < 2 or raw[0] != '"' or raw[-1] != '"':
             raise ConfigError(f"key {key!r} needs a quoted string value, got {raw!r}")
         return raw[1:-1]
-    if typ == "bool":
-        if raw not in ("true", "false"):
-            raise ConfigError(f"key {key!r} needs true or false, got {raw!r}")
-        return raw == "true"
     try:
         value = int(raw) if typ == "int" else float(raw)
     except ValueError:
@@ -227,7 +220,6 @@ def parse_config_text(text: str) -> RunConfig:
         eps_den=values["integrator.eps_den"],
         stat_tol=values["integrator.stat_tol"],
         record_every=values["integrator.record_every"],
-        lipschitz_cap=values["integrator.lipschitz_cap"],
         cluster_tol=values["omega.cluster_tol"],
         output_dir=values["output.dir"],
         output_base=values["output.base"],
@@ -499,10 +491,9 @@ def cmd_check(config_path: str) -> int:
     if n >= 2:
         for _ in range(20):
             i, j = rng.integers(0, n, size=2)
-            d1 = field_mod.l1_distance(tr.snapshots[i], tr.snapshots[j])
-            d2 = field_mod.profile_l1_distance(
-                field_mod.rearrange(tr.snapshots[i]), field_mod.rearrange(tr.snapshots[j])
-            )
+            si, sj = tr.snapshots[i], tr.snapshots[j]
+            d1 = field_mod.l1_distance(si, sj)
+            d2 = field_mod.profile_l1_distance(field_mod.rearrange(si), field_mod.rearrange(sj))
             worst_iso = max(worst_iso, abs(d1 - d2))
     add("rearrangement-isometry", worst_iso <= 1e-12, worst_iso, 1e-12)
 

@@ -23,26 +23,22 @@ beyond 1e-6 abort the run.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 import numpy as np
 
 from . import field as field_mod
-from .errors import (
-    BallTooLargeError,
-    DenominatorVanishingError,
-    NumericalFailureError,
-)
+from .errors import DenominatorVanishingError, NumericalFailureError
 from .field import AtomField
-from .model import HypothesisClass, NonlinearityPair, classify_hypothesis, lipschitz_bound
+from .model import HypothesisClass, NonlinearityPair, classify_hypothesis
 from .model import atom_rates, dissipation_sum, g_terms, guard_threshold, multiplier
 
 _REGION_ABORT_TOL = 1e-6  # hard abort beyond this
 _REGION_REPORT_TOL = 1e-9  # audit threshold
 _LAMBDA_BOUND_TOL = 1e-9
 _ENERGY_MONOTONE_TOL = 1e-9
-_DT_SAFETY_OVER_L = 0.1
 
 
 class Termination(str, Enum):
@@ -63,7 +59,6 @@ class IntegratorConfig:
     eps_den: float | None = None  # None: scale-aware default per state
     stat_tol: float = 1e-10
     record_every: float = 0.1
-    lipschitz_cap: bool = False
 
     def __post_init__(self):
         for name in ("t_max", "rtol", "atol", "dt_init", "dt_max", "stat_tol", "record_every"):
@@ -75,17 +70,46 @@ class IntegratorConfig:
             raise ValueError("eps_den must be positive and finite when given")
 
 
+class SnapshotView(Sequence):
+    """Read-only sequence of recorded states as AtomFields.
+
+    Indexing, slicing and iteration build an AtomField only for the rows
+    asked for; a slice is another view.
+    """
+
+    def __init__(self, values: np.ndarray, weights: np.ndarray, domain_measure: float):
+        self._values = values
+        self._weights = weights
+        self._domain_measure = domain_measure
+
+    def __len__(self) -> int:
+        return self._values.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return SnapshotView(self._values[k], self._weights, self._domain_measure)
+        return AtomField(self._values[k], self._weights, self._domain_measure)
+
+    def __iter__(self):
+        for row in self._values:
+            yield AtomField(row, self._weights, self._domain_measure)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded orbit: snapshots plus multiplier, mass, energy series.
+    """Recorded orbit: atom values plus multiplier, mass, energy series.
 
-    The weight vector and the atom order are identical across snapshots;
-    the termination tag DenominatorVanishing realizes the blow-up
-    alternative (the g-integral reached the guard in finite time).
+    ``values`` is a read-only (K, n) array: row k is the state at
+    ``times[k]``, over the run's fixed ``weights`` and atom order.
+    ``snapshots`` shows the rows as AtomFields. The termination tag
+    DenominatorVanishing realizes the blow-up alternative (the
+    g-integral reached the guard in finite time).
     """
 
     times: np.ndarray
-    snapshots: tuple[AtomField, ...]
+    values: np.ndarray
+    weights: np.ndarray
+    domain_measure: float
     lambda_series: np.ndarray
     mass_series: np.ndarray
     energy_series: np.ndarray
@@ -96,18 +120,33 @@ class Trajectory:
     config: IntegratorConfig
     pair: NonlinearityPair
 
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float).view()
+        if values.shape != (self.times.size, self.weights.size):
+            raise ValueError(
+                f"values of shape {values.shape} do not match {self.times.size} "
+                f"records of {self.weights.size} atoms"
+            )
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def snapshots(self) -> SnapshotView:
+        """The records as AtomFields, built on access."""
+        return SnapshotView(self.values, self.weights, self.domain_measure)
+
     def to_csv(self) -> str:
         """Full-precision CSV: t,lambda,mass,energy,dissipation,v1,...,vn."""
-        n = len(self.snapshots[0])
         header = "t,lambda,mass,energy,dissipation," + ",".join(
-            f"v{i + 1}" for i in range(n)
+            f"v{i + 1}" for i in range(self.weights.size)
         )
         lines = [header]
-        for k, t in enumerate(self.times.tolist()):
-            row = [t, float(self.lambda_series[k]), float(self.mass_series[k]),
-                   float(self.energy_series[k]), float(self.dissipation_series[k])]
-            row.extend(self.snapshots[k].values.tolist())
-            lines.append(",".join(f"{x:.17g}" for x in row))
+        series = zip(self.times.tolist(), self.lambda_series.tolist(), self.mass_series.tolist(),
+                     self.energy_series.tolist(), self.dissipation_series.tolist())
+        # one row at a time: the whole table as Python floats would be
+        # several times the size of the array
+        for head, row in zip(series, self.values):
+            lines.append(",".join(f"{x:.17g}" for x in (*head, *row.tolist())))
         return "\n".join(lines) + "\n"
 
     @property
@@ -210,10 +249,20 @@ def _dp_attempt(t, values, k1, dt, weights, omega, pair, eps_den):
     return v, ks, den, rho
 
 
-def _dp_dense(values, dt, ks, theta: float) -> np.ndarray:
-    """The continuous extension at fraction theta of an accepted step."""
-    q = _DP_P @ (theta ** np.arange(1, 5))
-    return values + dt * _combine(q.tolist(), ks)
+def _dp_dense(values, dt, ks, thetas: list[float]) -> np.ndarray:
+    """The continuous extension of an accepted step, one row per fraction.
+
+    Row r has the stage weights _DP_P @ theta_r^(1..4) and the roundings
+    of ``_combine``, so it equals the extension evaluated at theta_r
+    alone, bit for bit.
+    """
+    q = np.array([_DP_P @ (theta ** np.arange(1, 5)) for theta in thetas])
+    acc = None
+    for c, k in zip(q.T, ks):
+        if c.any():
+            term = c[:, None] * k
+            acc = term if acc is None else acc + term
+    return values + dt * acc
 
 
 # ----------------------------------------------------------------- integrate
@@ -226,13 +275,16 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     largest atom error estimate is within rtol*scale + atol; the next
     step size follows the usual 5th-root controller, capped so that it
     times the estimated largest eigenvalue stays well inside the
-    method's stability interval. Steps are cut only at t_max. Snapshots
-    are recorded on the uniform grid k*record_every from the 4th-order
-    continuous extension, plus the final state; each record evaluates
-    the rates once for the multiplier and the dissipation sum.
-    Stationarity (max |rate| < stat_tol on two consecutive accepted
-    steps) and the denominator guard terminate the run early; both are
-    recorded as termination tags, not raised.
+    method's stability interval. Steps are cut only at t_max. States
+    are recorded on the uniform grid k*record_every, plus the final
+    state: the grid times inside an accepted step form one block of rows
+    of its 4th-order continuous extension (a grid time on the step's end
+    takes the step's own state), checked for finiteness and the region
+    at once; each row then evaluates the rate kernel once for the
+    multiplier and the dissipation sum. Stationarity (max |rate| <
+    stat_tol on two consecutive accepted steps) and the denominator
+    guard terminate the run early; both are recorded as termination
+    tags, not raised.
     """
     hyp = classify_hypothesis(u0, pair)
     weights = u0.weights
@@ -245,7 +297,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
         region = (lo - _REGION_ABORT_TOL, hi + _REGION_ABORT_TOL)
 
     times: list[float] = []
-    snaps: list[AtomField] = []
+    blocks: list[np.ndarray] = []
     lam_series: list[float] = []
     mass_series: list[float] = []
     energy_series: list[float] = []
@@ -264,24 +316,42 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
                     vals,
                 )
 
-    def record(t: float, vals: np.ndarray):
-        gv, pv, lam, _ = multiplier(t, vals, weights, pair)
-        snap = u0.with_values(vals)
-        energy = sign * field_mod.integral_of(snap, pair.antideriv_P)
-        if not math.isfinite(energy):
-            raise NumericalFailureError("non-finite energy", t, vals)
-        times.append(t)
-        snaps.append(snap)
-        lam_series.append(lam)
-        mass_series.append(field_mod.mass(snap))
-        energy_series.append(energy)
-        diss_series.append(sign * dissipation_sum(weights, gv, pv, lam))
+    def valid_rows(block: np.ndarray) -> int:
+        """How many leading rows of block pass check_state."""
+        ok = np.all(np.isfinite(block), axis=1)
+        if region is not None:
+            ok &= (np.min(block, axis=1) >= region[0]) & (np.max(block, axis=1) <= region[1])
+        bad = np.flatnonzero(~ok)
+        return int(bad[0]) if bad.size else ok.size
+
+    def record(ts: list[float], block: np.ndarray):
+        """Record the rows of block at the times ts, in time order.
+
+        P and the mass terms are formed once on the block; the rate
+        kernel and each row's exact sums run per record, in the order a
+        single record would run them, so the first faulty record raises.
+        """
+        wp = weights * field_mod.atomwise(pair.antideriv_P, block)
+        wv = weights * block
+        for t, vals, wp_row, wv_row in zip(ts, block, wp, wv):
+            gv, pv, lam, _ = multiplier(t, vals, weights, pair)
+            energy = sign * math.fsum(wp_row.tolist())
+            if not math.isfinite(energy):
+                raise NumericalFailureError("non-finite energy", t, vals)
+            lam_series.append(lam)
+            mass_series.append(math.fsum(wv_row.tolist()))
+            energy_series.append(energy)
+            diss_series.append(sign * dissipation_sum(weights, gv, pv, lam))
+        times.extend(ts)
+        blocks.append(block)
 
     def finish(term: Termination, final_rates) -> Trajectory:
         final_max = float(np.max(np.abs(final_rates))) if final_rates is not None else math.inf
         return Trajectory(
             times=np.asarray(times),
-            snapshots=tuple(snaps),
+            values=np.concatenate(blocks),
+            weights=weights,
+            domain_measure=omega,
             lambda_series=np.asarray(lam_series),
             mass_series=np.asarray(mass_series),
             energy_series=np.asarray(energy_series),
@@ -295,7 +365,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
 
     values = np.asarray(u0.values, dtype=float).copy()
     t = 0.0
-    record(0.0, values)
+    record([0.0], values[None])
     try:
         rates, den = atom_rates(0.0, values, weights, omega, pair, cfg.eps_den)
     except DenominatorVanishingError:
@@ -307,29 +377,9 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     rec_count = 1
     stationary_streak = 0
     rejected = False  # the current step has had a rejected attempt
-    lip_cache: tuple[float, float] | None = None  # (cbar used, dt cap)
-
-    def lipschitz_dt_cap(vals: np.ndarray) -> float:
-        nonlocal lip_cache
-        cbar_now = float(np.max(np.abs(vals)))
-        if lip_cache is not None and abs(cbar_now - lip_cache[0]) <= 0.025:
-            return lip_cache[1]
-        snap = u0.with_values(vals)
-        cap = math.inf
-        for radius in (0.1, 0.01, 0.001):
-            try:
-                est = lipschitz_bound(snap, pair, radius)
-            except BallTooLargeError:
-                continue
-            cap = _DT_SAFETY_OVER_L / est.L
-            break
-        lip_cache = (cbar_now, cap)
-        return cap
 
     while t < cfg.t_max:
         dt_try = min(dt, cfg.dt_max)
-        if cfg.lipschitz_cap:
-            dt_try = min(dt_try, lipschitz_dt_cap(values))
         last = t + dt_try >= cfg.t_max - 1e-12 * max(1.0, cfg.t_max)
         if last:
             dt_try = cfg.t_max - t
@@ -350,12 +400,12 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
                 rejected = True
                 continue
             if times[-1] != t:
-                record(t, values)
+                record([t], values[None])
             sv = exc.stage_values
             if bool(np.all(np.isfinite(sv))):
                 t_stage = t + exc.stage_fraction * dt_try
                 if t_stage > times[-1]:
-                    record(t_stage, sv)
+                    record([t_stage], sv[None])
             return finish(Termination.DENOMINATOR_VANISHING, rates)
         else:
             err = dt_try * _combine(_DP_E, ks)
@@ -384,7 +434,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
                 gv, _ = g_terms(values, weights, pair)
                 if flip or abs(den) < guard_threshold(gv, omega, 1e-6):
                     if times[-1] != t:
-                        record(t, values)
+                        record([t], values[None])
                     return finish(Termination.DENOMINATOR_VANISHING, rates)
                 raise NumericalFailureError(
                     "step size underflow (error control cannot proceed)", t, values
@@ -393,15 +443,18 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
 
         t_new = cfg.t_max if last else t + dt_try
         check_state(t_new, new)
+        t_recs = []
         while rec_count * cfg.record_every <= t_new:
-            t_rec = rec_count * cfg.record_every
-            if t_rec == t_new:
-                vals = new
-            else:
-                vals = _dp_dense(values, dt_try, ks, (t_rec - t) / dt_try)
-                check_state(t_rec, vals)
-            record(t_rec, vals)
+            t_recs.append(rec_count * cfg.record_every)
             rec_count += 1
+        if t_recs:
+            block = _dp_dense(values, dt_try, ks, [(t_rec - t) / dt_try for t_rec in t_recs])
+            if t_recs[-1] == t_new:
+                block[-1] = new  # a record on the step's end is the step's state
+            n_ok = valid_rows(block)
+            record(t_recs[:n_ok], block[:n_ok])
+            if n_ok < len(t_recs):
+                check_state(t_recs[n_ok], block[n_ok])  # raises
 
         t, values, rates, den = t_new, new, ks[-1], den_new
 
@@ -409,7 +462,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
             stationary_streak += 1
             if stationary_streak >= 2:
                 if times[-1] != t:
-                    record(t, values)
+                    record([t], values[None])
                 return finish(Termination.STATIONARY, rates)
         else:
             stationary_streak = 0
@@ -423,7 +476,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
         rejected = False
 
     if times[-1] != cfg.t_max:
-        record(cfg.t_max, values)
+        record([cfg.t_max], values[None])
     return finish(Termination.REACHED_TMAX, rates)
 
 
@@ -435,8 +488,8 @@ def _lambda_slopes(tr: Trajectory, pair: NonlinearityPair) -> np.ndarray:
     With u' = g(u)(p(u) - lam) at each atom,
     lam' = (sum w (g p)'(u) u' - lam sum w g'(u) u') / sum w g(u).
     """
-    vals = np.stack([s.values for s in tr.snapshots])
-    w = tr.snapshots[0].weights
+    vals = tr.values
+    w = tr.weights
     lam = tr.lambda_series[:, None]
     gv = np.asarray(pair.g(vals), dtype=float)
     pv = np.asarray(pair.p(vals), dtype=float)
@@ -532,10 +585,10 @@ def verify_trajectory(
 
     Reports mass conservation, atom-order preservation, and the invariant
     region, multiplier bound and energy monotonicity for the hypothesis.
-    Each check is one array pass over the stacked snapshot values.
+    Each check is one array pass over the recorded values.
     """
     checks: list[CheckResult] = []
-    vals = np.stack([s.values for s in tr.snapshots])
+    vals = tr.values
 
     m0 = float(tr.mass_series[0])
     mass_tol = 1e-6 * max(abs(m0), 1e-12)
@@ -615,6 +668,7 @@ def verify_trajectory(
 __all__ = [
     "Termination",
     "IntegratorConfig",
+    "SnapshotView",
     "Trajectory",
     "step_rk4",
     "integrate",

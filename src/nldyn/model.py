@@ -251,7 +251,7 @@ def multiplier(t: float, values: np.ndarray, weights: np.ndarray, pair: Nonlinea
     pv = np.asarray(pair.p(values), dtype=float)
     wgp = wg * pv
     # also keeps fsum clear of inf - inf and of intermediate overflow
-    if not math.isfinite(float(np.sum(np.abs(wg)) + np.sum(np.abs(wgp)))):
+    if not math.isfinite(float(np.abs(wg).sum() + np.abs(wgp).sum())):
         raise NumericalFailureError("non-finite g or p value", t, values)
     den = g_integral(wg)
     if den == 0.0:

@@ -360,10 +360,10 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
     claim.
     """
     elim = energy_limit(tr)  # raises NotConvergedError if not settled
-    final = tr.snapshots[-1]
-    order = np.argsort(-final.values, kind="stable")
-    vals = final.values[order]
-    wts = final.weights[order]
+    final = tr.values[-1]
+    order = np.argsort(-final, kind="stable")
+    vals = final[order]
+    wts = tr.weights[order]
 
     clusters: list[tuple[float, float]] = []
     start = 0
@@ -407,7 +407,7 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
         mass_residual=mass_res,
         energy_residual=energy_res,
         source="Empirical",
-        domain_measure=final.domain_measure,
+        domain_measure=tr.domain_measure,
         shape_deviation=deviation,
     )
 

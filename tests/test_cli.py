@@ -275,14 +275,12 @@ class TestCheck:
         import dataclasses
 
         def corrupt(tr):
-            snaps = list(tr.snapshots)
-            mid = len(snaps) // 2
-            bad = snaps[mid].values.copy()
-            bad[0] += 0.05
-            snaps[mid] = snaps[mid].with_values(bad)
+            values = tr.values.copy()
+            mid = len(values) // 2
+            values[mid, 0] += 0.05
             masses = tr.mass_series.copy()
-            masses[mid] += 0.05 * snaps[mid].weights[0]
-            return dataclasses.replace(tr, snapshots=tuple(snaps), mass_series=masses)
+            masses[mid] += 0.05 * tr.weights[0]
+            return dataclasses.replace(tr, values=values, mass_series=masses)
 
         monkeypatch.setattr(cli, "_trajectory_hook", corrupt)
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)

@@ -24,6 +24,10 @@ from nldyn import (
     step_rk4,
     verify_trajectory,
 )
+from nldyn import field as field_mod
+from nldyn.dynamics import _dp_attempt, _dp_dense
+from nldyn.energy import lyapunov
+from nldyn.model import atom_rates, dissipation_sum, multiplier
 
 RNG = np.random.default_rng(11)
 
@@ -173,19 +177,6 @@ class TestIntegrate:
         assert tr.termination == Termination.REACHED_TMAX
         assert tr.times[-1] == 0.5
 
-    def test_lipschitz_cap_variant_agrees(self, logistic):
-        """The cap only changes step sizes (conservatively), not the orbit."""
-        u = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)
-        plain = integrate(u, logistic, IntegratorConfig(t_max=0.05, record_every=0.01))
-        capped = integrate(
-            u, logistic, IntegratorConfig(t_max=0.05, record_every=0.01, lipschitz_cap=True)
-        )
-        k = min(plain.times.size, capped.times.size)
-        for i in range(k):
-            np.testing.assert_allclose(
-                plain.snapshots[i].values, capped.snapshots[i].values, atol=1e-7
-            )
-
     def test_evaluation_budget(self, logistic):
         """Records no longer cut steps: the H1 fixture needs few g calls."""
         calls = []
@@ -245,6 +236,119 @@ class TestIntegrate:
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0
         assert first[5] == -0.2 and first[6] == -1.0
+
+
+@pytest.fixture(scope="module")
+def wide_run(logistic):
+    """100 samples of 1 + x under H1, recorded every 0.5."""
+    u0 = from_samples((1.0 + (np.arange(100) + 0.5) / 100).tolist(), 1.0)
+    return integrate(u0, logistic, IntegratorConfig(t_max=200.0, record_every=0.5))
+
+
+class TestColumnarTrajectory:
+    @staticmethod
+    def _is_row(u, tr, k):
+        return (
+            np.array_equal(u.values, tr.values[k])
+            and np.array_equal(u.weights, tr.weights)
+            and u.domain_measure == tr.domain_measure
+        )
+
+    def test_values_read_only(self, h1_run):
+        assert h1_run.values.shape == (h1_run.times.size, 2)
+        assert not h1_run.values.flags.writeable
+        with pytest.raises(ValueError):
+            h1_run.values[0, 0] = 3.0
+        assert len(h1_run.snapshots) == len(h1_run.times)
+
+    def test_replace_keeps_caller_array_writable(self, h1_run):
+        values = h1_run.values.copy()
+        tr = dataclasses.replace(h1_run, values=values)
+        assert not tr.values.flags.writeable and values.flags.writeable
+        with pytest.raises(ValueError, match="records"):
+            dataclasses.replace(h1_run, values=values[1:])
+
+    def test_snapshot_view_rows(self, h1_run):
+        tr, last = h1_run, h1_run.times.size - 1
+        assert self._is_row(tr.snapshots[7], tr, 7)
+        assert self._is_row(tr.snapshots[np.int64(3)], tr, 3)
+        assert self._is_row(tr.snapshots[-1], tr, last)
+        part = tr.snapshots[10:40:7]
+        assert len(part) == len(range(10, 40, 7))
+        assert all(self._is_row(u, tr, k) for u, k in zip(part, range(10, 40, 7)))
+        assert all(self._is_row(u, tr, k) for k, u in enumerate(tr.snapshots))
+        with pytest.raises(IndexError):
+            tr.snapshots[last + 1]
+        with pytest.raises(TypeError):
+            tr.snapshots[0] = tr.snapshots[1]
+
+    def test_snapshot_view_builds_only_requested_rows(self, h1_run, monkeypatch):
+        built = []
+        init = field_mod.AtomField.__init__
+
+        def counting_init(obj, *args):
+            built.append(1)
+            init(obj, *args)
+
+        monkeypatch.setattr(field_mod.AtomField, "__init__", counting_init)
+        view = h1_run.snapshots
+        part = view[100:200]
+        assert len(part) == 100 and not built
+        view[-1]
+        part[5]
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("run", ["h1_run", "h2_run", "h3_run", "wide_run"])
+    def test_records_equal_kernel_bitwise(self, request, logistic, run):
+        """Each record's series entries are the public kernel's values at its row."""
+        tr = request.getfixturevalue(run)
+        sign = tr.hypothesis.energy_sign
+        expected = {"lam": [], "mass": [], "energy": [], "diss": []}
+        for t, vals in zip(tr.times.tolist(), tr.values):
+            gv, pv, lam, _ = multiplier(t, vals, tr.weights, logistic)
+            u = AtomField(vals, tr.weights, tr.domain_measure)
+            expected["lam"].append(lam)
+            expected["mass"].append(mass(u))
+            expected["energy"].append(lyapunov(u, logistic, tr.energy_index))
+            expected["diss"].append(sign * dissipation_sum(tr.weights, gv, pv, lam))
+        got = {"lam": tr.lambda_series, "mass": tr.mass_series,
+               "energy": tr.energy_series, "diss": tr.dissipation_series}
+        for name, series in got.items():
+            assert np.asarray(expected[name]).tobytes() == series.tobytes(), name
+
+    def test_step_ending_on_record_records_step_state(self, logistic):
+        """Steps of exactly record_every: every record is a step's own
+        5th-order state, not the continuous extension at theta = 1."""
+        u0 = AtomField([1.2, 1.1], [0.5, 0.5], 1.0)
+        tr = integrate(u0, logistic, IntegratorConfig(t_max=10.0, dt_init=0.5, dt_max=0.5,
+                                                      record_every=0.5))
+        assert tr.times.tolist() == [0.5 * k for k in range(21)]
+        extension_differs = False
+        for k in range(1, tr.times.size):
+            prev = tr.values[k - 1]
+            rates, _ = atom_rates(0.0, prev, tr.weights, 1.0, logistic, None)
+            new, ks, _, _ = _dp_attempt(tr.times[k - 1], prev, rates, 0.5, tr.weights, 1.0,
+                                        logistic, None)
+            assert np.array_equal(tr.values[k], new), k
+            extension_differs |= not np.array_equal(_dp_dense(prev, 0.5, ks, [1.0])[0], new)
+        assert extension_differs
+
+    def test_first_faulty_record_raises(self, h1_run, logistic):
+        """A fault at several records of one step is reported at the first."""
+        k = int(np.argmax(h1_run.values[:, 0] < 1.9))
+        assert 0 < k and 1.8 < h1_run.values[k, 0] < 1.9
+        assert h1_run.values[k + 1, 0] > 1.8
+
+        def antideriv(s):
+            s = np.asarray(s, dtype=float)
+            return np.where((s > 1.8) & (s < 1.9), np.inf, 0.5 * s * s)
+
+        pair = dataclasses.replace(logistic, antideriv_P=antideriv)
+        u0 = AtomField([2.0, 1.5], [0.5, 0.5], 1.0)
+        with pytest.raises(NumericalFailureError, match="non-finite energy") as info:
+            integrate(u0, pair, h1_run.config)
+        assert info.value.t == h1_run.times[k]
+        assert np.array_equal(info.value.values, h1_run.values[k])
 
 
 class TestRearrangementAlongFlow:
@@ -307,16 +411,12 @@ class TestVerifyTrajectory:
 
     def test_corrupted_snapshot_detected(self, h1_run, logistic):
         """Perturbing one recorded state must trip mass or ordering."""
-        snaps = list(h1_run.snapshots)
-        mid = len(snaps) // 2
-        bad = snaps[mid].values.copy()
-        bad[0] += 0.01
-        snaps[mid] = snaps[mid].with_values(bad)
+        values = h1_run.values.copy()
+        mid = len(values) // 2
+        values[mid, 0] += 0.01
         masses = h1_run.mass_series.copy()
-        masses[mid] = mass(snaps[mid])
-        corrupted = dataclasses.replace(
-            h1_run, snapshots=tuple(snaps), mass_series=masses
-        )
+        masses[mid] = mass(AtomField(values[mid], h1_run.weights, h1_run.domain_measure))
+        corrupted = dataclasses.replace(h1_run, values=values, mass_series=masses)
         report = verify_trajectory(corrupted, logistic, h1_run.hypothesis)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
@@ -344,12 +444,10 @@ class TestVerifyTrajectory:
         """Swapping atoms 0 and 2 keeps input-adjacent signs but breaks the order."""
         u0 = AtomField([1.5, 2.0, 1.2], [0.25, 0.25, 0.25], 0.75)
         tr = integrate(u0, logistic, IntegratorConfig(t_max=5.0, record_every=0.1))
-        snaps = list(tr.snapshots)
-        mid = len(snaps) // 2
-        bad = snaps[mid].values.copy()
-        bad[[0, 2]] = bad[[2, 0]]
-        snaps[mid] = snaps[mid].with_values(bad)
-        swapped = dataclasses.replace(tr, snapshots=tuple(snaps))
+        values = tr.values.copy()
+        mid = len(values) // 2
+        values[mid, [0, 2]] = values[mid, [2, 0]]
+        swapped = dataclasses.replace(tr, values=values)
         row = self._order_row(verify_trajectory(swapped, logistic, tr.hypothesis))
         assert not row.passed and row.worst < 0.0
 
@@ -357,11 +455,9 @@ class TestVerifyTrajectory:
         """Initially tied atoms must stay tied to the last bit."""
         u0 = AtomField([1.5, 2.0, 1.5], [0.25, 0.5, 0.25], 1.0)
         tr = integrate(u0, logistic, IntegratorConfig(t_max=5.0, record_every=0.1))
-        snaps = list(tr.snapshots)
-        bad = snaps[-1].values.copy()
-        bad[2] += 1e-12
-        snaps[-1] = snaps[-1].with_values(bad)
-        split = dataclasses.replace(tr, snapshots=tuple(snaps))
+        values = tr.values.copy()
+        values[-1, 2] += 1e-12
+        split = dataclasses.replace(tr, values=values)
         row = self._order_row(verify_trajectory(split, logistic, tr.hypothesis))
         assert not row.passed and row.worst == pytest.approx(-1e-12, rel=1e-3)
 

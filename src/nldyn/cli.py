@@ -497,8 +497,11 @@ def cmd_check(config_path: str) -> int:
             worst_iso = max(worst_iso, abs(d1 - d2))
     add("rearrangement-isometry", worst_iso <= 1e-12, worst_iso, 1e-12)
 
-    # commutation: integrate the rearranged initial state, compare staircases
-    u0_sorted = field_mod.rearrange(u0).to_field()
+    # commutation: integrate the rearranged initial state, compare staircases;
+    # the stable descending permutation carries the weights bitwise, so an
+    # already sorted u0 integrates exactly as itself
+    order = np.argsort(-u0.values, kind="stable")
+    u0_sorted = field_mod.AtomField(u0.values[order], u0.weights[order], u0.domain_measure)
     try:
         tr2 = dynamics.integrate(u0_sorted, pair, icfg)
         k = min(tr.times.size, tr2.times.size)

@@ -21,7 +21,12 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
+from .errors import (
+    EvalDomainError,
+    ExprSyntaxError,
+    ModelValidationError,
+    UnknownIdentifierError,
+)
 
 FUNCTIONS = ("exp", "log", "tanh", "sin", "cos")
 
@@ -426,6 +431,159 @@ def _is_const(node: ExprAst, value: float) -> bool:
     return isinstance(node, Const) and node.value == value
 
 
+# ---------------------------------------------------------- antiderivative
+# p is split into a linear combination: polynomial coefficients c_0..c_N
+# (ascending) and terms c * f(a*u + b) for f in _INTEGRABLE with a != 0.
+
+_INTEGRABLE = ("exp", "sin", "cos", "tanh")
+# polynomial terms above this degree keep quadrature
+_MAX_DEGREE = 32
+
+_Terms = tuple[list[float], list[tuple[float, str, float, float]]]
+
+
+def antiderivative(ast: ExprAst) -> Callable | None:
+    """Closed form of s -> integral of p over [0, s], or None.
+
+    p has one when it is a linear combination of polynomial terms
+    (constant non-negative integer exponents) and of exp, sin, cos and
+    tanh of an affine argument a*u + b with a != 0. The result accepts a
+    scalar or an array of any shape, returns that shape, and is exactly
+    0.0 at s = 0: polynomials by Horner's rule, the other terms written
+    with a factor that vanishes at 0 (expm1, sin) or as a difference of
+    log cosh values taken with np.logaddexp, which cannot overflow.
+    """
+    terms = _linear_terms(ast)
+    if terms is None:
+        return None
+    poly, funcs = _trim(terms[0]), terms[1]
+    # coefficients of s^1 .. s^(N+1)
+    integ = [c / (k + 1) for k, c in enumerate(poly)]
+
+    def P(s):
+        x = np.asarray(s, dtype=float)
+        with np.errstate(all="ignore"):
+            acc = np.zeros_like(x)
+            for c in reversed(integ):
+                acc = (acc + c) * x
+            for c, op, a, b in funcs:
+                if op == "exp":
+                    acc = acc + c / a * np.exp(b) * np.expm1(a * x)
+                elif op == "tanh":
+                    y = a * x + b
+                    acc = acc + c / a * (np.logaddexp(y, -y) - np.logaddexp(b, -b))
+                else:
+                    h = 0.5 * a * x
+                    outer = np.sin(h + b) if op == "sin" else np.cos(h + b)
+                    acc = acc + 2.0 * c / a * outer * np.sin(h)
+        return float(acc) if acc.ndim == 0 else acc
+
+    return P
+
+
+def _linear_terms(ast: ExprAst) -> _Terms | None:
+    if isinstance(ast, Const):
+        return [ast.value], []
+    if isinstance(ast, Var):
+        return [0.0, 1.0], []
+    if isinstance(ast, Unary):
+        arg = _linear_terms(ast.arg)
+        if arg is None:
+            return None
+        if ast.op == "neg":
+            return _mapped(arg, lambda c: -c)
+        inner = _polynomial(arg)
+        if inner is None or len(inner) > 2:
+            return None
+        b, a = (inner + [0.0, 0.0])[:2]
+        if a == 0.0:
+            return _folded(Unary(ast.op, Const(b)))
+        if ast.op not in _INTEGRABLE:
+            return None
+        return [], [(1.0, ast.op, a, b)]
+    assert isinstance(ast, Binary)
+    left = _linear_terms(ast.left)
+    right = _linear_terms(ast.right)
+    if left is None or right is None:
+        return None
+    if ast.op == "+":
+        return _sum(left, right)
+    if ast.op == "-":
+        return _sum(left, _mapped(right, lambda c: -c))
+    lc, rc = _constant_value(left), _constant_value(right)
+    if ast.op == "*":
+        if lc is not None:
+            return _mapped(right, lambda c: lc * c)
+        if rc is not None:
+            return _mapped(left, lambda c: c * rc)
+        lp, rp = _polynomial(left), _polynomial(right)
+        if lp is None or rp is None or len(lp) + len(rp) - 2 > _MAX_DEGREE:
+            return None
+        return _poly_product(lp, rp), []
+    if ast.op == "/":
+        if rc is None or rc == 0.0:
+            return None
+        return _mapped(left, lambda c: c / rc)
+    assert ast.op == "^"
+    e = ast.right.value  # type: ignore[union-attr]  # a Const by construction
+    if lc is not None:
+        return _folded(Binary("^", Const(lc), Const(e)))
+    base = _polynomial(left)
+    if base is None or e != int(e) or e < 0 or (len(base) - 1) * e > _MAX_DEGREE:
+        return None
+    out = [1.0]
+    for _ in range(int(e)):
+        out = _poly_product(out, base)
+    return out, []
+
+
+def _trim(poly: list[float]) -> list[float]:
+    poly = list(poly)
+    while poly and poly[-1] == 0.0:
+        poly.pop()
+    return poly
+
+
+def _polynomial(terms: _Terms) -> list[float] | None:
+    """The coefficients when the terms are a pure polynomial, trailing zeros cut."""
+    poly, funcs = terms
+    return None if funcs else _trim(poly)
+
+
+def _constant_value(terms: _Terms) -> float | None:
+    poly = _polynomial(terms)
+    if poly is None or len(poly) > 1:
+        return None
+    return poly[0] if poly else 0.0
+
+
+def _folded(node: ExprAst) -> _Terms | None:
+    folded = _fold(node)
+    return ([folded.value], []) if isinstance(folded, Const) else None
+
+
+def _mapped(terms: _Terms, scale: Callable[[float], float]) -> _Terms:
+    poly, funcs = terms
+    return [scale(c) for c in poly], [(scale(c), op, a, b) for c, op, a, b in funcs]
+
+
+def _sum(left: _Terms, right: _Terms) -> _Terms:
+    (lp, lf), (rp, rf) = left, right
+    n = max(len(lp), len(rp))
+    lp, rp = lp + [0.0] * (n - len(lp)), rp + [0.0] * (n - len(rp))
+    return [x + y for x, y in zip(lp, rp)], lf + rf
+
+
+def _poly_product(a: list[float], b: list[float]) -> list[float]:
+    if not a or not b:
+        return []
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 # ---------------------------------------------------------------- unparse
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -474,9 +632,13 @@ def unparse(ast: ExprAst) -> str:
 def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (-2.0, 2.0)):
     """Assemble a validated nonlinearity pair from expression texts.
 
-    The antiderivative of p is backed by adaptive quadrature. Violations
-    of the structural requirements (roots of g, sign pattern, strict
-    monotonicity of p) raise ModelValidationError with a witness point.
+    The antiderivative of p is ``antiderivative``'s closed form when p has
+    one (``closed_form_P`` True), checked once against adaptive quadrature
+    at a few points of the working range; any other p keeps adaptive
+    Simpson on [0, s] per value. Violations of the structural
+    requirements (roots of g, sign pattern, strict monotonicity of p, a
+    closed form that disagrees with quadrature) raise
+    ModelValidationError with a witness point.
     """
     from . import model as _model
     from .quad import adaptive_simpson
@@ -487,8 +649,9 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
     g_prime = to_callable(differentiate(g_ast))
     p = to_callable(p_ast)
     p_prime = to_callable(differentiate(p_ast))
+    closed = antiderivative(p_ast)
 
-    def antideriv(s: float) -> float:
+    def quadrature(s: float) -> float:
         return adaptive_simpson(lambda t: float(p(t)), 0.0, float(s))
 
     pair = _model.NonlinearityPair(
@@ -496,9 +659,20 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
         g_prime=g_prime,
         p=p,
         p_prime=p_prime,
-        antideriv_P=antideriv,
-        closed_form_P=False,
+        antideriv_P=quadrature if closed is None else closed,
+        closed_form_P=closed is not None,
         label=f"g={g_text!r}, p={p_text!r}",
     )
     _model.validate_pair(pair, working_range)
+    if closed is not None:
+        lo, hi = working_range
+        for s in (lo, 0.5 * lo, 0.5 * hi, hi):
+            exact, quad = closed(s), quadrature(s)
+            # a wrong closed form is off by O(1); both sides are good to ~1e-12
+            if not abs(exact - quad) <= 1e-9 * max(1.0, abs(quad)):
+                raise ModelValidationError(
+                    "closed-form antiderivative agrees with quadrature",
+                    s,
+                    f"closed form {exact!r} vs quadrature {quad!r}",
+                )
     return pair

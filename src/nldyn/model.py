@@ -39,7 +39,11 @@ class NonlinearityPair:
 
     All callables accept scalars and numpy arrays. ``antideriv_P`` is
     normalized to vanish at 0; ``closed_form_P`` records whether it is
-    analytic or quadrature-backed.
+    analytic (the builtins, and expression models whose p is a linear
+    combination of polynomial terms and of exp, sin, cos, tanh of an
+    affine argument) or adaptive Simpson on [0, s], one scalar call per
+    value, which array callers reach through ``field.atomwise``'s
+    per-value fallback.
     """
 
     g: ScalarFn
@@ -145,8 +149,10 @@ def builtin_model(name: str) -> NonlinearityPair:
 def antiderivative_value(pair: NonlinearityPair, s: float) -> float:
     """Antiderivative of p at s, vanishing at 0.
 
-    Closed-form when the pair carries one, adaptive Simpson on [0, s]
-    otherwise (that is what ``antideriv_P`` wraps for built models).
+    Closed-form when the pair carries one (``closed_form_P``), adaptive
+    Simpson on [0, s] otherwise: ``exprparse.build_model`` wraps
+    quadrature only for a p that ``exprparse.antiderivative`` has no
+    closed form for.
     """
     return float(pair.antideriv_P(float(s)))
 

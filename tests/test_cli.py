@@ -286,6 +286,20 @@ class TestCheck:
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         assert cli.main(["check", cfg]) == 1
 
+    def test_sorted_initial_field_passes_commutation(self, tmp_path, capsys):
+        # 100 samples of 1 + x are already sorted: the rearranged copy must
+        # integrate exactly as the original, step for step
+        cfg = _write(tmp_path, "sorted.cfg", (
+            'model.builtin = "logistic-identity"\n'
+            'domain.measure = 1.0\n'
+            'initial.expr = "1 + x"\n'
+            'initial.samples = 100\n'
+            'output.dir = "{out}"\n'
+        ))
+        assert cli.main(["check", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "pass  rearrangement-commutation-flow worst 0.000e+00" in out
+
 
 class TestSweep:
     def test_upper_value_sweep_mu_increasing(self, tmp_path):
@@ -365,4 +379,18 @@ class TestConsoleScript:
             text=True,
         )
         assert proc.returncode == 0
+        assert "Stationary" in proc.stdout
+
+    def test_package_runs_as_module(self, tmp_path):
+        import subprocess
+        import sys
+
+        cfg = _write(tmp_path, "h3.cfg", H3_CONFIG)
+        proc = subprocess.run(
+            [sys.executable, "-m", "nldyn", "simulate", cfg],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "h3.trajectory.csv").exists()
         assert "Stationary" in proc.stdout

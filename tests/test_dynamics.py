@@ -351,6 +351,52 @@ class TestColumnarTrajectory:
         assert np.array_equal(info.value.values, h1_run.values[k])
 
 
+_TANH_CONFIG = """\
+model.g = "u*(1-u)"
+model.p = "tanh(u) + 2*u"
+domain.measure = 8.25
+initial.expr = "-x"
+initial.samples = 132
+integrator.rtol = 1e-12
+"""
+
+
+class TestClosedFormRecordPath:
+    """An expression model with a closed-form P runs no quadrature per record.
+
+    Under per-record adaptive Simpson this 132-atom run took tens of
+    seconds; the closed form reproduces its energies.
+    """
+
+    def test_no_quadrature_and_same_energies(self, monkeypatch):
+        from nldyn import cli, quad
+
+        cfg = cli.parse_config_text(_TANH_CONFIG)
+        u0 = cfg.build_initial()
+        pair = cfg.build_pair(u0)
+        assert pair.closed_form_P
+        simpson = quad.adaptive_simpson
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return simpson(*args, **kwargs)
+
+        monkeypatch.setattr(quad, "adaptive_simpson", counted)
+        tr = integrate(u0, pair, cfg.integrator_config())
+        assert calls == []
+        assert tr.times.size > 10
+
+        def quadrature(s):
+            return simpson(lambda t: float(pair.p(t)), 0.0, float(s))
+
+        old = dataclasses.replace(pair, antideriv_P=quadrature, closed_form_P=False)
+        tr_old = integrate(u0, old, cfg.integrator_config())
+        np.testing.assert_array_equal(tr.times, tr_old.times)
+        np.testing.assert_array_equal(tr.values, tr_old.values)
+        np.testing.assert_allclose(tr.energy_series, tr_old.energy_series, rtol=1e-12, atol=0.0)
+
+
 class TestRearrangementAlongFlow:
     def test_commutation_exact(self, logistic):
         """Integrating the rearranged state and rearranging the integrated

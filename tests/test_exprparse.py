@@ -1,4 +1,5 @@
-"""Tests for nldyn.exprparse: parsing, evaluation, symbolic differentiation."""
+"""Tests for nldyn.exprparse: parsing, evaluation, symbolic differentiation
+and integration."""
 
 import math
 
@@ -13,12 +14,16 @@ from nldyn import (
     ModelValidationError,
     UnknownIdentifierError,
     build_model,
+    builtin_model,
     differentiate,
     evaluate,
     parse,
     unparse,
 )
-from nldyn.exprparse import Binary, Const, Unary, Var, to_callable
+from nldyn import exprparse
+from nldyn.exprparse import Binary, Const, Unary, Var, antiderivative, to_callable
+from nldyn.field import atomwise
+from nldyn.quad import adaptive_simpson
 
 RNG = np.random.default_rng(2024)
 
@@ -223,6 +228,97 @@ class TestUnparseRoundTrip:
             assert parse(unparse(t2)) == t2
 
 
+_CLOSED_FORM_TABLE = [
+    "u",
+    "u^3+u",
+    "u^5+u",
+    "tanh(u)+2*u",
+    "u+0.1*sin(u)",
+    "2*exp(0.5*u-1)",
+]
+_POLYNOMIAL_TABLE = ["u", "u^3+u", "u^5+u"]
+_GRID = np.linspace(-4.0, 4.0, 33)
+
+# polynomial trees from their own generator, so that the shared RNG's
+# stream (which the acceptance suite also draws from) is left alone
+_POLY_RNG = np.random.default_rng(77)
+
+
+def _random_polynomial(depth):
+    roll = _POLY_RNG.integers(0, 10)
+    if depth <= 0 or roll < 2:
+        if roll % 2 == 0:
+            return Const(float(_POLY_RNG.integers(-3, 4)) + 0.5 * float(_POLY_RNG.random() < 0.5))
+        return Var("u")
+    if roll < 4:
+        return Unary("neg", _random_polynomial(depth - 1))
+    op = str(_POLY_RNG.choice(["+", "-", "*", "^"]))
+    if op == "^":
+        return Binary("^", _random_polynomial(depth - 1), Const(float(_POLY_RNG.integers(0, 4))))
+    return Binary(op, _random_polynomial(depth - 1), _random_polynomial(depth - 1))
+
+
+def _assert_matches_quadrature(ast):
+    P, p = antiderivative(ast), to_callable(ast)
+    assert P is not None, unparse(ast)
+    for s in _GRID.tolist():
+        quad = adaptive_simpson(lambda t: float(p(t)), 0.0, s)
+        assert abs(P(s) - quad) <= 1e-11 * max(1.0, abs(quad)), (unparse(ast), s)
+
+
+class TestAntiderivative:
+    @pytest.mark.parametrize("text", _CLOSED_FORM_TABLE)
+    def test_matches_quadrature(self, text):
+        _assert_matches_quadrature(parse(text))
+
+    @pytest.mark.parametrize("text", _CLOSED_FORM_TABLE)
+    def test_exactly_zero_at_origin(self, text):
+        P = antiderivative(parse(text))
+        assert P(0.0) == 0.0
+        assert np.all(P(np.zeros((2, 3))) == 0.0)
+
+    @pytest.mark.parametrize("text", _CLOSED_FORM_TABLE)
+    def test_block_keeps_its_shape(self, text):
+        P = antiderivative(parse(text))
+        block = _GRID.reshape(3, 11)
+        calls = []
+
+        def counted(s):
+            calls.append(np.shape(s))
+            return P(s)
+
+        out = atomwise(counted, block)
+        # one array call: atomwise never falls back to one call per value
+        assert calls == [block.shape]
+        assert out.shape == block.shape
+        np.testing.assert_array_equal(out, P(block))
+
+    @pytest.mark.parametrize("text", _POLYNOMIAL_TABLE)
+    def test_polynomial_block_equals_scalar_calls(self, text):
+        P = antiderivative(parse(text))
+        block = _GRID.reshape(3, 11)
+        scalar = np.array([P(s) for s in block.ravel().tolist()]).reshape(block.shape)
+        np.testing.assert_array_equal(P(block), scalar)
+
+    def test_random_polynomials(self):
+        for _ in range(40):
+            ast = _random_polynomial(depth=4)
+            _assert_matches_quadrature(ast)
+            P = antiderivative(ast)
+            assert P(0.0) == 0.0
+            scalar = np.array([P(s) for s in _GRID.tolist()])
+            np.testing.assert_array_equal(P(_GRID), scalar)
+
+    def test_cubic_agrees_with_builtin(self):
+        builtin = builtin_model("logistic-cubic").antideriv_P(_GRID)
+        closed = antiderivative(parse("u^3+u"))(_GRID)
+        assert np.all(np.abs(closed - builtin) <= 4.0 * np.spacing(np.abs(builtin)))
+
+    @pytest.mark.parametrize("text", ["u + 0.1*u*exp(u)", "u + 1/(4+u^2)"])
+    def test_no_closed_form(self, text):
+        assert antiderivative(parse(text)) is None
+
+
 class TestBuildModel:
     def test_matches_builtin_at_samples(self, logistic):
         pair = build_model("u*(1-u)", "u")
@@ -230,11 +326,31 @@ class TestBuildModel:
         np.testing.assert_allclose(pair.g(s), logistic.g(s), atol=1e-15)
         np.testing.assert_allclose(pair.p(s), logistic.p(s), atol=1e-15)
 
-    def test_quadrature_antiderivative(self):
+    def test_closed_form_antiderivative(self):
         pair = build_model("u*(1-u)", "u^3 + u")
         # P = s^4/4 + s^2/2
         assert pair.antideriv_P(2.0) == pytest.approx(6.0, abs=1e-11)
+        assert pair.closed_form_P is True
+
+    def test_quadrature_antiderivative(self):
+        pair = build_model("u*(1-u)", "u + 0.1*u*exp(u)")
+        # P = s^2/2 + 0.1 ((s - 1) e^s + 1)
+        assert pair.antideriv_P(2.0) == pytest.approx(2.0 + 0.1 * (math.e**2 + 1.0), abs=1e-11)
         assert pair.closed_form_P is False
+
+    def test_wrong_closed_form_rejected(self, monkeypatch):
+        # a jump at 1.1 keeps P(0) = 0 and the derivative at validate_pair's
+        # difference points; only the comparison with quadrature sees it
+        closed = exprparse.antiderivative
+
+        def jumping(ast):
+            P = closed(ast)
+            return lambda s: P(s) + 1e-3 * (np.asarray(s) >= 1.1)
+
+        monkeypatch.setattr(exprparse, "antiderivative", jumping)
+        with pytest.raises(ModelValidationError) as info:
+            build_model("u*(1-u)", "u^3 + u")
+        assert "quadrature" in info.value.check
 
     def test_decreasing_p_rejected_with_witness(self):
         with pytest.raises(ModelValidationError) as info:

@@ -15,6 +15,12 @@ Runge-Kutta method and its interpolant are linear combinations of stages,
 each with a zero weighted sum, so mass is conserved at interpolated
 records too.
 
+The atoms are integrated in one canonical order (value decreasing, ties
+by weight), fixed at t = 0. The sums that feed each stage are pairwise
+sums in that order, so the run does not depend on how the initial field
+lists its atoms; only the recorded mass, energy and dissipation, which
+are outputs, are summed exactly. Records are stored in the input order.
+
 Values are never clamped and mass is never projected back: drift and
 region violations are diagnostics of integrator health, and violations
 beyond 1e-6 abort the run.
@@ -34,6 +40,7 @@ from .errors import DenominatorVanishingError, NumericalFailureError
 from .field import AtomField
 from .model import HypothesisClass, NonlinearityPair, classify_hypothesis
 from .model import atom_rates, dissipation_sum, g_terms, guard_threshold, multiplier
+from .model import input_order, unpermute
 
 _REGION_ABORT_TOL = 1e-6  # hard abort beyond this
 _REGION_REPORT_TOL = 1e-9  # audit threshold
@@ -137,41 +144,21 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Full-precision CSV: t,lambda,mass,energy,dissipation,v1,...,vn."""
-        header = "t,lambda,mass,energy,dissipation," + ",".join(
-            f"v{i + 1}" for i in range(self.weights.size)
-        )
-        lines = [header]
+        n = self.weights.size
+        lines = ["t,lambda,mass,energy,dissipation," + ",".join(f"v{i + 1}" for i in range(n))]
+        row_format = ",".join(["%.17g"] * (5 + n))
         series = zip(self.times.tolist(), self.lambda_series.tolist(), self.mass_series.tolist(),
                      self.energy_series.tolist(), self.dissipation_series.tolist())
         # one row at a time: the whole table as Python floats would be
         # several times the size of the array
         for head, row in zip(series, self.values):
-            lines.append(",".join(f"{x:.17g}" for x in (*head, *row.tolist())))
+            lines.append(row_format % (*head, *row.tolist()))
         return "\n".join(lines) + "\n"
 
     @property
     def energy_index(self) -> int:
         """Lyapunov index of the run's regime."""
         return self.hypothesis.energy_index
-
-
-# ----------------------------------------------------------- rate evaluation
-
-def step_rk4(
-    u: AtomField, dt: float, pair: NonlinearityPair, eps_den: float | None = None
-) -> AtomField:
-    """One classic Runge-Kutta step; the multiplier is recomputed per stage.
-
-    Raises DenominatorVanishingError if the guard trips at any stage.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    v, w, omega = u.values, u.weights, u.domain_measure
-    k1, _ = atom_rates(0.0, v, w, omega, pair, eps_den)
-    k2, _ = atom_rates(0.5 * dt, v + 0.5 * dt * k1, w, omega, pair, eps_den)
-    k3, _ = atom_rates(0.5 * dt, v + 0.5 * dt * k2, w, omega, pair, eps_den)
-    k4, _ = atom_rates(dt, v + dt * k3, w, omega, pair, eps_den)
-    return u.with_values(v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 # ------------------------------------------------------ Dormand-Prince 5(4)
@@ -256,7 +243,9 @@ def _dp_dense(values, dt, ks, thetas: list[float]) -> np.ndarray:
     of ``_combine``, so it equals the extension evaluated at theta_r
     alone, bit for bit.
     """
-    q = np.array([_DP_P @ (theta ** np.arange(1, 5)) for theta in thetas])
+    # the powers for all rows at once, the products one row at a time: a
+    # matrix product over all rows would round differently
+    q = np.array([_DP_P @ powers for powers in np.asarray(thetas)[:, None] ** np.arange(1, 5)])
     acc = None
     for c, k in zip(q.T, ks):
         if c.any():
@@ -285,10 +274,29 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     stat_tol on two consecutive accepted steps) and the denominator
     guard terminate the run early; both are recorded as termination
     tags, not raised.
+
+    The atoms are integrated in ``field.canonical_order``, fixed at t = 0,
+    so the rate kernel's pairwise sums, and with them the whole run, do
+    not depend on the order u0 lists its atoms in. Records and the values
+    a NumericalFailureError carries come back in u0's order.
+    """
+    order = field_mod.canonical_order(u0.values, u0.weights)
+    with input_order(order):
+        return _integrate_canonical(u0, order, pair, cfg)
+
+
+def _integrate_canonical(
+    u0: AtomField, order: np.ndarray, pair: NonlinearityPair, cfg: IntegratorConfig
+) -> Trajectory:
+    """``integrate`` on u0's atoms permuted by ``order``.
+
+    Each recorded block goes back to u0's atom order as it is stored; the
+    permutation is skipped when ``order`` is the identity.
     """
     hyp = classify_hypothesis(u0, pair)
-    weights = u0.weights
+    weights = u0.weights[order]
     omega = u0.domain_measure
+    permuted = not np.array_equal(order, np.arange(order.size))
     sign = hyp.energy_sign
 
     region = None
@@ -343,14 +351,14 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
             energy_series.append(energy)
             diss_series.append(sign * dissipation_sum(weights, gv, pv, lam))
         times.extend(ts)
-        blocks.append(block)
+        blocks.append(unpermute(block, order) if permuted else block)
 
     def finish(term: Termination, final_rates) -> Trajectory:
         final_max = float(np.max(np.abs(final_rates))) if final_rates is not None else math.inf
         return Trajectory(
             times=np.asarray(times),
             values=np.concatenate(blocks),
-            weights=weights,
+            weights=u0.weights,
             domain_measure=omega,
             lambda_series=np.asarray(lam_series),
             mass_series=np.asarray(mass_series),
@@ -363,7 +371,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
             pair=pair,
         )
 
-    values = np.asarray(u0.values, dtype=float).copy()
+    values = u0.values[order]
     t = 0.0
     record([0.0], values[None])
     try:
@@ -670,7 +678,6 @@ __all__ = [
     "IntegratorConfig",
     "SnapshotView",
     "Trajectory",
-    "step_rk4",
     "integrate",
     "characteristic_flow",
     "CheckResult",

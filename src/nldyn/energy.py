@@ -19,7 +19,8 @@ from . import field as field_mod
 from .dynamics import Termination, Trajectory
 from .errors import DissipationUnavailableError, NotConvergedError
 from .field import AtomField
-from .model import HypothesisClass, NonlinearityPair, dissipation_sum, guarded_multiplier
+from .model import HypothesisClass, NonlinearityPair, canonical_atoms, dissipation_sum
+from .model import guarded_multiplier, input_order
 
 
 def lyapunov(u: AtomField, pair: NonlinearityPair, i: int) -> float:
@@ -30,10 +31,16 @@ def lyapunov(u: AtomField, pair: NonlinearityPair, i: int) -> float:
 def dissipation_rate(
     u: AtomField, pair: NonlinearityPair, i: int, eps_den: float | None = None
 ) -> float:
-    """Instantaneous energy rate; nonpositive inside the regime's region."""
+    """Instantaneous energy rate; nonpositive inside the regime's region.
+
+    lam comes from the atoms in canonical order, as in ``lambda_of``, so
+    the rate is the one the integrator records for this state.
+    """
     sign = HypothesisClass.energy_sign_of(i)
-    gv, pv, lam, _ = guarded_multiplier(0.0, u.values, u.weights, u.domain_measure, pair, eps_den)
-    return sign * dissipation_sum(u.weights, gv, pv, lam)
+    order, values, weights = canonical_atoms(u)
+    with input_order(order):
+        gv, pv, lam, _ = guarded_multiplier(0.0, values, weights, u.domain_measure, pair, eps_den)
+    return sign * dissipation_sum(weights, gv, pv, lam)
 
 
 def dissipation_constant(

@@ -460,22 +460,37 @@ def antiderivative(ast: ExprAst) -> Callable | None:
     # coefficients of s^1 .. s^(N+1)
     integ = [c / (k + 1) for k, c in enumerate(poly)]
 
+    def transcendental(acc, x):
+        for c, op, a, b in funcs:
+            if op == "exp":
+                acc = acc + c / a * np.exp(b) * np.expm1(a * x)
+            elif op == "tanh":
+                y = a * x + b
+                acc = acc + c / a * (np.logaddexp(y, -y) - np.logaddexp(b, -b))
+            else:
+                h = 0.5 * a * x
+                outer = np.sin(h + b) if op == "sin" else np.cos(h + b)
+                acc = acc + 2.0 * c / a * outer * np.sin(h)
+        return acc
+
     def P(s):
+        if isinstance(s, (int, float)) or (isinstance(s, np.ndarray) and s.ndim == 0):
+            # Python floats round + and * as numpy does, so this equals
+            # the array path bit for bit without numpy's per-call cost
+            x = float(s)
+            acc = 0.0
+            for c in reversed(integ):
+                acc = (acc + c) * x
+            if funcs:
+                with np.errstate(all="ignore"):
+                    acc = float(transcendental(acc, x))
+            return acc
         x = np.asarray(s, dtype=float)
         with np.errstate(all="ignore"):
             acc = np.zeros_like(x)
             for c in reversed(integ):
                 acc = (acc + c) * x
-            for c, op, a, b in funcs:
-                if op == "exp":
-                    acc = acc + c / a * np.exp(b) * np.expm1(a * x)
-                elif op == "tanh":
-                    y = a * x + b
-                    acc = acc + c / a * (np.logaddexp(y, -y) - np.logaddexp(b, -b))
-                else:
-                    h = 0.5 * a * x
-                    outer = np.sin(h + b) if op == "sin" else np.cos(h + b)
-                    acc = acc + 2.0 * c / a * outer * np.sin(h)
+            acc = transcendental(acc, x)
         return float(acc) if acc.ndim == 0 else acc
 
     return P

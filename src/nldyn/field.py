@@ -7,8 +7,10 @@ is lossless for every quantity the toolkit computes (integrals, L1
 distances along one orbit, rearrangements, energies) and the spatial
 geometry of the domain never enters.
 
-All reductions use exact summation (math.fsum), so integrals and
-distances are independent of atom order.
+The reductions here use exact summation (math.fsum), so integrals and
+distances are independent of atom order. The rate kernel in ``model``
+sums pairwise instead, over the atoms in ``canonical_order``, which is
+independent of atom order too.
 """
 
 from __future__ import annotations
@@ -79,10 +81,6 @@ class AtomField:
 
     def __len__(self) -> int:
         return self.values.size
-
-    def with_values(self, values: np.ndarray) -> "AtomField":
-        """Same weights and domain, new values (the integrator's step output)."""
-        return AtomField(values, self.weights, self.domain_measure)
 
     def normalize(self) -> "AtomField":
         """Canonical form: values strictly decreasing, equal values merged."""
@@ -180,6 +178,16 @@ def from_samples(values: Sequence[float] | Iterable[float], domain_measure: floa
 
 # ---------------------------------------------------------------- integrals
 
+def canonical_order(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The atom order the rate kernel sums in: value decreasing, ties by weight.
+
+    Any two listings of one set of (value, weight) atoms come out as the
+    same arrays in this order, so a sum taken over them in this order,
+    pairwise or otherwise, does not depend on how a field lists its atoms.
+    """
+    return np.lexsort((weights, -values))
+
+
 def mass(u: AtomField) -> float:
     """Integral of the field: exact weighted sum of atom values."""
     return math.fsum((u.weights * u.values).tolist())
@@ -270,6 +278,7 @@ __all__ = [
     "AtomField",
     "StepProfile",
     "from_samples",
+    "canonical_order",
     "mass",
     "atomwise",
     "integral_of",

@@ -10,12 +10,15 @@ turns the pointwise rate g(u)p(u) into the mass-conserving rate
 
     F(u) = g(u) p(u) - g(u) lam(u).
 
-On a weighted-atom field both integrals are exact finite sums.
+On a weighted-atom field both integrals are finite sums over the atoms;
+the rate kernel below takes them pairwise, over the atoms in
+``field.canonical_order``.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +31,7 @@ from .errors import (
     NumericalFailureError,
     UnknownModelError,
 )
-from .field import AtomField
+from .field import AtomField, canonical_order
 
 ScalarFn = Callable[[float], float]
 
@@ -229,8 +232,15 @@ def validate_pair(
 
 
 # -------------------------------------------------------------- rate kernel
-# The only code that evaluates g and p at the atoms and sums them: the
-# integrator and the public functions agree to the last bit.
+# The only code that evaluates g and p at the atoms and sums them. The sums
+# that feed a step are numpy's pairwise sums, taken in the order given:
+# callers pass the atoms in ``field.canonical_order``, which makes the
+# result independent of how a field lists its atoms, so the integrator and
+# the public functions agree to the last bit. Each term w*g is already
+# rounded once, so even an exact sum carries an error of eps * sum |w*g|;
+# pairwise summation adds at most a log2(n) factor to that (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 4). Only the
+# dissipation sum, an output that nothing feeds back from, stays exact.
 
 def g_terms(values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
     """g at the atom values, and the terms w * g of the g-integral."""
@@ -239,31 +249,37 @@ def g_terms(values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
 
 
 def g_integral(wg: np.ndarray) -> float:
-    """The g-integral from its terms w * g, summed exactly (order-free)."""
-    return math.fsum(wg.tolist())
+    """The g-integral from its terms w * g, summed pairwise in the order given."""
+    return float(np.add.reduce(wg))
 
 
 def multiplier(t: float, values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
     """g and p at the atoms, the multiplier lam and the g-integral (unguarded).
 
-    lam is refined once from the residual of the weighted rate sum, which
-    then vanishes to the roundoff of the rates g*(p - lam) rather than of
-    the terms g*p: mass drift stays at a few ulps however long the steps.
-    lam is nan when the g-integral is exactly 0 (a terminal guard state).
-    A non-finite g or p value (an overflow) raises NumericalFailureError
-    at time t: nothing computed from it could be trusted.
+    The atoms come in canonical order (``field.canonical_order``); the
+    sums are pairwise in that order. lam is refined once from the
+    residual of the weighted rate sum, which then vanishes to the
+    roundoff of the rates g*(p - lam) rather than of the terms g*p: mass
+    drift stays at a few ulps however long the steps. lam is nan when the
+    g-integral is exactly 0 (a terminal guard state). A non-finite g or p
+    value, or a sum that overflows, raises NumericalFailureError at time
+    t: nothing computed from it could be trusted.
     """
     gv, wg = g_terms(values, weights, pair)
     pv = np.asarray(pair.p(values), dtype=float)
     wgp = wg * pv
-    # also keeps fsum clear of inf - inf and of intermediate overflow
-    if not math.isfinite(float(np.abs(wg).sum() + np.abs(wgp).sum())):
+    # a non-finite g or p at any atom makes its term inf or nan; checked
+    # before any sum, so no reduction meets inf - inf
+    if not np.isfinite(wgp).all():
         raise NumericalFailureError("non-finite g or p value", t, values)
     den = g_integral(wg)
+    num = float(np.add.reduce(wgp))
+    if not (math.isfinite(den) and math.isfinite(num)):
+        raise NumericalFailureError("non-finite g or p value", t, values)
     if den == 0.0:
         return gv, pv, math.nan, den
-    lam = math.fsum(wgp.tolist()) / den
-    lam += math.fsum((wg * (pv - lam)).tolist()) / den
+    lam = num / den
+    lam += float(np.add.reduce(wg * (pv - lam))) / den
     return gv, pv, lam, den
 
 
@@ -299,6 +315,33 @@ def dissipation_sum(weights: np.ndarray, gv: np.ndarray, pv: np.ndarray, lam: fl
     return math.fsum((weights * gv * (pv - lam) ** 2).tolist())
 
 
+def unpermute(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """a, whose last axis lists atoms permuted by ``order``, in the input order."""
+    out = np.empty_like(a)
+    out[..., order] = a
+    return out
+
+
+@contextmanager
+def input_order(order: np.ndarray):
+    """Run kernel calls on atoms permuted by ``order``, reporting failures unpermuted.
+
+    A NumericalFailureError raised inside carries its atom values back in
+    the input order, the order its caller knows.
+    """
+    try:
+        yield
+    except NumericalFailureError as exc:
+        exc.values = unpermute(exc.values, order)
+        raise
+
+
+def canonical_atoms(u: AtomField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The field's canonical order, and its values and weights in that order."""
+    order = canonical_order(u.values, u.weights)
+    return order, u.values[order], u.weights[order]
+
+
 # ----------------------------------------------------------- classification
 
 def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClass:
@@ -309,7 +352,8 @@ def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClas
     """
     a = float(np.min(u0.values))
     b = float(np.max(u0.values))
-    integral_g = g_integral(g_terms(u0.values, u0.weights, pair)[1])
+    _, values, weights = canonical_atoms(u0)
+    integral_g = g_integral(g_terms(values, weights, pair)[1])
     tag = None
     if a >= 1.0 and b > 1.0:
         tag = "H1"
@@ -325,20 +369,28 @@ def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClas
 def lambda_of(u: AtomField, pair: NonlinearityPair, eps_den: float | None = None) -> float:
     """Nonlocal multiplier of the field: g-weighted average of p.
 
-    Exact quadrature for step functions; the value the integrator records.
-    Raises DenominatorVanishingError when |sum of m*g| falls below
-    ``eps_den`` (scale-aware default), NumericalFailureError on overflow.
+    Pairwise sums over the atoms in canonical order: the value the
+    integrator records for this state, whatever order the field lists its
+    atoms in. Raises DenominatorVanishingError when |sum of m*g| falls
+    below ``eps_den`` (scale-aware default), NumericalFailureError on
+    overflow.
     """
-    return guarded_multiplier(0.0, u.values, u.weights, u.domain_measure, pair, eps_den)[2]
+    order, values, weights = canonical_atoms(u)
+    with input_order(order):
+        return guarded_multiplier(0.0, values, weights, u.domain_measure, pair, eps_den)[2]
 
 
 def rhs(u: AtomField, pair: NonlinearityPair, eps_den: float | None = None) -> np.ndarray:
     """Per-atom rates of the mass-conserving dynamics.
 
-    r_i = g(s_i) (p(s_i) - lam). The weighted rate sum vanishes
-    identically, which is the discrete mass-conservation identity.
+    r_i = g(s_i) (p(s_i) - lam), in the field's atom order, with lam as
+    ``lambda_of`` gives it. The weighted rate sum vanishes identically,
+    which is the discrete mass-conservation identity.
     """
-    return atom_rates(0.0, u.values, u.weights, u.domain_measure, pair, eps_den)[0]
+    order, values, weights = canonical_atoms(u)
+    with input_order(order):
+        rates = atom_rates(0.0, values, weights, u.domain_measure, pair, eps_den)[0]
+    return unpermute(rates, order)
 
 
 def lipschitz_bound(
@@ -372,7 +424,8 @@ def lipschitz_bound(
             np.max(np.abs(gpv)),
         )
     )
-    integral_g = g_integral(g_terms(u.values, u.weights, pair)[1])
+    _, values, weights = canonical_atoms(u)
+    integral_g = g_integral(g_terms(values, weights, pair)[1])
     omega = u.domain_measure
     alpha = abs(integral_g) - K * float(ball_radius) * omega
     if alpha <= 0.0:

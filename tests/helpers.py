@@ -24,11 +24,6 @@ def euler_orbit(values, weights, g, p, dt, n_steps):
     return v
 
 
-def euler_step(values, weights, g, p, dt):
-    """One explicit Euler step (atom dynamics, raw definition)."""
-    return euler_orbit(values, weights, g, p, dt, 1)
-
-
 def random_h1_atoms(seed, count, n_max=7):
     """Seeded (values, weights) pairs of H1 fields: 2 to n_max atoms in [1.01, 3]."""
     rng = np.random.default_rng(seed)

@@ -1,14 +1,14 @@
 """Tests for nldyn.dynamics: stepping, adaptive integration, trajectory audit."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from helpers import euler_orbit, euler_step
+from helpers import euler_orbit
 from nldyn import (
     AtomField,
-    DenominatorVanishingError,
     IntegratorConfig,
     NumericalFailureError,
     Termination,
@@ -21,7 +21,6 @@ from nldyn import (
     mass,
     profile_l1_distance,
     rearrange,
-    step_rk4,
     verify_trajectory,
 )
 from nldyn import field as field_mod
@@ -30,42 +29,6 @@ from nldyn.energy import lyapunov
 from nldyn.model import atom_rates, dissipation_sum, multiplier
 
 RNG = np.random.default_rng(11)
-
-
-class TestStepRk4:
-    def test_stationary_field_unchanged(self, logistic):
-        """{(1, .5), (2, .5)} is an exact rest state: all stages vanish."""
-        u = AtomField([1.0, 2.0], [0.5, 0.5], 1.0)
-        out = step_rk4(u, 0.5, logistic)
-        np.testing.assert_allclose(out.values, u.values, atol=1e-15)
-
-    def test_constant_field_unchanged(self, logistic):
-        u = AtomField([0.5], [1.0], 1.0)
-        out = step_rk4(u, 1.0, logistic)
-        assert out.values[0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_small_step_matches_euler_to_second_order(self, logistic):
-        """One dt = 1e-6 step differs from explicit Euler by O(dt^2)."""
-        u = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)
-        dt = 1e-6
-        rk = step_rk4(u, dt, logistic).values
-        eu = euler_step(u.values, u.weights, logistic.g, logistic.p, dt)
-        assert float(np.max(np.abs(rk - eu))) <= 10.0 * dt**2
-
-    def test_weights_preserved(self, logistic):
-        u = AtomField([1.5, 2.0], [0.25, 0.75], 1.0)
-        out = step_rk4(u, 0.01, logistic)
-        assert np.array_equal(out.weights, u.weights)
-
-    def test_guard_raises_at_stage(self, logistic):
-        u = AtomField([0.0, 1.0], [0.5, 0.5], 1.0)
-        with pytest.raises(DenominatorVanishingError):
-            step_rk4(u, 0.1, logistic)
-
-    def test_mass_conserved_per_step(self, logistic):
-        u = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)
-        out = step_rk4(u, 0.1, logistic)
-        assert mass(out) == pytest.approx(mass(u), abs=1e-14)
 
 
 class TestIntegrate:
@@ -238,11 +201,67 @@ class TestIntegrate:
         assert first[5] == -0.2 and first[6] == -1.0
 
 
+# values on which "%.17g" and "{:.17g}" could plausibly disagree
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1.797e308, 1.7976931348623157e308,
+                   0.1, -1.0 / 3.0, 1e16, 123456789012345678.0]
+
+
+class TestCsv:
+    @staticmethod
+    def _format_spec_csv(tr):
+        """The CSV as one format spec per value, the way it was first written."""
+        n = tr.weights.size
+        lines = ["t,lambda,mass,energy,dissipation," + ",".join(f"v{i + 1}" for i in range(n))]
+        for k in range(tr.times.size):
+            head = (tr.times[k], tr.lambda_series[k], tr.mass_series[k],
+                    tr.energy_series[k], tr.dissipation_series[k])
+            lines.append(",".join(f"{float(x):.17g}" for x in (*head, *tr.values[k])))
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def _assert_same_text(got, expected):
+        # row by row: a diff of the whole text would take minutes to print
+        got_rows, expected_rows = got.split("\n"), expected.split("\n")
+        assert len(got_rows) == len(expected_rows)
+        for k, (row, expected_row) in enumerate(zip(got_rows, expected_rows)):
+            assert row == expected_row, f"row {k}"
+
+    def test_percent_format_equals_format_spec(self):
+        for x in _SPECIAL_FLOATS:
+            assert "%.17g" % x == f"{x:.17g}", x
+
+    @pytest.mark.parametrize("run", ["h1_run", "wide_run"])
+    def test_rows_byte_identical(self, request, run):
+        tr = request.getfixturevalue(run)
+        self._assert_same_text(tr.to_csv(), self._format_spec_csv(tr))
+
+    def test_special_values_byte_identical(self, h3_run):
+        k = len(_SPECIAL_FLOATS)
+        lam = h3_run.lambda_series.copy()
+        lam[:k] = _SPECIAL_FLOATS
+        values = h3_run.values.copy()
+        values[:k, 1] = _SPECIAL_FLOATS[::-1]
+        tr = dataclasses.replace(h3_run, lambda_series=lam, values=values)
+        self._assert_same_text(tr.to_csv(), self._format_spec_csv(tr))
+
+
 @pytest.fixture(scope="module")
 def wide_run(logistic):
     """100 samples of 1 + x under H1, recorded every 0.5."""
     u0 = from_samples((1.0 + (np.arange(100) + 0.5) / 100).tolist(), 1.0)
     return integrate(u0, logistic, IntegratorConfig(t_max=200.0, record_every=0.5))
+
+
+@pytest.fixture(scope="module")
+def unsorted_run(logistic):
+    """12 unsorted H1 atoms of unequal weights, two of them tied."""
+    rng = np.random.default_rng(29)
+    values = rng.uniform(1.01, 3.0, size=12)
+    values[7] = values[2]
+    weights = rng.uniform(0.1, 1.0, size=12)
+    u0 = AtomField(values, weights, math.fsum(weights.tolist()))
+    return integrate(u0, logistic, IntegratorConfig(t_max=20.0, record_every=0.1))
 
 
 class TestColumnarTrajectory:
@@ -298,19 +317,22 @@ class TestColumnarTrajectory:
         part[5]
         assert len(built) == 2
 
-    @pytest.mark.parametrize("run", ["h1_run", "h2_run", "h3_run", "wide_run"])
+    @pytest.mark.parametrize("run", ["h1_run", "h2_run", "h3_run", "wide_run", "unsorted_run"])
     def test_records_equal_kernel_bitwise(self, request, logistic, run):
-        """Each record's series entries are the public kernel's values at its row."""
+        """Each record's series entries are the kernel's values at its row,
+        with the atoms in the canonical order of the initial field."""
         tr = request.getfixturevalue(run)
         sign = tr.hypothesis.energy_sign
+        order = field_mod.canonical_order(tr.values[0], tr.weights)
+        weights = tr.weights[order]
         expected = {"lam": [], "mass": [], "energy": [], "diss": []}
         for t, vals in zip(tr.times.tolist(), tr.values):
-            gv, pv, lam, _ = multiplier(t, vals, tr.weights, logistic)
+            gv, pv, lam, _ = multiplier(t, vals[order], weights, logistic)
             u = AtomField(vals, tr.weights, tr.domain_measure)
             expected["lam"].append(lam)
             expected["mass"].append(mass(u))
             expected["energy"].append(lyapunov(u, logistic, tr.energy_index))
-            expected["diss"].append(sign * dissipation_sum(tr.weights, gv, pv, lam))
+            expected["diss"].append(sign * dissipation_sum(weights, gv, pv, lam))
         got = {"lam": tr.lambda_series, "mass": tr.mass_series,
                "energy": tr.energy_series, "diss": tr.dissipation_series}
         for name, series in got.items():
@@ -333,6 +355,20 @@ class TestColumnarTrajectory:
             extension_differs |= not np.array_equal(_dp_dense(prev, 0.5, ks, [1.0])[0], new)
         assert extension_differs
 
+    def test_dense_rows_equal_single_fraction_calls(self, logistic):
+        """Each row of a dense block is the extension at its fraction alone,
+        bit for bit, so a record does not depend on the other records of
+        its step."""
+        rng = np.random.default_rng(5)
+        v = rng.uniform(1.01, 3.0, size=7)
+        w = np.full(7, 1.0 / 7.0)
+        rates, _ = atom_rates(0.0, v, w, 1.0, logistic, None)
+        _, ks, _, _ = _dp_attempt(0.0, v, rates, 0.3, w, 1.0, logistic, None)
+        thetas = sorted(rng.random(40).tolist()) + [1.0]
+        block = _dp_dense(v, 0.3, ks, thetas)
+        for theta, row in zip(thetas, block):
+            assert row.tobytes() == _dp_dense(v, 0.3, ks, [theta])[0].tobytes(), theta
+
     def test_first_faulty_record_raises(self, h1_run, logistic):
         """A fault at several records of one step is reported at the first."""
         k = int(np.argmax(h1_run.values[:, 0] < 1.9))
@@ -349,6 +385,76 @@ class TestColumnarTrajectory:
             integrate(u0, pair, h1_run.config)
         assert info.value.t == h1_run.times[k]
         assert np.array_equal(info.value.values, h1_run.values[k])
+
+
+class TestCanonicalOrder:
+    """integrate runs on the atoms in canonical order, fixed at t = 0."""
+
+    @pytest.mark.parametrize("name", ["logistic-identity", "logistic-cubic"])
+    def test_permuted_input_gives_the_same_run(self, name):
+        """Fields of 3 to 40 atoms with ties of unequal weight, listed in two
+        more orders: the same run to the last bit, columns permuted."""
+        pair = builtin_model(name)
+        rng = np.random.default_rng(31)
+        cfg = IntegratorConfig(t_max=3.0, record_every=0.1)
+        series = ("times", "lambda_series", "mass_series", "energy_series", "dissipation_series")
+        for k in range(12):
+            lo, hi = [(1.01, 3.0), (0.05, 0.95), (-2.0, -0.05)][k % 3]
+            n = int(rng.integers(3, 41))
+            # fewer distinct values than atoms: some atoms are tied
+            values = rng.choice(rng.uniform(lo, hi, size=max(2, n // 2)), size=n)
+            weights = rng.uniform(0.1, 1.0, size=n)
+            measure = math.fsum(weights.tolist())
+            ref = integrate(AtomField(values, weights, measure), pair, cfg)
+            assert ref.times.size > 1
+            for _ in range(2):
+                perm = rng.permutation(n)
+                tr = integrate(AtomField(values[perm], weights[perm], measure), pair, cfg)
+                assert tr.termination == ref.termination
+                for attr in series:
+                    assert getattr(tr, attr).tobytes() == getattr(ref, attr).tobytes(), attr
+                assert tr.values.tobytes() == ref.values[:, perm].tobytes()
+                assert np.array_equal(tr.weights, weights[perm])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failure_at_start_carries_input_order(self, logistic):
+        u0 = AtomField([1.5, 1e200, 2.0], [0.25, 0.25, 0.5], 1.0)
+        with pytest.raises(NumericalFailureError, match="non-finite g or p") as info:
+            integrate(u0, logistic, IntegratorConfig(t_max=1.0))
+        assert np.array_equal(info.value.values, u0.values)
+
+    def test_record_failure_carries_input_order(self, h1_run, logistic):
+        """The failing record of test_first_faulty_record_raises, with the
+        atoms listed the other way round."""
+        k = int(np.argmax(h1_run.values[:, 0] < 1.9))
+
+        def antideriv(s):
+            s = np.asarray(s, dtype=float)
+            return np.where((s > 1.8) & (s < 1.9), np.inf, 0.5 * s * s)
+
+        pair = dataclasses.replace(logistic, antideriv_P=antideriv)
+        u0 = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)
+        with pytest.raises(NumericalFailureError, match="non-finite energy") as info:
+            integrate(u0, pair, h1_run.config)
+        assert info.value.t == h1_run.times[k]
+        assert np.array_equal(info.value.values, h1_run.values[k, ::-1])
+
+    def test_step_path_takes_no_exact_sums(self, wide_run, logistic, monkeypatch):
+        """math.fsum runs three times per record (mass, energy, dissipation)
+        and never for a stage, so exact sums stay off the step path."""
+        u0 = wide_run.snapshots[0]
+        calls = []
+        fsum = math.fsum
+
+        def counted(terms):
+            calls.append(1)
+            return fsum(terms)
+
+        monkeypatch.setattr(math, "fsum", counted)
+        tr = integrate(u0, logistic, wide_run.config)
+        monkeypatch.undo()
+        assert tr.times.tobytes() == wide_run.times.tobytes()
+        assert len(calls) == 3 * tr.times.size
 
 
 _TANH_CONFIG = """\

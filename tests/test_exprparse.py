@@ -309,6 +309,20 @@ class TestAntiderivative:
             scalar = np.array([P(s) for s in _GRID.tolist()])
             np.testing.assert_array_equal(P(_GRID), scalar)
 
+    def test_scalar_calls_equal_block_bitwise(self):
+        """A float, a numpy float or a 0-d array takes the Horner path on
+        Python floats: a float, bit for bit the block's entry, overflow and
+        signed zeros included."""
+        grid = np.concatenate([_GRID, [-0.0, 5e-324, 1e80, -1e80, 1e200, -1e200]])
+        for _ in range(40):
+            P = antiderivative(_random_polynomial(depth=4))
+            block = P(grid)
+            for s, expected in zip(grid.tolist(), block.tolist()):
+                for arg in (s, np.float64(s), np.array(s)):
+                    got = P(arg)
+                    assert type(got) is float
+                    assert np.array(got).tobytes() == np.array(expected).tobytes(), (s, arg)
+
     def test_cubic_agrees_with_builtin(self):
         builtin = builtin_model("logistic-cubic").antideriv_P(_GRID)
         closed = antiderivative(parse("u^3+u"))(_GRID)

@@ -19,12 +19,14 @@ from nldyn import (
     build_model,
     builtin_model,
     classify_hypothesis,
+    dissipation_rate,
     integrate,
     lambda_of,
     lipschitz_bound,
     rhs,
     validate_pair,
 )
+from nldyn.field import canonical_order
 from nldyn.quad import adaptive_simpson
 
 RNG = np.random.default_rng(7)
@@ -281,6 +283,70 @@ class TestRhs:
             except DenominatorVanishingError:
                 continue
             assert abs(lam) <= max(abs(logistic.p(0.0)), abs(logistic.p(1.0))) + 1e-12
+
+
+class TestCanonicalOrder:
+    def test_value_decreasing_ties_by_weight(self):
+        order = canonical_order(np.array([1.0, 3.0, 3.0, 2.0]), np.array([0.1, 0.5, 0.2, 0.3]))
+        assert order.tolist() == [2, 1, 3, 0]
+
+    @pytest.mark.parametrize("name", ["logistic-identity", "logistic-cubic"])
+    def test_public_kernel_ignores_atom_order(self, name):
+        """200 random 100-atom fields, each listed in two more orders: the
+        public functions give the same bits, and rhs follows the atoms."""
+        pair = builtin_model(name)
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            values = rng.uniform(1.01, 3.0, size=100)
+            weights = rng.uniform(0.1, 1.0, size=100)
+            measure = math.fsum(weights.tolist())
+            u = AtomField(values, weights, measure)
+            lam, r = lambda_of(u, pair), rhs(u, pair)
+            diss = dissipation_rate(u, pair, 1)
+            g_int = classify_hypothesis(u, pair).integral_g_u0
+            for _ in range(2):
+                perm = rng.permutation(100)
+                v = AtomField(values[perm], weights[perm], measure)
+                assert lambda_of(v, pair) == lam
+                assert rhs(v, pair).tobytes() == r[perm].tobytes()
+                assert dissipation_rate(v, pair, 1) == diss
+                assert classify_hypothesis(v, pair).integral_g_u0 == g_int
+
+    def test_lipschitz_bound_ignores_atom_order(self, logistic):
+        u = AtomField([1.5, 2.0, 1.2, 1.7], [0.1, 0.4, 0.3, 0.2], 1.0)
+        v = AtomField(u.values[::-1], u.weights[::-1], 1.0)
+        assert lipschitz_bound(u, logistic, 0.01, 1000) == lipschitz_bound(v, logistic, 0.01, 1000)
+
+    @pytest.mark.parametrize("name", ["logistic-identity", "logistic-cubic"])
+    def test_pairwise_lambda_close_to_exact_sums(self, name):
+        """lam from pairwise sums agrees with exact sums of the same terms
+        to 8 eps * sum |w g p| / |sum w g|."""
+        pair = builtin_model(name)
+        rng = np.random.default_rng(43)
+        eps = float(np.finfo(float).eps)
+        for k in range(400):
+            lo, hi = [(1.0, 3.0), (0.0, 1.0), (-2.0, 0.0), (-1.0, 2.5)][k % 4]
+            n = int(rng.integers(3, 200))
+            values = rng.uniform(lo, hi, size=n)
+            weights = rng.uniform(0.1, 1.0, size=n)
+            u = AtomField(values, weights, math.fsum(weights.tolist()))
+            try:
+                lam = lambda_of(u, pair)
+            except DenominatorVanishingError:
+                continue
+            wg = u.weights * pair.g(u.values)
+            wgp = wg * pair.p(u.values)
+            den = math.fsum(wg.tolist())
+            exact = math.fsum(wgp.tolist()) / den
+            assert abs(lam - exact) <= 8.0 * eps * float(np.sum(np.abs(wgp))) / abs(den)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failure_carries_input_order(self, logistic):
+        u = AtomField([2.0, 1e150, 1.5], [0.25, 0.25, 0.5], 1.0)
+        for call in (lambda_of, rhs, lambda u, pair: dissipation_rate(u, pair, 1)):
+            with pytest.raises(NumericalFailureError, match="non-finite g or p") as info:
+                call(u, logistic)
+            assert np.array_equal(info.value.values, u.values)
 
 
 class TestLipschitzBound:

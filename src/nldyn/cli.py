@@ -400,6 +400,10 @@ def cmd_rearrange(
     return 0
 
 
+# the analytic limit predictors, by hypothesis tag
+_PREDICTORS = {"H1": omega.predict_h1, "H3": omega.predict_h3}
+
+
 def cmd_predict(
     config_path: str,
     m0: float,
@@ -415,19 +419,15 @@ def cmd_predict(
     pair = cfg.build_pair(u0)
     omega_measure = cfg.domain_measure
 
-    tag = hypothesis.lower() if hypothesis else None
-    if tag == "h2":
-        print(
-            "the analytic predictor is undefined under H2: the constraint system "
-            "has three unknowns and two equations",
-            file=sys.stderr,
-        )
+    tag = hypothesis.upper() if hypothesis else None
+    if tag == "H2":
+        print("the analytic H2 predictor is not implemented yet", file=sys.stderr)
         return 2
     if tag is None:
         if m0 > omega_measure:
-            tag = "h1"
+            tag = "H1"
         elif m0 < 0.0:
-            tag = "h3"
+            tag = "H3"
         else:
             print(
                 f"cannot infer hypothesis from m0 = {m0!r} "
@@ -435,14 +435,11 @@ def cmd_predict(
                 file=sys.stderr,
             )
             return 2
+    if tag not in _PREDICTORS:
+        print(f"unknown hypothesis {hypothesis!r}", file=sys.stderr)
+        return 2
     try:
-        if tag == "h1":
-            pred = omega.predict_h1(m0, energy_limit_value, omega_measure, pair)
-        elif tag == "h3":
-            pred = omega.predict_h3(m0, energy_limit_value, omega_measure, pair)
-        else:
-            print(f"unknown hypothesis {hypothesis!r}", file=sys.stderr)
-            return 2
+        pred = _PREDICTORS[tag](m0, energy_limit_value, omega_measure, pair)
     except (NoRootError, InfeasibleMeasureError) as exc:
         print(f"prediction infeasible: {exc}", file=sys.stderr)
         return 4
@@ -527,15 +524,12 @@ def cmd_check(config_path: str) -> int:
 
     # predictor consistency (H1/H3 only)
     tag = tr.hypothesis.tag
-    if tag in ("H1", "H3"):
+    if tag in _PREDICTORS:
         try:
             elim = energy.energy_limit(tr)
             emp = omega.extract_limit(tr, cfg.cluster_tol)
             m0 = float(tr.mass_series[0])
-            if tag == "H1":
-                pred = omega.predict_h1(m0, elim.value, u0.domain_measure, pair)
-            else:
-                pred = omega.predict_h3(m0, elim.value, u0.domain_measure, pair)
+            pred = _PREDICTORS[tag](m0, elim.value, u0.domain_measure, pair)
             rep = omega.consistency_check(pred, emp, tol=1e-3)
             worst = max(rep.value_diff, rep.measure_diff, rep.profile_distance)
             add("predictor-consistency", rep.passed, worst, rep.tol)
@@ -565,16 +559,12 @@ def _sweep_one(cfg: RunConfig, key: str, value: float, index: int):
     try:
         elim = energy.energy_limit(tr)
         elim_v = elim.value
-        tag = tr.hypothesis.tag
-        if tag == "H1":
-            pred = omega.predict_h1(float(tr.mass_series[0]), elim.value, u0.domain_measure, pair)
-            mu, a1 = pred.plateau_values[0], pred.plateau_measures[0]
-        elif tag == "H3":
-            pred = omega.predict_h3(float(tr.mass_series[0]), elim.value, u0.domain_measure, pair)
-            mu, a1 = pred.plateau_values[0], pred.plateau_measures[0]
+        predict = _PREDICTORS.get(tr.hypothesis.tag)
+        if predict is not None:
+            pred = predict(float(tr.mass_series[0]), elim.value, u0.domain_measure, pair)
         else:
-            emp = omega.extract_limit(tr, run_cfg.cluster_tol)
-            mu, a1 = emp.plateau_values[0], emp.plateau_measures[0]
+            pred = omega.extract_limit(tr, run_cfg.cluster_tol)
+        mu, a1 = pred.plateau_values[0], pred.plateau_measures[0]
     except NldynError:
         pass
     return value, mu, a1, elim_v, tr.termination.value

@@ -214,7 +214,8 @@ def _dp_attempt(t, values, k1, dt, weights, omega, pair, eps_den):
     rate at the new values), the g-integral at the new values and an
     estimate of the Jacobian's largest eigenvalue. A guard trip raises
     DenominatorVanishingError carrying the stage state and its step
-    fraction.
+    fraction. Entries of ``values`` past the atoms are passive tracers
+    (``model.atom_rates``); they stay out of the eigenvalue estimate.
     """
     ks = [k1]
     v = values
@@ -231,8 +232,9 @@ def _dp_attempt(t, values, k1, dt, weights, omega, pair, eps_den):
     # stages 6 and 7 share the time t + dt: their rate difference over
     # their state difference estimates the Jacobian's largest eigenvalue
     # (Hairer & Wanner, Solving ODEs II, IV.2)
-    dv = float(np.max(np.abs(v - v6)))
-    rho = float(np.max(np.abs(ks[6] - ks[5]))) / dv if dv > 0.0 else 0.0
+    n = weights.size
+    dv = float(np.max(np.abs(v[:n] - v6[:n])))
+    rho = float(np.max(np.abs(ks[6][:n] - ks[5][:n]))) / dv if dv > 0.0 else 0.0
     return v, ks, den, rho
 
 
@@ -282,21 +284,27 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     """
     order = field_mod.canonical_order(u0.values, u0.weights)
     with input_order(order):
-        return _integrate_canonical(u0, order, pair, cfg)
+        return _integrate_canonical(u0, order, pair, cfg)[0]
 
 
 def _integrate_canonical(
-    u0: AtomField, order: np.ndarray, pair: NonlinearityPair, cfg: IntegratorConfig
-) -> Trajectory:
-    """``integrate`` on u0's atoms permuted by ``order``.
+    u0: AtomField, order: np.ndarray, pair: NonlinearityPair, cfg: IntegratorConfig, tracers=()
+) -> tuple[Trajectory, np.ndarray]:
+    """``integrate`` on u0's atoms permuted by ``order``, and the tracers' records.
 
     Each recorded block goes back to u0's atom order as it is stored; the
-    permutation is skipped when ``order`` is the identity.
+    permutation is skipped when ``order`` is the identity. The tracers,
+    atoms of weight zero (``model.atom_rates``), follow the atoms in the
+    state through every stage, step and record, but stay out of all that
+    decides the run, so the trajectory is the same with or without them.
     """
     hyp = classify_hypothesis(u0, pair)
     weights = u0.weights[order]
     omega = u0.domain_measure
-    permuted = not np.array_equal(order, np.arange(order.size))
+    n = order.size
+    permuted = not np.array_equal(order, np.arange(n))
+    # tracers keep their place when a block goes back to the input order
+    state_order = np.append(order, np.arange(n, n + len(tracers)))
     sign = hyp.energy_sign
 
     region = None
@@ -312,6 +320,7 @@ def _integrate_canonical(
     diss_series: list[float] = []
 
     def check_state(t: float, vals: np.ndarray):
+        vals = vals[:n]
         if not np.all(np.isfinite(vals)):
             raise NumericalFailureError("non-finite atom value", t, vals)
         if region is not None:
@@ -326,6 +335,7 @@ def _integrate_canonical(
 
     def valid_rows(block: np.ndarray) -> int:
         """How many leading rows of block pass check_state."""
+        block = block[:, :n]
         ok = np.all(np.isfinite(block), axis=1)
         if region is not None:
             ok &= (np.min(block, axis=1) >= region[0]) & (np.max(block, axis=1) <= region[1])
@@ -339,9 +349,10 @@ def _integrate_canonical(
         kernel and each row's exact sums run per record, in the order a
         single record would run them, so the first faulty record raises.
         """
-        wp = weights * field_mod.atomwise(pair.antideriv_P, block)
-        wv = weights * block
-        for t, vals, wp_row, wv_row in zip(ts, block, wp, wv):
+        atoms = block[:, :n]
+        wp = weights * field_mod.atomwise(pair.antideriv_P, atoms)
+        wv = weights * atoms
+        for t, vals, wp_row, wv_row in zip(ts, atoms, wp, wv):
             gv, pv, lam, _ = multiplier(t, vals, weights, pair)
             energy = sign * math.fsum(wp_row.tolist())
             if not math.isfinite(energy):
@@ -351,13 +362,14 @@ def _integrate_canonical(
             energy_series.append(energy)
             diss_series.append(sign * dissipation_sum(weights, gv, pv, lam))
         times.extend(ts)
-        blocks.append(unpermute(block, order) if permuted else block)
+        blocks.append(unpermute(block, state_order) if permuted else block)
 
-    def finish(term: Termination, final_rates) -> Trajectory:
-        final_max = float(np.max(np.abs(final_rates))) if final_rates is not None else math.inf
+    def finish(term: Termination, final_rates) -> tuple[Trajectory, np.ndarray]:
+        final_max = float(np.max(np.abs(final_rates[:n]))) if final_rates is not None else math.inf
+        states = np.concatenate(blocks)
         return Trajectory(
             times=np.asarray(times),
-            values=np.concatenate(blocks),
+            values=states[:, :n],
             weights=u0.weights,
             domain_measure=omega,
             lambda_series=np.asarray(lam_series),
@@ -369,16 +381,16 @@ def _integrate_canonical(
             final_max_rhs=final_max,
             config=cfg,
             pair=pair,
-        )
+        ), states[:, n:]
 
-    values = u0.values[order]
+    values = np.append(u0.values[order], tracers)
     t = 0.0
     record([0.0], values[None])
     try:
         rates, den = atom_rates(0.0, values, weights, omega, pair, cfg.eps_den)
     except DenominatorVanishingError:
         return finish(Termination.DENOMINATOR_VANISHING, None)
-    if float(np.max(np.abs(rates))) < cfg.stat_tol:
+    if float(np.max(np.abs(rates[:n]))) < cfg.stat_tol:
         return finish(Termination.STATIONARY, rates)
 
     dt = min(cfg.dt_init, cfg.dt_max)
@@ -410,14 +422,14 @@ def _integrate_canonical(
             if times[-1] != t:
                 record([t], values[None])
             sv = exc.stage_values
-            if bool(np.all(np.isfinite(sv))):
+            if bool(np.all(np.isfinite(sv[:n]))):
                 t_stage = t + exc.stage_fraction * dt_try
                 if t_stage > times[-1]:
                     record([t_stage], sv[None])
             return finish(Termination.DENOMINATOR_VANISHING, rates)
         else:
-            err = dt_try * _combine(_DP_E, ks)
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(values), np.abs(new))
+            err = dt_try * _combine(_DP_E, ks)[:n]
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(values[:n]), np.abs(new[:n]))
             err_ratio = float(np.max(np.abs(err) / scale))
 
         if not math.isfinite(err_ratio):
@@ -439,7 +451,7 @@ def _integrate_canonical(
                 # step control collapsed; decide whether the denominator
                 # obstruction (a finite-time crossing of the g-integral,
                 # unreachable by explicit steps) caused it
-                gv, _ = g_terms(values, weights, pair)
+                gv, _ = g_terms(values[:n], weights, pair)
                 if flip or abs(den) < guard_threshold(gv, omega, 1e-6):
                     if times[-1] != t:
                         record([t], values[None])
@@ -466,7 +478,7 @@ def _integrate_canonical(
 
         t, values, rates, den = t_new, new, ks[-1], den_new
 
-        if float(np.max(np.abs(rates))) < cfg.stat_tol:
+        if float(np.max(np.abs(rates[:n]))) < cfg.stat_tol:
             stationary_streak += 1
             if stationary_streak >= 2:
                 if times[-1] != t:
@@ -490,70 +502,46 @@ def _integrate_canonical(
 
 # -------------------------------------------------------- characteristic flow
 
-def _lambda_slopes(tr: Trajectory, pair: NonlinearityPair) -> np.ndarray:
-    """Exact d(lam)/dt at every record, from the recorded states.
-
-    With u' = g(u)(p(u) - lam) at each atom,
-    lam' = (sum w (g p)'(u) u' - lam sum w g'(u) u') / sum w g(u).
-    """
-    vals = tr.values
-    w = tr.weights
-    lam = tr.lambda_series[:, None]
-    gv = np.asarray(pair.g(vals), dtype=float)
-    pv = np.asarray(pair.p(vals), dtype=float)
-    gp = np.asarray(pair.g_prime(vals), dtype=float)
-    udot = gv * (pv - lam)
-    fprime = gp * pv + gv * np.asarray(pair.p_prime(vals), dtype=float)
-    return ((fprime - lam * gp) * udot) @ w / (gv @ w)
-
-
 def characteristic_flow(
     s0: float, companion: Trajectory, pair: NonlinearityPair
 ) -> np.ndarray:
-    """Evolve a passive tracer value through the companion's multiplier.
+    """s0 carried by ds/dt = g(s)(p(s) - lam(t)), at each of the companion's records.
 
-    Integrates ds/dt = g(s)(p(s) - lam(t)) with lam(t) the piecewise-cubic
-    Hermite interpolant of the companion's multiplier series, whose slopes
-    are exact at the records (linear interpolation below four records),
-    and returns the tracer value at the companion's sample times.
+    Re-integrates the companion's initial field under its config with a
+    passive tracer at s0, an atom of weight zero on the atoms' own steps:
+    started on an atom's value it retraces that atom bit for bit, at 0 or
+    1 it stays there, and elsewhere its error follows the atoms' steps.
+    Raises ValueError when s0 is not finite or lies outside
+    [min(ess inf u0, 0), max(ess sup u0, 1)], where the exact flow keeps
+    it between atoms or the roots of g, and when the re-run does not
+    reproduce the companion bit for bit (another pair, or a trajectory
+    not made by ``integrate``); NumericalFailureError when the tracer
+    turns non-finite.
     """
-    times = companion.times
-    out = [float(s0)]
-    if times.size < 2:
-        return np.asarray(out)
-    lam = companion.lambda_series
-    slopes = _lambda_slopes(companion, pair) if times.size >= 4 else None
-
-    y = float(s0)
-    for i in range(times.size - 1):
-        t0, t1 = float(times[i]), float(times[i + 1])
-        span = t1 - t0
-        l0, dl = float(lam[i]), float(lam[i + 1] - lam[i])
-        if slopes is None:
-            c1, c2, c3 = dl, 0.0, 0.0
-        else:
-            m0, m1 = float(slopes[i]) * span, float(slopes[i + 1]) * span
-            c1, c2, c3 = m0, 3.0 * dl - 2.0 * m0 - m1, m0 + m1 - 2.0 * dl
-
-        def f(tt: float, yy: float) -> float:
-            s = (tt - t0) / span
-            lam_t = l0 + s * (c1 + s * (c2 + s * c3))
-            return float(pair.g(yy)) * (float(pair.p(yy)) - lam_t)
-
-        n_sub = max(1, math.ceil(span / 0.01))
-        h = span / n_sub
-        tt = t0
-        for _ in range(n_sub):
-            k1 = f(tt, y)
-            k2 = f(tt + 0.5 * h, y + 0.5 * h * k1)
-            k3 = f(tt + 0.5 * h, y + 0.5 * h * k2)
-            k4 = f(tt + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            tt += h
-        if not math.isfinite(y):
-            raise NumericalFailureError("tracer value became non-finite", tt, y)
-        out.append(y)
-    return np.asarray(out)
+    s0 = float(s0)
+    u0 = companion.snapshots[0]
+    lo = min(float(np.min(u0.values)), 0.0)
+    hi = max(float(np.max(u0.values)), 1.0)
+    if not lo <= s0 <= hi:
+        raise ValueError(f"tracer start {s0!r} outside [{lo!r}, {hi!r}]")
+    order = field_mod.canonical_order(u0.values, u0.weights)
+    try:
+        # a tracer that overflows is reported below; the atoms repeat a run
+        # that has already completed
+        with input_order(order), np.errstate(over="ignore", invalid="ignore"):
+            run, tracer = _integrate_canonical(u0, order, pair, companion.config, [s0])
+    except NumericalFailureError as exc:
+        raise ValueError(f"the companion's run does not reproduce: {exc}") from exc
+    for got, want in ((run.times, companion.times), (run.values, companion.values)):
+        want = np.asarray(want, dtype=float)
+        if got.shape != want.shape or got.tobytes() != want.tobytes():
+            raise ValueError("the companion's run does not reproduce under this pair and config")
+    s = tracer[:, 0].copy()
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        k = int(bad[0])
+        raise NumericalFailureError("tracer value became non-finite", float(run.times[k]), s[k])
+    return s
 
 
 # ----------------------------------------------------------------- auditing

@@ -305,8 +305,18 @@ def guarded_multiplier(t, values, weights, omega, pair, eps_den):
 
 
 def atom_rates(t, values, weights, omega, pair, eps_den):
-    """Per-atom rates g*(p - lam) and the g-integral at one state (guarded)."""
-    gv, pv, lam, den = guarded_multiplier(t, values, weights, omega, pair, eps_den)
+    """Per-atom rates g*(p - lam) and the g-integral at one state (guarded).
+
+    Entries of ``values`` past the atoms that ``weights`` lists are passive
+    tracers, atoms of weight zero: each gets the rate g*(p - lam) with the
+    atoms' lam and enters neither lam nor the guard.
+    """
+    n = weights.size
+    gv, pv, lam, den = guarded_multiplier(t, values[:n], weights, omega, pair, eps_den)
+    if values.size > n:
+        s = values[n:]
+        gv = np.concatenate([gv, np.asarray(pair.g(s), dtype=float)])
+        pv = np.concatenate([pv, np.asarray(pair.p(s), dtype=float)])
     return gv * (pv - lam), den
 
 

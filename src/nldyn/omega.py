@@ -7,9 +7,11 @@ mu is the unique root of the strictly increasing scalar function
 
 at the right-hand side (E_limit - P(1)|Omega|) / (m0 - |Omega|), after
 which the plateau measure follows from mass conservation. Under H3 the
-same construction runs with reference point 0. Under H2 the constraint
-system is underdetermined (three unknowns, two equations), so only
-empirical extraction from a settled trajectory is offered.
+same construction runs with reference point 0. Under H2 the limit is
+determined too: order preservation fixes its shape as
+chi{u0 > theta} + v chi{u0 = theta}, and mass conservation fixes theta
+and v. That predictor is not implemented yet, so under H2 only empirical
+extraction from a settled trajectory is offered.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Tests for nldyn.dynamics: stepping, adaptive integration, trajectory audit."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from nldyn import (
     verify_trajectory,
 )
 from nldyn import field as field_mod
-from nldyn.dynamics import _dp_attempt, _dp_dense
+from nldyn.dynamics import _dp_attempt, _dp_dense, _integrate_canonical
 from nldyn.energy import lyapunov
 from nldyn.model import atom_rates, dissipation_sum, multiplier
 
@@ -530,20 +531,93 @@ class TestRearrangementAlongFlow:
             assert abs(d_atoms - d_prof) <= 1e-12
 
 
+_TRACER_MODELS = {
+    "logistic-identity": lambda: builtin_model("logistic-identity"),
+    "logistic-cubic": lambda: builtin_model("logistic-cubic"),
+    "tanh": lambda: build_model("u*(1-u)", "tanh(u) + 2*u"),
+}
+# the initial atoms of the H1, H2 and H3 reference runs (conftest.py)
+_TRACER_FIELDS = {"H1": [2.0, 1.5], "H2": [0.7, 0.3], "H3": [-0.2, -1.0]}
+
+
+@functools.cache
+def _companion(model: str, field: str, record_every: float):
+    """A reference field's run under one model, as conftest.py runs it."""
+    pair = _TRACER_MODELS[model]()
+    u0 = AtomField(_TRACER_FIELDS[field], [0.5, 0.5], 1.0)
+    cfg = IntegratorConfig(t_max=200.0, rtol=1e-8, record_every=record_every)
+    return pair, integrate(u0, pair, cfg)
+
+
+@functools.cache
+def _tight_tracers(model: str, field: str, starts: tuple[float, ...]):
+    """A reference field's run at rtol 1e-13, and tracers from ``starts``
+    on its steps, all in one run, as characteristic_flow carries each one."""
+    pair = _TRACER_MODELS[model]()
+    u0 = AtomField(_TRACER_FIELDS[field], [0.5, 0.5], 1.0)
+    cfg = IntegratorConfig(t_max=200.0, rtol=1e-13, atol=1e-15, dt_max=0.005, record_every=0.01)
+    order = field_mod.canonical_order(u0.values, u0.weights)
+    return _integrate_canonical(u0, order, pair, cfg, starts)
+
+
 class TestCharacteristicFlow:
-    def test_fixed_point_one(self, h1_run, logistic):
-        y = characteristic_flow(1.0, h1_run, logistic)
-        np.testing.assert_allclose(y, 1.0, atol=1e-14)
+    def test_fixed_point_one(self, h1_run, h2_run, logistic):
+        for run in (h1_run, h2_run):
+            y = characteristic_flow(1.0, run, logistic)
+            assert np.all(y == 1.0)
 
-    def test_fixed_point_zero(self, h1_run, logistic):
-        y = characteristic_flow(0.0, h1_run, logistic)
-        np.testing.assert_allclose(y, 0.0, atol=1e-14)
+    def test_fixed_point_zero(self, h1_run, h2_run, logistic):
+        for run in (h1_run, h2_run):
+            y = characteristic_flow(0.0, run, logistic)
+            assert np.all(y == 0.0)
 
-    def test_reproduces_atom_series(self, h1_run, logistic):
-        """A tracer seeded at an atom's initial value retraces that atom."""
-        series = np.array([s.values[0] for s in h1_run.snapshots])
-        y = characteristic_flow(2.0, h1_run, logistic)
-        assert float(np.max(np.abs(y - series))) <= 1e-6
+    @pytest.mark.parametrize("record_every", [0.01, 0.5])
+    @pytest.mark.parametrize("field", ["H1", "H2", "H3"])
+    @pytest.mark.parametrize("model", list(_TRACER_MODELS))
+    def test_reproduces_atom_series(self, model, field, record_every):
+        """A tracer seeded at an atom's initial value retraces that atom bit
+        for bit: it is a weight-zero atom on the companion's own steps."""
+        pair, tr = _companion(model, field, record_every)
+        for j, s0 in enumerate(_TRACER_FIELDS[field]):
+            y = characteristic_flow(s0, tr, pair)
+            assert y.tobytes() == np.ascontiguousarray(tr.values[:, j]).tobytes(), j
+
+    @pytest.mark.parametrize("field", ["H1", "H2", "H3"])
+    @pytest.mark.parametrize("model", list(_TRACER_MODELS))
+    def test_tracer_leaves_the_run_unchanged(self, model, field):
+        """Tracers off the atoms and the roots of g, which could sway an
+        error norm or a step cap they entered, still re-run the companion
+        bit for bit (characteristic_flow raises otherwise)."""
+        pair, tr = _companion(model, field, 0.5)
+        for s0 in (0.5, float(np.mean(_TRACER_FIELDS[field]))):
+            assert np.all(np.isfinite(characteristic_flow(s0, tr, pair)))
+
+    @pytest.mark.parametrize("record_every", [0.01, 0.5])
+    @pytest.mark.parametrize("field, starts", [("H1", (0.5, 0.9, 1.75)),
+                                               ("H3", (-0.9, -0.5, 0.7))])
+    @pytest.mark.parametrize("model", ["logistic-identity", "logistic-cubic"])
+    def test_matches_tight_companion(self, model, field, starts, record_every):
+        """Tracers between the atoms and the roots of g stay within 5e-6 of
+        the same tracers on a companion at rtol 1e-13, at every common
+        record, on either record grid. The tracers leave the error norm, so
+        their error follows the atoms' steps; the worst here, 2.3e-6, is a
+        tracer leaving the unstable root 1 (s0 = 0.9, logistic-cubic).
+        Starts closer to the unstable root do worse, since the tracer
+        leaves it only once the atoms have settled and their steps have
+        grown: under logistic-cubic, 6.4e-6 at 0.95 and 7.1e-4 at 1.005
+        (H1), 2.7e-4 at 0.005 (H3).
+
+        H2 is left out: a tracer near the separatrix p(s) = lam_inf is
+        ill-conditioned (7.1e-6 at s0 = 0.5 under logistic-identity, on
+        either grid), whatever the solver.
+        """
+        pair, tr = _companion(model, field, record_every)
+        ref_run, ref = _tight_tracers(model, field, starts)
+        common, k, k_ref = np.intersect1d(tr.times, ref_run.times, return_indices=True)
+        assert common.size >= 4
+        for i, s0 in enumerate(starts):
+            y = characteristic_flow(s0, tr, pair)
+            assert float(np.max(np.abs(y[k] - ref[k_ref, i]))) <= 5e-6, s0
 
     def test_single_snapshot_trajectory(self, logistic):
         u = AtomField([0.5], [1.0], 1.0)
@@ -551,6 +625,43 @@ class TestCharacteristicFlow:
         y = characteristic_flow(0.3, tr, logistic)
         assert y.tolist() == [0.3]
 
+    @pytest.mark.parametrize("s0", [math.nan, math.inf, -math.inf, -1e-12, 2.0 + 1e-12, 5.0])
+    def test_start_outside_domain_refused(self, h1_run, logistic, s0):
+        """Only [min(ess inf u0, 0), max(ess sup u0, 1)] = [0, 2] on the H1
+        run: outside it a tracer can be stiffer than the atoms' steps."""
+        with pytest.raises(ValueError, match="outside"):
+            characteristic_flow(s0, h1_run, logistic)
+
+    def test_overflowing_start_refused(self):
+        """s0 = 5 under logistic-cubic overflowed in a scalar solver; it lies
+        outside the domain, [0, 2] on the H1 run."""
+        pair, tr = _companion("logistic-cubic", "H1", 0.01)
+        with pytest.raises(ValueError, match="outside"):
+            characteristic_flow(5.0, tr, pair)
+
+    @pytest.mark.parametrize("other", ["logistic-cubic", "p infinite at 2"])
+    def test_other_pair_refused(self, h1_run, logistic, other):
+        """The re-run under another pair does not reproduce the companion,
+        whether it runs to its end or fails on the atoms."""
+        if other == "logistic-cubic":
+            pair = builtin_model(other)
+        else:
+            pair = dataclasses.replace(logistic, p=lambda u: np.where(u == 2.0, np.inf, u * 1.0))
+        with pytest.raises(ValueError, match="does not reproduce"):
+            characteristic_flow(1.75, h1_run, pair)
+
+    def test_hand_built_trajectory_refused(self, h1_run, logistic):
+        values = h1_run.values.copy()
+        values[-1, 0] += 1e-12
+        with pytest.raises(ValueError, match="does not reproduce"):
+            characteristic_flow(1.75, dataclasses.replace(h1_run, values=values), logistic)
+
+    def test_non_finite_tracer_raises(self, h1_run, logistic):
+        """A p that is infinite at the tracer's start, and nowhere the atoms
+        go, leaves the atoms' run as it was and the tracer non-finite."""
+        pair = dataclasses.replace(logistic, p=lambda u: np.where(u == 0.25, np.inf, u * 1.0))
+        with pytest.raises(NumericalFailureError, match="tracer"):
+            characteristic_flow(0.25, h1_run, pair)
 
 class TestVerifyTrajectory:
     def test_h1_run_passes(self, h1_run, logistic):

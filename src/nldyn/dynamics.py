@@ -39,13 +39,18 @@ from . import field as field_mod
 from .errors import DenominatorVanishingError, NumericalFailureError
 from .field import AtomField
 from .model import HypothesisClass, NonlinearityPair, classify_hypothesis
-from .model import atom_rates, dissipation_sum, g_terms, guard_threshold, multiplier
+from .model import atom_rates, g_terms, guard_threshold, multiplier
 from .model import input_order, unpermute
 
 _REGION_ABORT_TOL = 1e-6  # hard abort beyond this
 _REGION_REPORT_TOL = 1e-9  # audit threshold
 _LAMBDA_BOUND_TOL = 1e-9
 _ENERGY_MONOTONE_TOL = 1e-9
+
+# the step loop's reductions, as the rate kernel takes them (model.py)
+_all = np.logical_and.reduce
+_max = np.maximum.reduce
+_min = np.minimum.reduce
 
 
 class Termination(str, Enum):
@@ -233,8 +238,8 @@ def _dp_attempt(t, values, k1, dt, weights, omega, pair, eps_den):
     # their state difference estimates the Jacobian's largest eigenvalue
     # (Hairer & Wanner, Solving ODEs II, IV.2)
     n = weights.size
-    dv = float(np.max(np.abs(v[:n] - v6[:n])))
-    rho = float(np.max(np.abs(ks[6][:n] - ks[5][:n]))) / dv if dv > 0.0 else 0.0
+    dv = float(_max(np.abs(v[:n] - v6[:n])))
+    rho = float(_max(np.abs(ks[6][:n] - ks[5][:n]))) / dv if dv > 0.0 else 0.0
     return v, ks, den, rho
 
 
@@ -245,9 +250,10 @@ def _dp_dense(values, dt, ks, thetas: list[float]) -> np.ndarray:
     of ``_combine``, so it equals the extension evaluated at theta_r
     alone, bit for bit.
     """
-    # the powers for all rows at once, the products one row at a time: a
-    # matrix product over all rows would round differently
-    q = np.array([_DP_P @ powers for powers in np.asarray(thetas)[:, None] ** np.arange(1, 5)])
+    # one matrix-vector product per row, stacked: a single matrix product
+    # over all rows (powers @ _DP_P.T) would round differently
+    powers = np.asarray(thetas)[:, None] ** np.arange(1, 5)
+    q = np.matmul(_DP_P, powers[:, :, None])[:, :, 0]
     acc = None
     for c, k in zip(q.T, ks):
         if c.any():
@@ -321,10 +327,10 @@ def _integrate_canonical(
 
     def check_state(t: float, vals: np.ndarray):
         vals = vals[:n]
-        if not np.all(np.isfinite(vals)):
+        if not _all(np.isfinite(vals)):
             raise NumericalFailureError("non-finite atom value", t, vals)
         if region is not None:
-            vmin, vmax = float(np.min(vals)), float(np.max(vals))
+            vmin, vmax = float(_min(vals)), float(_max(vals))
             if vmin < region[0] or vmax > region[1]:
                 raise NumericalFailureError(
                     f"invariant region violated beyond {_REGION_ABORT_TOL:g} "
@@ -336,36 +342,43 @@ def _integrate_canonical(
     def valid_rows(block: np.ndarray) -> int:
         """How many leading rows of block pass check_state."""
         block = block[:, :n]
-        ok = np.all(np.isfinite(block), axis=1)
+        ok = _all(np.isfinite(block), axis=1)
         if region is not None:
-            ok &= (np.min(block, axis=1) >= region[0]) & (np.max(block, axis=1) <= region[1])
+            ok &= (_min(block, axis=1) >= region[0]) & (_max(block, axis=1) <= region[1])
         bad = np.flatnonzero(~ok)
         return int(bad[0]) if bad.size else ok.size
 
     def record(ts: list[float], block: np.ndarray):
         """Record the rows of block at the times ts, in time order.
 
-        P and the mass terms are formed once on the block; the rate
-        kernel and each row's exact sums run per record, in the order a
-        single record would run them, so the first faulty record raises.
+        Each row calls the rate kernel once and checks its energy, in
+        record order, so the first faulty record raises. The terms of
+        every exact sum are formed once on the block, elementwise with a
+        single record's roundings (``model.dissipation_sum`` for the
+        dissipation), and summed row by row.
         """
         atoms = block[:, :n]
-        wp = weights * field_mod.atomwise(pair.antideriv_P, atoms)
-        wv = weights * atoms
-        for t, vals, wp_row, wv_row in zip(ts, atoms, wp, wv):
+        wp = (weights * field_mod.atomwise(pair.antideriv_P, atoms)).tolist()
+        gs, ps, lams, energies = [], [], [], []
+        for t, vals, wp_row in zip(ts, atoms, wp):
             gv, pv, lam, _ = multiplier(t, vals, weights, pair)
-            energy = sign * math.fsum(wp_row.tolist())
+            energy = sign * math.fsum(wp_row)
             if not math.isfinite(energy):
                 raise NumericalFailureError("non-finite energy", t, vals)
-            lam_series.append(lam)
-            mass_series.append(math.fsum(wv_row.tolist()))
-            energy_series.append(energy)
-            diss_series.append(sign * dissipation_sum(weights, gv, pv, lam))
+            gs.append(gv)
+            ps.append(pv)
+            lams.append(lam)
+            energies.append(energy)
+        diss = weights * np.array(gs) * (np.array(ps) - np.array(lams)[:, None]) ** 2
+        lam_series.extend(lams)
+        mass_series.extend(math.fsum(row) for row in (weights * atoms).tolist())
+        energy_series.extend(energies)
+        diss_series.extend(sign * math.fsum(row) for row in diss.tolist())
         times.extend(ts)
         blocks.append(unpermute(block, state_order) if permuted else block)
 
     def finish(term: Termination, final_rates) -> tuple[Trajectory, np.ndarray]:
-        final_max = float(np.max(np.abs(final_rates[:n]))) if final_rates is not None else math.inf
+        final_max = float(_max(np.abs(final_rates[:n]))) if final_rates is not None else math.inf
         states = np.concatenate(blocks)
         return Trajectory(
             times=np.asarray(times),
@@ -390,7 +403,7 @@ def _integrate_canonical(
         rates, den = atom_rates(0.0, values, weights, omega, pair, cfg.eps_den)
     except DenominatorVanishingError:
         return finish(Termination.DENOMINATOR_VANISHING, None)
-    if float(np.max(np.abs(rates[:n]))) < cfg.stat_tol:
+    if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
         return finish(Termination.STATIONARY, rates)
 
     dt = min(cfg.dt_init, cfg.dt_max)
@@ -422,7 +435,7 @@ def _integrate_canonical(
             if times[-1] != t:
                 record([t], values[None])
             sv = exc.stage_values
-            if bool(np.all(np.isfinite(sv[:n]))):
+            if bool(_all(np.isfinite(sv[:n]))):
                 t_stage = t + exc.stage_fraction * dt_try
                 if t_stage > times[-1]:
                     record([t_stage], sv[None])
@@ -430,7 +443,7 @@ def _integrate_canonical(
         else:
             err = dt_try * _combine(_DP_E, ks)[:n]
             scale = cfg.atol + cfg.rtol * np.maximum(np.abs(values[:n]), np.abs(new[:n]))
-            err_ratio = float(np.max(np.abs(err) / scale))
+            err_ratio = float(_max(np.abs(err) / scale))
 
         if not math.isfinite(err_ratio):
             err_ratio = math.inf
@@ -478,7 +491,7 @@ def _integrate_canonical(
 
         t, values, rates, den = t_new, new, ks[-1], den_new
 
-        if float(np.max(np.abs(rates[:n]))) < cfg.stat_tol:
+        if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
             stationary_streak += 1
             if stationary_streak >= 2:
                 if times[-1] != t:
@@ -502,46 +515,52 @@ def _integrate_canonical(
 
 # -------------------------------------------------------- characteristic flow
 
-def characteristic_flow(
-    s0: float, companion: Trajectory, pair: NonlinearityPair
-) -> np.ndarray:
+def characteristic_flow(s0, companion: Trajectory, pair: NonlinearityPair) -> np.ndarray:
     """s0 carried by ds/dt = g(s)(p(s) - lam(t)), at each of the companion's records.
 
     Re-integrates the companion's initial field under its config with a
     passive tracer at s0, an atom of weight zero on the atoms' own steps:
     started on an atom's value it retraces that atom bit for bit, at 0 or
     1 it stays there, and elsewhere its error follows the atoms' steps.
-    Raises ValueError when s0 is not finite or lies outside
+    A 1-D array of starts runs as that many tracers in the one re-run and
+    gives a (starts, records) array whose row i equals the call on start
+    i alone, bit for bit; a scalar start gives its 1-D series.
+    Raises ValueError when a start is not finite or lies outside
     [min(ess inf u0, 0), max(ess sup u0, 1)], where the exact flow keeps
     it between atoms or the roots of g, and when the re-run does not
     reproduce the companion bit for bit (another pair, or a trajectory
-    not made by ``integrate``); NumericalFailureError when the tracer
+    not made by ``integrate``); NumericalFailureError when a tracer
     turns non-finite.
     """
-    s0 = float(s0)
+    starts = np.asarray(s0, dtype=float)
+    if starts.ndim > 1:
+        raise ValueError(f"tracer starts must be a scalar or a 1-D array, got shape {starts.shape}")
+    flat = starts.reshape(-1)
     u0 = companion.snapshots[0]
     lo = min(float(np.min(u0.values)), 0.0)
     hi = max(float(np.max(u0.values)), 1.0)
-    if not lo <= s0 <= hi:
-        raise ValueError(f"tracer start {s0!r} outside [{lo!r}, {hi!r}]")
+    for start in flat.tolist():
+        if not lo <= start <= hi:
+            raise ValueError(f"tracer start {start!r} outside [{lo!r}, {hi!r}]")
     order = field_mod.canonical_order(u0.values, u0.weights)
     try:
         # a tracer that overflows is reported below; the atoms repeat a run
         # that has already completed
         with input_order(order), np.errstate(over="ignore", invalid="ignore"):
-            run, tracer = _integrate_canonical(u0, order, pair, companion.config, [s0])
+            run, tracers = _integrate_canonical(u0, order, pair, companion.config, flat)
     except NumericalFailureError as exc:
         raise ValueError(f"the companion's run does not reproduce: {exc}") from exc
     for got, want in ((run.times, companion.times), (run.values, companion.values)):
         want = np.asarray(want, dtype=float)
         if got.shape != want.shape or got.tobytes() != want.tobytes():
             raise ValueError("the companion's run does not reproduce under this pair and config")
-    s = tracer[:, 0].copy()
-    bad = np.flatnonzero(~np.isfinite(s))
+    s = tracers.T.copy()
+    bad = np.flatnonzero(~_all(np.isfinite(s), axis=0))
     if bad.size:
         k = int(bad[0])
-        raise NumericalFailureError("tracer value became non-finite", float(run.times[k]), s[k])
-    return s
+        at_k = s[:, k] if starts.ndim else s[0, k]
+        raise NumericalFailureError("tracer value became non-finite", float(run.times[k]), at_k)
+    return s if starts.ndim else s[0]
 
 
 # ----------------------------------------------------------------- auditing

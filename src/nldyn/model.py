@@ -241,6 +241,13 @@ def validate_pair(
 # pairwise summation adds at most a log2(n) factor to that (Higham,
 # Accuracy and Stability of Numerical Algorithms, ch. 4). Only the
 # dissipation sum, an output that nothing feeds back from, stays exact.
+# Hot-path reductions are the ufunc methods themselves: on a few atoms the
+# np.max / ndarray.all wrappers cost more than the arithmetic.
+
+_sum = np.add.reduce
+_all = np.logical_and.reduce
+_max = np.maximum.reduce
+
 
 def g_terms(values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
     """g at the atom values, and the terms w * g of the g-integral."""
@@ -250,7 +257,7 @@ def g_terms(values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
 
 def g_integral(wg: np.ndarray) -> float:
     """The g-integral from its terms w * g, summed pairwise in the order given."""
-    return float(np.add.reduce(wg))
+    return float(_sum(wg))
 
 
 def multiplier(t: float, values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
@@ -265,21 +272,22 @@ def multiplier(t: float, values: np.ndarray, weights: np.ndarray, pair: Nonlinea
     value, or a sum that overflows, raises NumericalFailureError at time
     t: nothing computed from it could be trusted.
     """
-    gv, wg = g_terms(values, weights, pair)
+    gv = np.asarray(pair.g(values), dtype=float)
     pv = np.asarray(pair.p(values), dtype=float)
+    wg = weights * gv
     wgp = wg * pv
     # a non-finite g or p at any atom makes its term inf or nan; checked
     # before any sum, so no reduction meets inf - inf
-    if not np.isfinite(wgp).all():
+    if not _all(np.isfinite(wgp)):
         raise NumericalFailureError("non-finite g or p value", t, values)
-    den = g_integral(wg)
-    num = float(np.add.reduce(wgp))
+    den = float(_sum(wg))
+    num = float(_sum(wgp))
     if not (math.isfinite(den) and math.isfinite(num)):
         raise NumericalFailureError("non-finite g or p value", t, values)
     if den == 0.0:
         return gv, pv, math.nan, den
     lam = num / den
-    lam += float(np.add.reduce(wg * (pv - lam))) / den
+    lam += float(_sum(wg * (pv - lam))) / den
     return gv, pv, lam, den
 
 
@@ -289,7 +297,7 @@ def guard_threshold(gv: np.ndarray, omega: float, rel: float = 1e-10) -> float:
     Shrinks together with g as all atoms approach roots of g, so the
     guard only fires when the integral is small relative to its terms.
     """
-    return rel * omega * float(np.max(np.abs(gv)))
+    return rel * omega * float(_max(np.abs(gv)))
 
 
 def guarded_multiplier(t, values, weights, omega, pair, eps_den):
@@ -312,8 +320,10 @@ def atom_rates(t, values, weights, omega, pair, eps_den):
     atoms' lam and enters neither lam nor the guard.
     """
     n = weights.size
-    gv, pv, lam, den = guarded_multiplier(t, values[:n], weights, omega, pair, eps_den)
-    if values.size > n:
+    if values.size == n:
+        gv, pv, lam, den = guarded_multiplier(t, values, weights, omega, pair, eps_den)
+    else:
+        gv, pv, lam, den = guarded_multiplier(t, values[:n], weights, omega, pair, eps_den)
         s = values[n:]
         gv = np.concatenate([gv, np.asarray(pair.g(s), dtype=float)])
         pv = np.concatenate([pv, np.asarray(pair.p(s), dtype=float)])

@@ -265,6 +265,19 @@ def unsorted_run(logistic):
     return integrate(u0, logistic, IntegratorConfig(t_max=20.0, record_every=0.1))
 
 
+@pytest.fixture(scope="module")
+def expr_run():
+    """41 unsorted H1 atoms under the expression model u*(1-u), u^3+u,
+    recorded every 0.001: it settles by t = 2.3, in steps holding up to
+    137 records."""
+    rng = np.random.default_rng(41)
+    values = np.append(rng.uniform(1.1, 2.3, size=40), 1.0)
+    rng.shuffle(values)
+    u0 = AtomField(values, np.full(41, 1.0 / 41.0), 1.0)
+    pair = build_model("u*(1-u)", "u^3+u")
+    return integrate(u0, pair, IntegratorConfig(t_max=20.0, record_every=0.001))
+
+
 class TestColumnarTrajectory:
     @staticmethod
     def _is_row(u, tr, k):
@@ -318,21 +331,25 @@ class TestColumnarTrajectory:
         part[5]
         assert len(built) == 2
 
-    @pytest.mark.parametrize("run", ["h1_run", "h2_run", "h3_run", "wide_run", "unsorted_run"])
-    def test_records_equal_kernel_bitwise(self, request, logistic, run):
+    @pytest.mark.parametrize(
+        "run", ["h1_run", "h2_run", "h3_run", "wide_run", "unsorted_run", "expr_run"]
+    )
+    def test_records_equal_kernel_bitwise(self, request, run):
         """Each record's series entries are the kernel's values at its row,
-        with the atoms in the canonical order of the initial field."""
+        with the atoms in the canonical order of the initial field, however
+        many rows its step's block holds."""
         tr = request.getfixturevalue(run)
+        pair = tr.pair
         sign = tr.hypothesis.energy_sign
         order = field_mod.canonical_order(tr.values[0], tr.weights)
         weights = tr.weights[order]
         expected = {"lam": [], "mass": [], "energy": [], "diss": []}
         for t, vals in zip(tr.times.tolist(), tr.values):
-            gv, pv, lam, _ = multiplier(t, vals[order], weights, logistic)
+            gv, pv, lam, _ = multiplier(t, vals[order], weights, pair)
             u = AtomField(vals, tr.weights, tr.domain_measure)
             expected["lam"].append(lam)
             expected["mass"].append(mass(u))
-            expected["energy"].append(lyapunov(u, logistic, tr.energy_index))
+            expected["energy"].append(lyapunov(u, pair, tr.energy_index))
             expected["diss"].append(sign * dissipation_sum(weights, gv, pv, lam))
         got = {"lam": tr.lambda_series, "mass": tr.mass_series,
                "energy": tr.energy_series, "diss": tr.dissipation_series}
@@ -615,9 +632,28 @@ class TestCharacteristicFlow:
         ref_run, ref = _tight_tracers(model, field, starts)
         common, k, k_ref = np.intersect1d(tr.times, ref_run.times, return_indices=True)
         assert common.size >= 4
+        ys = characteristic_flow(np.array(starts), tr, pair)
         for i, s0 in enumerate(starts):
-            y = characteristic_flow(s0, tr, pair)
-            assert float(np.max(np.abs(y[k] - ref[k_ref, i]))) <= 5e-6, s0
+            assert float(np.max(np.abs(ys[i, k] - ref[k_ref, i]))) <= 5e-6, s0
+
+    @pytest.mark.parametrize("model", list(_TRACER_MODELS))
+    def test_several_starts_equal_single_calls(self, model):
+        """Starts on the atoms, the roots of g and between them, in one
+        re-run: row i is the call on start i alone, bit for bit."""
+        pair, tr = _companion(model, "H1", 0.5)
+        starts = [1.75, 0.0, 2.0, 0.5, 1.0, 1.5, 0.9, 1.2]
+        ys = characteristic_flow(np.array(starts), tr, pair)
+        assert ys.shape == (len(starts), tr.times.size)
+        for s0, y in zip(starts, ys):
+            single = characteristic_flow(s0, tr, pair)
+            assert single.shape == tr.times.shape
+            assert y.tobytes() == single.tobytes(), s0
+
+    def test_each_start_checked(self, h1_run, logistic):
+        with pytest.raises(ValueError, match="outside"):
+            characteristic_flow([1.5, 2.5], h1_run, logistic)
+        with pytest.raises(ValueError, match="1-D"):
+            characteristic_flow([[1.5]], h1_run, logistic)
 
     def test_single_snapshot_trajectory(self, logistic):
         u = AtomField([0.5], [1.0], 1.0)

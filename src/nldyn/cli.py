@@ -7,15 +7,17 @@ the full grammar and the list of keys.
 
 Subcommands: simulate, rearrange, predict, check, sweep. Exit codes:
 0 success, 1 failed audit, 2 config error, 3 numerical failure or any
-other library error, 4 prediction infeasible.
+other library error, 4 prediction infeasible, 141 stdout closed by the
+reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,32 +36,30 @@ from .errors import (
 # test hook: called with the finished trajectory before auditing (cmd_check)
 _trajectory_hook = None
 
-_KEYS: dict[str, tuple[str, object]] = {
-    "model.builtin": ("str", None),
-    "model.g": ("str", None),
-    "model.p": ("str", None),
-    "domain.measure": ("float", 1.0),
-    "initial.atoms": ("str", None),
-    "initial.expr": ("str", None),
-    "initial.samples": ("int", None),
-    "integrator.t_max": ("float", 100.0),
-    "integrator.rtol": ("float", 1e-8),
-    "integrator.atol": ("float", 1e-10),
-    "integrator.dt_init": ("float", 1e-3),
-    "integrator.dt_max": ("float", 1.0),
-    "integrator.eps_den": ("float", None),
-    "integrator.stat_tol": ("float", 1e-10),
-    "integrator.record_every": ("float", 0.1),
-    "omega.cluster_tol": ("float", 1e-4),
-    "output.dir": ("str", "."),
-    "output.base": ("str", "run"),
-    "run.seed": ("int", 0),
+# config key -> (RunConfig field, value type, default); the integrator.*
+# keys are IntegratorConfig's fields, with its defaults
+_KEYS: dict[str, tuple[str, type, object]] = {
+    "model.builtin": ("model_builtin", str, None),
+    "model.g": ("model_g", str, None),
+    "model.p": ("model_p", str, None),
+    "domain.measure": ("domain_measure", float, 1.0),
+    "initial.atoms": ("initial_atoms", str, None),
+    "initial.expr": ("initial_expr", str, None),
+    "initial.samples": ("initial_samples", int, None),
+    **{
+        f"integrator.{f.name}": (f.name, float, f.default)
+        for f in fields(dynamics.IntegratorConfig)
+    },
+    "omega.cluster_tol": ("cluster_tol", float, 1e-4),
+    "output.dir": ("output_dir", str, "."),
+    "output.base": ("output_base", str, "run"),
+    "run.seed": ("seed", int, 0),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description (see _KEYS for defaults)."""
+    """Validated run description (see _KEYS for keys and defaults)."""
 
     model_builtin: str | None
     model_g: str | None
@@ -84,14 +84,7 @@ class RunConfig:
     def integrator_config(self) -> dynamics.IntegratorConfig:
         try:
             return dynamics.IntegratorConfig(
-                t_max=self.t_max,
-                rtol=self.rtol,
-                atol=self.atol,
-                dt_init=self.dt_init,
-                dt_max=self.dt_max,
-                eps_den=self.eps_den,
-                stat_tol=self.stat_tol,
-                record_every=self.record_every,
+                **{f.name: getattr(self, f.name) for f in fields(dynamics.IntegratorConfig)}
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -167,16 +160,16 @@ def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(atoms)
 
 
-def _typed(raw: str, typ: str, key: str):
+def _typed(raw: str, typ: type, key: str):
     raw = raw.strip()
-    if typ == "str":
+    if typ is str:
         if len(raw) < 2 or raw[0] != '"' or raw[-1] != '"':
             raise ConfigError(f"key {key!r} needs a quoted string value, got {raw!r}")
         return raw[1:-1]
     try:
-        value = int(raw) if typ == "int" else float(raw)
+        value = typ(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r} needs a {typ} value, got {raw!r}") from None
+        raise ConfigError(f"key {key!r} needs a {typ.__name__} value, got {raw!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"key {key!r} needs a finite value, got {raw!r}")
     return value
@@ -197,34 +190,12 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen[key] = _typed(raw, _KEYS[key][0], key)
+        seen[key] = _typed(raw, _KEYS[key][1], key)
 
-    values = {k: default for k, (_, default) in _KEYS.items()}
-    values.update(seen)
-    atoms = None
-    if values["initial.atoms"] is not None:
-        atoms = _parse_atoms(values["initial.atoms"])
-    return RunConfig(
-        model_builtin=values["model.builtin"],
-        model_g=values["model.g"],
-        model_p=values["model.p"],
-        domain_measure=values["domain.measure"],
-        initial_atoms=atoms,
-        initial_expr=values["initial.expr"],
-        initial_samples=values["initial.samples"],
-        t_max=values["integrator.t_max"],
-        rtol=values["integrator.rtol"],
-        atol=values["integrator.atol"],
-        dt_init=values["integrator.dt_init"],
-        dt_max=values["integrator.dt_max"],
-        eps_den=values["integrator.eps_den"],
-        stat_tol=values["integrator.stat_tol"],
-        record_every=values["integrator.record_every"],
-        cluster_tol=values["omega.cluster_tol"],
-        output_dir=values["output.dir"],
-        output_base=values["output.base"],
-        seed=values["run.seed"],
-    )
+    values = {name: seen.get(key, default) for key, (name, _, default) in _KEYS.items()}
+    if values["initial_atoms"] is not None:
+        values["initial_atoms"] = _parse_atoms(values["initial_atoms"])
+    return RunConfig(**values)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -235,29 +206,12 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config_text(text)
 
 
-_OVERRIDE_FIELDS = {
-    "domain.measure": "domain_measure",
-    "initial.samples": "initial_samples",
-    "integrator.t_max": "t_max",
-    "integrator.rtol": "rtol",
-    "integrator.atol": "atol",
-    "integrator.dt_init": "dt_init",
-    "integrator.dt_max": "dt_max",
-    "integrator.eps_den": "eps_den",
-    "integrator.stat_tol": "stat_tol",
-    "integrator.record_every": "record_every",
-    "omega.cluster_tol": "cluster_tol",
-    "run.seed": "seed",
-}
-
-
 def apply_override(cfg: RunConfig, key: str, value: float) -> RunConfig:
     """Numeric override for sweeps; atom entries via initial.atoms.<i>.<field>."""
-    if key in _OVERRIDE_FIELDS:
-        name = _OVERRIDE_FIELDS[key]
-        if name in ("initial_samples", "seed"):
-            return replace(cfg, **{name: int(value)})
-        return replace(cfg, **{name: float(value)})
+    entry = _KEYS.get(key)
+    if entry is not None and entry[1] is not str:
+        name, cast, _ = entry
+        return replace(cfg, **{name: cast(value)})
     parts = key.split(".")
     if (
         len(parts) == 4
@@ -400,8 +354,13 @@ def cmd_rearrange(
     return 0
 
 
-# the analytic limit predictors, by hypothesis tag
-_PREDICTORS = {"H1": omega.predict_h1, "H3": omega.predict_h3}
+def _predictor(tag: str | None):
+    """The analytic limit predictor for a hypothesis tag, or None.
+
+    Looked up at call time, so that a wrapped ``omega.predict_h1`` or
+    ``predict_h3`` sees every call.
+    """
+    return {"H1": omega.predict_h1, "H3": omega.predict_h3}.get(tag)
 
 
 def cmd_predict(
@@ -435,11 +394,12 @@ def cmd_predict(
                 file=sys.stderr,
             )
             return 2
-    if tag not in _PREDICTORS:
+    predict = _predictor(tag)
+    if predict is None:
         print(f"unknown hypothesis {hypothesis!r}", file=sys.stderr)
         return 2
     try:
-        pred = _PREDICTORS[tag](m0, energy_limit_value, omega_measure, pair)
+        pred = predict(m0, energy_limit_value, omega_measure, pair)
     except (NoRootError, InfeasibleMeasureError) as exc:
         print(f"prediction infeasible: {exc}", file=sys.stderr)
         return 4
@@ -524,15 +484,14 @@ def cmd_check(config_path: str) -> int:
 
     # predictor consistency (H1/H3 only)
     tag = tr.hypothesis.tag
-    if tag in _PREDICTORS:
+    predict = _predictor(tag)
+    if predict is not None:
         try:
             elim = energy.energy_limit(tr)
             emp = omega.extract_limit(tr, cfg.cluster_tol)
             m0 = float(tr.mass_series[0])
-            pred = _PREDICTORS[tag](m0, elim.value, u0.domain_measure, pair)
-            rep = omega.consistency_check(pred, emp, tol=1e-3)
-            worst = max(rep.value_diff, rep.measure_diff, rep.profile_distance)
-            add("predictor-consistency", rep.passed, worst, rep.tol)
+            pred = predict(m0, elim.value, u0.domain_measure, pair)
+            checks.append(omega.consistency_check(pred, emp, tol=1e-3))
             res = max(abs(pred.mass_residual), abs(pred.energy_residual))
             add("predictor-residuals", res <= 1e-10, res, 1e-10)
         except NotConvergedError:
@@ -559,7 +518,7 @@ def _sweep_one(cfg: RunConfig, key: str, value: float, index: int):
     try:
         elim = energy.energy_limit(tr)
         elim_v = elim.value
-        predict = _PREDICTORS.get(tr.hypothesis.tag)
+        predict = _predictor(tr.hypothesis.tag)
         if predict is not None:
             pred = predict(float(tr.mass_series[0]), elim.value, u0.domain_measure, pair)
         else:
@@ -651,10 +610,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # overflow and NaN are checked where they matter and reported as one
-    # line below; numpy's own floating-point warnings would only add noise
-    with np.errstate(all="ignore"):
-        return _dispatch(args)
+    try:
+        # overflow and NaN are checked where they matter and reported as one
+        # line below; numpy's own floating-point warnings would only add noise
+        with np.errstate(all="ignore"):
+            code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say, `nldyn check run.cfg | head -1`):
+        # point the fd at devnull so the interpreter's final flush cannot
+        # raise, and exit with the shell's SIGPIPE status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -149,17 +149,6 @@ def builtin_model(name: str) -> NonlinearityPair:
     return pair
 
 
-def antiderivative_value(pair: NonlinearityPair, s: float) -> float:
-    """Antiderivative of p at s, vanishing at 0.
-
-    Closed-form when the pair carries one (``closed_form_P``), adaptive
-    Simpson on [0, s] otherwise: ``exprparse.build_model`` wraps
-    quadrature only for a p that ``exprparse.antiderivative`` has no
-    closed form for.
-    """
-    return float(pair.antideriv_P(float(s)))
-
-
 # --------------------------------------------------------------- validation
 
 def validate_pair(
@@ -462,7 +451,6 @@ __all__ = [
     "HypothesisClass",
     "LipschitzEstimate",
     "builtin_model",
-    "antiderivative_value",
     "validate_pair",
     "classify_hypothesis",
     "lambda_of",

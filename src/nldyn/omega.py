@@ -1,14 +1,16 @@
 """Limit-profile prediction and extraction for the long-time dynamics.
 
-Under H1 the orbit converges to mu * chi_A + 1 off A; the plateau value
-mu is the unique root of the strictly increasing scalar function
+Under H1 and H3 the orbit converges to one two-plateau profile,
+v chi_A + r (1 - chi_A), where r is the root of g the regime leaves in
+place: r = 1 with v > 1 under H1, r = 0 with v < 0 under H3. One
+construction serves both. The plateau value v is the unique root of the
+strictly increasing scalar function
 
-    G(s) = (P(s) - P(1)) / (s - 1)
+    G(s) = (P(s) - P(r)) / (s - r)
 
-at the right-hand side (E_limit - P(1)|Omega|) / (m0 - |Omega|), after
-which the plateau measure follows from mass conservation. Under H3 the
-same construction runs with reference point 0. Under H2 the limit is
-determined too: order preservation fixes its shape as
+at the right-hand side (E_limit - P(r)|Omega|) / (m0 - r|Omega|), and
+the plateau measure follows from mass conservation. Under H2 the limit
+is determined too: order preservation fixes its shape as
 chi{u0 > theta} + v chi{u0 = theta}, and mass conservation fixes theta
 and v. That predictor is not implemented yet, so under H2 only empirical
 extraction from a settled trajectory is offered.
@@ -23,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import field as field_mod
-from .dynamics import Trajectory
+from .dynamics import CheckResult, Trajectory
 from .energy import energy_limit
 from .errors import (
     ComparisonError,
@@ -86,50 +88,30 @@ class OmegaPrediction:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GFunction:
-    """Difference quotient of the antiderivative around a reference root of g.
+def gfunction(pair: NonlinearityPair, reference_point: float) -> Callable[[float], float]:
+    """G(s) = (P(s) - P(ref)) / (s - ref), the difference quotient of the
+    antiderivative around a reference root of g.
 
-    Strictly increasing wherever p is strictly increasing; evaluated as
-    the integral mean of p between the reference point and s, which is
-    the same quantity but immune to cancellation for quadrature-backed
-    antiderivatives.
+    Strictly increasing wherever p is strictly increasing. A
+    quadrature-backed antiderivative is evaluated as the integral mean of
+    p between the reference point and s: the same quantity, but immune to
+    the cancellation of P(s) - P(ref) near the reference point.
     """
-
-    reference_point: float
-    evaluator: Callable[[float], float]
-
-    def __call__(self, s: float) -> float:
-        return self.evaluator(float(s))
-
-
-def gfunction(pair: NonlinearityPair, reference_point: float) -> GFunction:
     ref = float(reference_point)
     if pair.closed_form_P:
         p_ref = float(pair.antideriv_P(ref))
 
-        def evaluator(s: float) -> float:
+        def g_of(s: float) -> float:
+            s = float(s)
             return (float(pair.antideriv_P(s)) - p_ref) / (s - ref)
 
     else:
 
-        def evaluator(s: float) -> float:
+        def g_of(s: float) -> float:
+            s = float(s)
             return adaptive_simpson(lambda t: float(pair.p(t)), ref, s) / (s - ref)
 
-    return GFunction(reference_point=ref, evaluator=evaluator)
-
-
-@dataclass(frozen=True)
-class GMonotonicityReport:
-    ok: bool
-    n: int
-    span: tuple[float, float]
-    worst_step: float  # smallest increment between consecutive samples
-    worst_at: float
-    crosscheck_error: float
-
-    def __bool__(self) -> bool:
-        return self.ok
+    return g_of
 
 
 def sample_g_monotone(
@@ -137,13 +119,16 @@ def sample_g_monotone(
     reference_point: float,
     far_end: float,
     n: int = 10_000,
-) -> GMonotonicityReport:
+) -> CheckResult:
     """Audit strict monotonicity of G on the half-open span (ref, far_end].
 
-    Quadrature-backed antiderivatives are sampled cumulatively (one
-    short integral per grid segment, absolute tolerance 1e-9 each) and
-    cross-checked against the pair's own antiderivative at a few
-    moderate points. The audit resolves G increments down to ~1e-7;
+    The row's worst is the smallest increment between consecutive
+    samples, which must stay above tol = 0; its detail gives the sampled
+    span, where the smallest increment starts, and the quadrature
+    cross-check error. Quadrature-backed antiderivatives are sampled
+    cumulatively (one short integral per grid segment, absolute tolerance
+    1e-9 each) and cross-checked against the pair's own antiderivative at
+    a few moderate points. The audit resolves G increments down to ~1e-7;
     violations of a strictly increasing p show up orders of magnitude
     above that.
     """
@@ -181,15 +166,18 @@ def sample_g_monotone(
     g_sorted = g_vals[order]
     steps = np.diff(g_sorted)
     if steps.size == 0:
-        return GMonotonicityReport(True, n, (float(grid.min()), float(grid.max())), math.inf, ref, crosscheck)
-    worst_idx = int(np.argmin(steps))
-    return GMonotonicityReport(
-        ok=bool(np.all(steps > 0.0)) and bool(np.all(np.isfinite(g_sorted))),
-        n=n,
-        span=(float(np.min(grid)), float(np.max(grid))),
-        worst_step=float(steps[worst_idx]),
-        worst_at=float(grid[order][worst_idx]),
-        crosscheck_error=crosscheck,
+        passed, worst, worst_at = True, math.inf, ref
+    else:
+        worst_idx = int(np.argmin(steps))
+        passed = bool(np.all(steps > 0.0)) and bool(np.all(np.isfinite(g_sorted)))
+        worst, worst_at = float(steps[worst_idx]), float(grid[order][worst_idx])
+    return CheckResult(
+        "g-monotonicity",
+        passed,
+        worst,
+        0.0,
+        f"span [{float(np.min(grid)):.17g}, {float(np.max(grid)):.17g}], "
+        f"smallest step at {worst_at:.17g}, crosscheck error {crosscheck:.3e}",
     )
 
 
@@ -213,140 +201,103 @@ def _bisect_increasing(h: Callable[[float], float], lo: float, hi: float) -> flo
     return 0.5 * (lo + hi)
 
 
-def _check_residuals(mass_res: float, energy_res: float) -> None:
+# regime tag -> (root r of g that the regime leaves in place, side of r
+# on which the main plateau lies)
+_REGIMES = {"H1": (1.0, +1), "H3": (0.0, -1)}
+
+
+def _predict(
+    tag: str,
+    m0: float,
+    e_inf: float,
+    omega_measure: float,
+    pair: NonlinearityPair,
+) -> OmegaPrediction:
+    """Two-plateau limit v chi_A + r (1 - chi_A) from mass and energy limit.
+
+    Solves G(v) = (E - P(r)|Omega|) / (m0 - r|Omega|) for G around r by
+    bisection on a bracket from r +- 1e-12 that doubles outwards on the
+    plateau's side of r, then reads the plateau measure off mass
+    conservation: a1 = (m0 - r|Omega|) / (v - r). Under H3 (r = 0) the
+    terms in r and P(0) = 0 are exact zeros.
+    """
+    ref, side = _REGIMES[tag]
+    omega = float(omega_measure)
+    m0 = float(m0)
+    if side > 0 and not m0 > omega:
+        raise ValueError(
+            f"H1 prediction needs m0 > |Omega| (got m0 = {m0!r}, |Omega| = {omega!r})"
+        )
+    if side < 0 and not m0 < 0.0:
+        raise ValueError(f"H3 prediction needs m0 < 0 (got {m0!r})")
+    if not math.isfinite(e_inf):
+        raise ValueError("energy limit must be finite")
+    p_ref = float(pair.antideriv_P(ref))
+    target = (e_inf - p_ref * omega) / (m0 - ref * omega)
+    gf = gfunction(pair, ref)
+    h = lambda s: gf(s) - target
+
+    def g_range(a: float, b: float) -> tuple[float, float]:
+        """G at the two bracket ends, in increasing order of s."""
+        return (gf(a), gf(b)) if side > 0 else (gf(b), gf(a))
+
+    near = ref + side * 1e-12
+    far = side * max(2.0, 2.0 * abs(m0) / omega)
+    if side * h(near) >= 0.0:
+        raise NoRootError(
+            f"right-hand side {target!r} at or {'below' if side > 0 else 'above'} "
+            f"G({ref:g}{'+' if side > 0 else '-'})",
+            g_range(near, far),
+        )
+    while side * h(far) < 0.0:
+        far *= 2.0
+        if side * far > _BRACKET_LIMIT:
+            raise NoRootError(
+                f"no sign change {'up' if side > 0 else 'down'} to {side * _BRACKET_LIMIT:g}",
+                g_range(near, side * _BRACKET_LIMIT),
+            )
+    v = _bisect_increasing(h, *((near, far) if side > 0 else (far, near)))
+    a1 = (m0 - ref * omega) / (v - ref)
+    if a1 > omega * (1.0 + 1e-9):
+        raise InfeasibleMeasureError(
+            f"plateau measure {a1!r} exceeds domain measure {omega!r}"
+        )
+    a1 = min(a1, omega)
+    mass_res = v * a1 + ref * (omega - a1) - m0
+    energy_res = float(pair.antideriv_P(v)) * a1 + p_ref * (omega - a1) - e_inf
     if max(abs(mass_res), abs(energy_res)) > _RESIDUAL_TOL:
         raise PredictionResidualError(
             f"constraint residuals exceed {_RESIDUAL_TOL:g}: "
             f"mass {mass_res:.3e}, energy {energy_res:.3e}"
         )
+    if a1 < omega:
+        values, measures = (v, ref), (a1, omega - a1)
+    else:
+        values, measures = (v,), (omega,)
+    return OmegaPrediction(
+        hypothesis=tag,
+        plateau_values=values,
+        plateau_measures=measures,
+        mass_residual=mass_res,
+        energy_residual=energy_res,
+        source="Analytic",
+        domain_measure=omega,
+        shape_deviation=0.0,
+    )
 
 
 def predict_h1(
-    m0: float,
-    E1_inf: float,
-    omega_measure: float,
-    pair: NonlinearityPair,
+    m0: float, E1_inf: float, omega_measure: float, pair: NonlinearityPair
 ) -> OmegaPrediction:
-    """Analytic H1 limit profile from mass and energy limit.
-
-    Solves G(mu) = (E1_inf - P(1)|Omega|) / (m0 - |Omega|) by bisection
-    on an expanding bracket above 1, then reads the plateau measure off
-    mass conservation: a1 = (m0 - |Omega|) / (mu - 1).
-    """
-    omega = float(omega_measure)
-    m0 = float(m0)
-    if not m0 > omega:
-        raise ValueError(
-            f"H1 prediction needs m0 > |Omega| (got m0 = {m0!r}, |Omega| = {omega!r})"
-        )
-    if not math.isfinite(E1_inf):
-        raise ValueError("energy limit must be finite")
-    p1 = float(pair.antideriv_P(1.0))
-    target = (E1_inf - p1 * omega) / (m0 - omega)
-    gf = gfunction(pair, 1.0)
-    lo = 1.0 + 1e-12
-    h = lambda s: gf(s) - target
-    h_lo = h(lo)
-    if h_lo >= 0.0:
-        raise NoRootError(
-            f"right-hand side {target!r} at or below G(1+)",
-            (gf(lo), gf(max(2.0, 2.0 * m0 / omega))),
-        )
-    hi = max(2.0, 2.0 * m0 / omega)
-    while h(hi) < 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_LIMIT:
-            raise NoRootError(
-                f"no sign change up to {_BRACKET_LIMIT:g}",
-                (gf(lo), gf(_BRACKET_LIMIT)),
-            )
-    mu = _bisect_increasing(h, lo, hi)
-    a1 = (m0 - omega) / (mu - 1.0)
-    if a1 > omega * (1.0 + 1e-9):
-        raise InfeasibleMeasureError(
-            f"plateau measure {a1!r} exceeds domain measure {omega!r}"
-        )
-    a1 = min(a1, omega)
-    p_mu = float(pair.antideriv_P(mu))
-    mass_res = mu * a1 + (omega - a1) - m0
-    energy_res = p_mu * a1 + p1 * (omega - a1) - E1_inf
-    _check_residuals(mass_res, energy_res)
-    if a1 < omega:
-        values, measures = (mu, 1.0), (a1, omega - a1)
-    else:
-        values, measures = (mu,), (omega,)
-    return OmegaPrediction(
-        hypothesis="H1",
-        plateau_values=values,
-        plateau_measures=measures,
-        mass_residual=mass_res,
-        energy_residual=energy_res,
-        source="Analytic",
-        domain_measure=omega,
-        shape_deviation=0.0,
-    )
+    """Analytic H1 limit mu chi_A + 1 off A, mu > 1 (needs m0 > |Omega|)."""
+    return _predict("H1", m0, E1_inf, omega_measure, pair)
 
 
 def predict_h3(
-    m0: float,
-    E3_inf: float,
-    omega_measure: float,
-    pair: NonlinearityPair,
+    m0: float, E3_inf: float, omega_measure: float, pair: NonlinearityPair
 ) -> OmegaPrediction:
-    """Analytic H3 limit profile: xi chi_A with xi < 0, a1 = m0 / xi.
-
-    Solves P(xi)/xi = E3_inf / m0 by bisection on an expanding bracket
-    below 0 (the reference-0 analog of the H1 construction; the
-    monotonicity of the quotient is audited numerically per model).
-    """
-    omega = float(omega_measure)
-    m0 = float(m0)
-    if not m0 < 0.0:
-        raise ValueError(f"H3 prediction needs m0 < 0 (got {m0!r})")
-    if not math.isfinite(E3_inf):
-        raise ValueError("energy limit must be finite")
-    target = E3_inf / m0
-    gf = gfunction(pair, 0.0)
-    hi = -1e-12
-    h = lambda s: gf(s) - target
-    if h(hi) <= 0.0:
-        raise NoRootError(
-            f"right-hand side {target!r} at or above G(0-)",
-            (gf(-max(2.0, 2.0 * abs(m0) / omega)), gf(hi)),
-        )
-    lo = -max(2.0, 2.0 * abs(m0) / omega)
-    while h(lo) > 0.0:
-        lo *= 2.0
-        if -lo > _BRACKET_LIMIT:
-            raise NoRootError(
-                f"no sign change down to {-_BRACKET_LIMIT:g}",
-                (gf(-_BRACKET_LIMIT), gf(hi)),
-            )
-    xi = _bisect_increasing(h, lo, hi)
-    a1 = m0 / xi
-    if a1 > omega * (1.0 + 1e-9):
-        raise InfeasibleMeasureError(
-            f"plateau measure {a1!r} exceeds domain measure {omega!r}"
-        )
-    a1 = min(a1, omega)
-    p_xi = float(pair.antideriv_P(xi))
-    mass_res = xi * a1 - m0
-    energy_res = p_xi * a1 - E3_inf
-    _check_residuals(mass_res, energy_res)
-    if a1 < omega:
-        values, measures = (xi, 0.0), (a1, omega - a1)
-    else:
-        values, measures = (xi,), (omega,)
-    return OmegaPrediction(
-        hypothesis="H3",
-        plateau_values=values,
-        plateau_measures=measures,
-        mass_residual=mass_res,
-        energy_residual=energy_res,
-        source="Analytic",
-        domain_measure=omega,
-        shape_deviation=0.0,
-    )
+    """Analytic H3 limit xi chi_A with xi < 0, 0 off A (needs m0 < 0)."""
+    return _predict("H3", m0, E3_inf, omega_measure, pair)
 
 
 # -------------------------------------------------------------- extraction
@@ -416,26 +367,15 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
 
 # ------------------------------------------------------------- consistency
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    value_diff: float
-    measure_diff: float
-    profile_distance: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.value_diff <= self.tol
-            and self.measure_diff <= self.tol
-            and self.profile_distance <= self.tol
-        )
-
-
 def consistency_check(
     analytic: OmegaPrediction, empirical: OmegaPrediction, tol: float = 1e-3
-) -> ConsistencyReport:
-    """Compare an analytic prediction against an extracted limit."""
+) -> CheckResult:
+    """Compare an analytic prediction against an extracted limit.
+
+    The row passes when the main plateau's value gap, its measure gap and
+    the L1 distance of the two staircases are all within ``tol``; its
+    worst is the largest of the three.
+    """
     if analytic.hypothesis != empirical.hypothesis:
         raise ComparisonError(
             f"hypothesis mismatch: {analytic.hypothesis} vs {empirical.hypothesis}"
@@ -445,28 +385,22 @@ def consistency_check(
             f"expected (Analytic, Empirical) sources, got "
             f"({analytic.source}, {empirical.source})"
         )
-    value_diff = abs(analytic.plateau_values[0] - empirical.plateau_values[0])
-    measure_diff = abs(analytic.plateau_measures[0] - empirical.plateau_measures[0])
-    profile_distance = field_mod.profile_l1_distance(
-        analytic.to_profile(), empirical.to_profile()
+    gaps = (
+        abs(analytic.plateau_values[0] - empirical.plateau_values[0]),
+        abs(analytic.plateau_measures[0] - empirical.plateau_measures[0]),
+        field_mod.profile_l1_distance(analytic.to_profile(), empirical.to_profile()),
     )
-    return ConsistencyReport(
-        value_diff=value_diff,
-        measure_diff=measure_diff,
-        profile_distance=profile_distance,
-        tol=tol,
+    return CheckResult(
+        "predictor-consistency", all(g <= tol for g in gaps), max(gaps), tol
     )
 
 
 __all__ = [
     "OmegaPrediction",
-    "GFunction",
     "gfunction",
-    "GMonotonicityReport",
     "sample_g_monotone",
     "predict_h1",
     "predict_h3",
     "extract_limit",
     "consistency_check",
-    "ConsistencyReport",
 ]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nldyn import cli
+from nldyn import IntegratorConfig, cli
 from nldyn.errors import ConfigError
 
 H1_CONFIG = """\
@@ -87,6 +87,19 @@ class TestConfigParsing:
         u0 = run_cfg.build_initial()
         assert len(u0) == 100
         assert float(np.dot(u0.weights, u0.values)) == pytest.approx(1.5, abs=1e-3)
+
+    def test_integrator_keys_follow_integrator_config(self):
+        run_cfg = cli.parse_config_text("integrator.dt_max = 0.5\n")
+        assert run_cfg.integrator_config() == IntegratorConfig(dt_max=0.5)
+        assert cli.parse_config_text("").integrator_config() == IntegratorConfig()
+
+    def test_override_casts_by_key_type(self):
+        run_cfg = cli.parse_config_text("")
+        seeded = cli.apply_override(run_cfg, "run.seed", 3.0)
+        assert seeded.seed == 3 and type(seeded.seed) is int
+        assert cli.apply_override(run_cfg, "integrator.rtol", 1e-6).rtol == 1e-6
+        with pytest.raises(ConfigError, match="not a numeric run-config key"):
+            cli.apply_override(run_cfg, "output.base", 1.0)
 
     def test_missing_file(self):
         assert cli.main(["simulate", "/nonexistent/path.cfg"]) == 2
@@ -301,6 +314,31 @@ class TestCheck:
         assert "pass  rearrangement-commutation-flow worst 0.000e+00" in out
 
 
+class TestPredictorLookup:
+    def test_wrapped_predictors_see_every_cli_call(self, tmp_path, monkeypatch):
+        """predict, check and sweep call omega.predict_h1/predict_h3 as they
+        are at call time, so a wrapper (a test double, a tracer) sees them."""
+        from nldyn import omega
+
+        calls = {"predict_h1": 0, "predict_h3": 0}
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(omega, name)):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(omega, name, counted)
+        h1 = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        h3 = _write(tmp_path, "h3.cfg", H3_CONFIG)
+        assert cli.main(["predict", h1, "--m0", "2.0", "--energy-limit", "2.5"]) == 0
+        assert cli.main(["predict", h3, "--m0", "-1.0", "--energy-limit", "1.0"]) == 0
+        assert calls == {"predict_h1": 1, "predict_h3": 1}
+        assert cli.main(["check", h1]) == 0
+        assert cli.main(["check", h3]) == 0
+        assert calls == {"predict_h1": 2, "predict_h3": 2}
+        assert cli.main(["sweep", h1, "--vary", "run.seed=0:0:1"]) == 0
+        assert calls == {"predict_h1": 3, "predict_h3": 2}
+
+
 class TestSweep:
     def test_upper_value_sweep_mu_increasing(self, tmp_path):
         """Varying the pinned-plus-moving pair's top value: mu tracks it."""
@@ -354,6 +392,29 @@ class TestSweep:
 
 
 class TestConsoleScript:
+    def test_closed_stdout_exits_141_without_traceback(self, tmp_path):
+        """`nldyn check run.cfg | head -1`: the reader is gone before the
+        audit table is written (closing after its first line would race
+        with the table's single write)."""
+        import os
+        import subprocess
+        import sys
+
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nldyn", "check", cfg],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == "", proc.stderr  # no traceback, no flush error
+
     def test_no_scipy_import(self):
         import subprocess
         import sys

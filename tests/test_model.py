@@ -15,7 +15,6 @@ from nldyn import (
     ModelValidationError,
     NumericalFailureError,
     UnknownModelError,
-    antiderivative_value,
     build_model,
     builtin_model,
     classify_hypothesis,
@@ -47,7 +46,7 @@ class TestBuiltinModel:
 
     def test_antiderivative_quadratic(self, logistic):
         """p = id integrates to s^2/2, so P(2) = 2."""
-        assert antiderivative_value(logistic, 2.0) == pytest.approx(2.0, abs=1e-15)
+        assert logistic.antideriv_P(2.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_closed_form_flag(self, logistic):
         assert logistic.closed_form_P is True
@@ -99,7 +98,7 @@ class TestAntiderivativeQuadrature:
             antideriv_P=lambda s: adaptive_simpson(lambda t: t**3, 0.0, float(s)),
             closed_form_P=False,
         )
-        assert antiderivative_value(pair, 2.0) == pytest.approx(4.0, abs=1e-11)
+        assert pair.antideriv_P(2.0) == pytest.approx(4.0, abs=1e-11)
 
 
 class TestValidatePair:

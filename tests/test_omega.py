@@ -1,6 +1,7 @@
 """Tests for nldyn.omega: the scalar predictor, extraction, consistency."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nldyn import (
     predict_h3,
     sample_g_monotone,
 )
+from nldyn.dynamics import CheckResult
 from nldyn.model import NonlinearityPair
 
 RNG = np.random.default_rng(5)
@@ -46,12 +48,12 @@ class TestGFunction:
 
     def test_monotone_audit_logistic(self, logistic):
         report = sample_g_monotone(logistic, 1.0, 1.0e4)
-        assert report.ok
+        assert report.passed
         # G = (s+1)/2 increments by half the grid spacing
-        assert report.worst_step == pytest.approx(0.5 * (1e4 - 1.0) / 10_000, rel=1e-3)
+        assert report.worst == pytest.approx(0.5 * (1e4 - 1.0) / 10_000, rel=1e-3)
 
     def test_monotone_audit_reference_zero_analog(self, logistic):
-        assert sample_g_monotone(logistic, 0.0, -1.0e4).ok
+        assert sample_g_monotone(logistic, 0.0, -1.0e4).passed
 
     def test_violation_detected(self, logistic):
         """A decreasing p (never accepted by build_model) breaks the audit."""
@@ -63,7 +65,7 @@ class TestGFunction:
             antideriv_P=lambda s: -0.5 * s * s,
             closed_form_P=True,
         )
-        assert not sample_g_monotone(broken, 1.0, 100.0).ok
+        assert not sample_g_monotone(broken, 1.0, 100.0).passed
 
 
 class TestPredictH1:
@@ -150,6 +152,107 @@ class TestPredictH3:
             assert pred.plateau_values[0] == pytest.approx(2.0 * Rp, abs=1e-10, rel=1e-10)
 
 
+def _assert_infeasible_message(message, a1):
+    found = re.fullmatch(r"plateau measure (\S+) exceeds domain measure 1\.0", message)
+    assert found is not None, message
+    assert float(found.group(1)) == pytest.approx(a1, rel=1e-9)
+
+
+class TestPredictorMessages:
+    """Both regimes' failures, pinned to their exact text and value ranges."""
+
+    def test_h1_near_side(self, logistic):
+        target = (0.4 - 0.5 * 1.0) / (2.0 - 1.0)
+        with pytest.raises(NoRootError) as info:
+            predict_h1(2.0, 0.4, 1.0, logistic)
+        gf = gfunction(logistic, 1.0)
+        assert info.value.value_range == (gf(1.0 + 1e-12), gf(4.0))
+        assert str(info.value) == (
+            f"right-hand side {target!r} at or below G(1+)"
+            " (function range sampled: [1.0, 2.5])"
+        )
+
+    def test_h1_far_side(self, logistic):
+        # G(s) = (s + 1)/2 reaches the right side 1e6 only at s = 2e6 - 1
+        with pytest.raises(NoRootError) as info:
+            predict_h1(2.0, 1e6 + 0.5, 1.0, logistic)
+        gf = gfunction(logistic, 1.0)
+        assert info.value.value_range == (gf(1.0 + 1e-12), gf(1e6))
+        assert str(info.value) == (
+            "no sign change up to 1e+06 (function range sampled: [1.0, 500000.5])"
+        )
+
+    def test_h3_near_side(self, logistic):
+        with pytest.raises(NoRootError) as info:
+            predict_h3(-1.0, -1.0, 1.0, logistic)
+        gf = gfunction(logistic, 0.0)
+        assert info.value.value_range == (gf(-2.0), gf(-1e-12))
+        assert str(info.value) == (
+            "right-hand side 1.0 at or above G(0-)"
+            " (function range sampled: [-1.0, -5e-13])"
+        )
+
+    def test_h3_far_side(self, logistic):
+        # G(s) = s/2 reaches the right side -1e6 only at s = -2e6
+        with pytest.raises(NoRootError) as info:
+            predict_h3(-1.0, 1e6, 1.0, logistic)
+        gf = gfunction(logistic, 0.0)
+        assert info.value.value_range == (gf(-1e6), gf(-1e-12))
+        assert str(info.value) == (
+            "no sign change down to -1e+06 (function range sampled: [-500000.0, -5e-13])"
+        )
+
+    def test_preconditions(self, logistic):
+        with pytest.raises(ValueError) as info:
+            predict_h1(0.5, 1.0, 1.0, logistic)
+        assert str(info.value) == "H1 prediction needs m0 > |Omega| (got m0 = 0.5, |Omega| = 1.0)"
+        with pytest.raises(ValueError) as info:
+            predict_h3(0.0, 1.0, 1.0, logistic)
+        assert str(info.value) == "H3 prediction needs m0 < 0 (got 0.0)"
+        for predict, m0 in ((predict_h1, 2.0), (predict_h3, -1.0)):
+            with pytest.raises(ValueError, match="^energy limit must be finite$"):
+                predict(m0, float("nan"), 1.0, logistic)
+
+    def test_infeasible_measure_h1(self, logistic):
+        # G(mu) = 1.5 gives mu = 2, so a1 = (m0 - 1)/(mu - 1) = 2 > |Omega|
+        with pytest.raises(InfeasibleMeasureError) as info:
+            predict_h1(3.0, 3.5, 1.0, logistic)
+        _assert_infeasible_message(str(info.value), 2.0)
+
+    def test_infeasible_measure_h3(self, logistic):
+        # G(xi) = -0.025 gives xi = -0.05, so a1 = m0/xi = 2 > |Omega|
+        with pytest.raises(InfeasibleMeasureError) as info:
+            predict_h3(-0.1, 0.0025, 1.0, logistic)
+        _assert_infeasible_message(str(info.value), 2.0)
+
+    def test_background_plateau_is_the_regime_root(self, logistic):
+        h1 = predict_h1(2.0, 2.5, 1.0, logistic)
+        h3 = predict_h3(-1.0, 1.0, 1.0, logistic)
+        assert (h1.hypothesis, h1.plateau_values[1]) == ("H1", 1.0)
+        assert (h3.hypothesis, h3.plateau_values[1]) == ("H3", 0.0)
+
+
+class TestAuditRows:
+    def test_consistency_row(self, logistic):
+        a = predict_h1(2.0, 2.5, 1.0, logistic)
+        b = dataclasses.replace(a, source="Empirical", plateau_measures=(0.75, 0.25))
+        row = consistency_check(a, b, tol=1e-3)
+        assert isinstance(row, CheckResult)
+        assert (row.name, row.passed, row.tol) == ("predictor-consistency", False, 1e-3)
+        # measure gap 0.25; the staircases differ by 3 - 1 on a set of measure 0.25
+        assert row.worst == pytest.approx(0.5, abs=1e-12)
+
+    def test_monotonicity_row(self, logistic):
+        row = sample_g_monotone(logistic, 1.0, 3.0, n=4)
+        assert isinstance(row, CheckResult)
+        assert (row.name, row.passed, row.tol) == ("g-monotonicity", True, 0.0)
+        # G = (s + 1)/2 on the grid 1.5, 2, 2.5, 3 steps by 0.25 everywhere
+        assert row.worst == 0.25
+        assert row.detail == (
+            "span [1.5, 3], smallest step at 1.5, crosscheck error 0.000e+00"
+        )
+
+
 class TestExtractLimit:
     def test_stationary_two_plateau_field(self, logistic):
         u = AtomField([1.0, 2.0], [0.5, 0.5], 1.0)
@@ -232,7 +335,7 @@ class TestConsistencyCheck:
         b = dataclasses.replace(a, source="Empirical")
         rep = consistency_check(a, b)
         assert rep.passed
-        assert rep.value_diff == 0.0 and rep.profile_distance == 0.0
+        assert rep.worst == 0.0
 
     def test_perturbed_value_fails(self, logistic):
         a = predict_h1(2.0, 2.5, 1.0, logistic)
@@ -243,7 +346,7 @@ class TestConsistencyCheck:
         )
         rep = consistency_check(a, b, tol=1e-3)
         assert not rep.passed
-        assert rep.value_diff == pytest.approx(0.1, abs=1e-12)
+        assert rep.worst == pytest.approx(0.1, abs=1e-12)
 
     def test_mismatched_hypotheses(self, logistic):
         a = predict_h1(2.0, 2.5, 1.0, logistic)

@@ -266,6 +266,29 @@ def profile_l1_distance(a: StepProfile, b: StepProfile) -> float:
     return math.fsum(terms)
 
 
+def layout_l1_distance(u: AtomField, first: np.ndarray, second: np.ndarray) -> float:
+    """Exact L1 distance on (0, |Omega|) between two layouts of u's atoms.
+
+    A layout puts the atoms end to end in the order of an index array:
+    its k-th atom takes the interval from the k-th to the (k+1)-th exact
+    (fsum) prefix sum of the weights in that order. Unlike
+    ``rearrange``, equal values are not merged, so no group weight is
+    rounded: two layouts that differ only in the order of equal values
+    share every breakpoint where the value changes, and lie exactly 0
+    apart.
+    """
+    layouts = []
+    for order in (first, second):
+        w = u.weights[order].tolist()
+        bps = np.array([math.fsum(w[:k]) for k in range(len(w) + 1)])
+        layouts.append((bps, u.values[order]))
+    (bps_a, va), (bps_b, vb) = layouts
+    cuts = np.union1d(bps_a, bps_b)
+    ia = np.searchsorted(bps_a, cuts[:-1], side="right") - 1
+    ib = np.searchsorted(bps_b, cuts[:-1], side="right") - 1
+    return math.fsum((np.diff(cuts) * np.abs(va[ia] - vb[ib])).tolist())
+
+
 # -------------------------------------------------------------- serialization
 
 def staircase_lines(profile: StepProfile) -> str:
@@ -286,5 +309,6 @@ __all__ = [
     "rearrange",
     "l1_distance",
     "profile_l1_distance",
+    "layout_l1_distance",
     "staircase_lines",
 ]

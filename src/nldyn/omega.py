@@ -219,11 +219,15 @@ def _predict(
     bisection on a bracket from r +- 1e-12 that doubles outwards on the
     plateau's side of r, then reads the plateau measure off mass
     conservation: a1 = (m0 - r|Omega|) / (v - r). Under H3 (r = 0) the
-    terms in r and P(0) = 0 are exact zeros.
+    terms in r and P(0) = 0 are exact zeros. Each constraint residual is
+    bounded relative to the size of its terms: _RESIDUAL_TOL times the
+    largest of 1, |m0| (|E|) and |r||Omega| (|P(r)||Omega|).
     """
     ref, side = _REGIMES[tag]
     omega = float(omega_measure)
     m0 = float(m0)
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"domain measure must be positive and finite, got {omega!r}")
     if side > 0 and not m0 > omega:
         raise ValueError(
             f"H1 prediction needs m0 > |Omega| (got m0 = {m0!r}, |Omega| = {omega!r})"
@@ -265,10 +269,12 @@ def _predict(
     a1 = min(a1, omega)
     mass_res = v * a1 + ref * (omega - a1) - m0
     energy_res = float(pair.antideriv_P(v)) * a1 + p_ref * (omega - a1) - e_inf
-    if max(abs(mass_res), abs(energy_res)) > _RESIDUAL_TOL:
+    mass_tol = _RESIDUAL_TOL * max(1.0, abs(m0), abs(ref) * omega)
+    energy_tol = _RESIDUAL_TOL * max(1.0, abs(e_inf), abs(p_ref) * omega)
+    if abs(mass_res) > mass_tol or abs(energy_res) > energy_tol:
         raise PredictionResidualError(
-            f"constraint residuals exceed {_RESIDUAL_TOL:g}: "
-            f"mass {mass_res:.3e}, energy {energy_res:.3e}"
+            f"constraint residuals exceed their bounds: mass {mass_res:.3e} "
+            f"(bound {mass_tol:.3e}), energy {energy_res:.3e} (bound {energy_tol:.3e})"
         )
     if a1 < omega:
         values, measures = (v, ref), (a1, omega - a1)

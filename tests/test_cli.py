@@ -279,6 +279,8 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "predictor-consistency" in out
+        # H1_CONFIG lists its atoms in increasing order
+        assert "pass  rearrangement-commutation-flow worst 0.000e+00" in out
 
     def test_h3_audit_passes(self, tmp_path):
         cfg = _write(tmp_path, "h3.cfg", H3_CONFIG)
@@ -298,6 +300,36 @@ class TestCheck:
         monkeypatch.setattr(cli, "_trajectory_hook", corrupt)
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         assert cli.main(["check", cfg]) == 1
+
+    def test_integrates_once(self, tmp_path, monkeypatch):
+        calls = []
+        integrate = cli.dynamics.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(cli.dynamics, "integrate", counting)
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        assert cli.main(["check", cfg]) == 0
+        assert len(calls) == 1
+
+    def test_crossing_fails_commutation(self, tmp_path, monkeypatch, capsys):
+        # the two equal-weight atoms trade values from mid-run on: each
+        # record keeps its staircase, but the atoms cross
+        import dataclasses
+
+        def swap(tr):
+            values = tr.values.copy()
+            mid = len(values) // 2
+            values[mid:] = values[mid:, ::-1]
+            return dataclasses.replace(tr, values=values)
+
+        monkeypatch.setattr(cli, "_trajectory_hook", swap)
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        assert cli.main(["check", cfg]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  rearrangement-commutation-flow" in out
 
     def test_sorted_initial_field_passes_commutation(self, tmp_path, capsys):
         # 100 samples of 1 + x are already sorted: the rearranged copy must

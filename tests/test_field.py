@@ -21,7 +21,7 @@ from nldyn import (
     profile_l1_distance,
     rearrange,
 )
-from nldyn.field import staircase_lines
+from nldyn.field import canonical_order, layout_l1_distance, staircase_lines
 
 RNG = np.random.default_rng(42)
 
@@ -231,6 +231,28 @@ class TestProfileL1Distance:
         b = StepProfile([0.0, 2.0], [1.0])
         with pytest.raises(DomainMismatchError):
             profile_l1_distance(a, b)
+
+
+class TestLayoutL1Distance:
+    def test_reordered_tie_lies_exactly_zero_apart(self):
+        # summed in order, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 round apart;
+        # both layouts reach the change of value at fsum(0.1, 0.2, 0.3)
+        u = AtomField([1.0, 1.0, 1.0, 0.0], [0.1, 0.2, 0.3, 0.4], 1.0)
+        assert layout_l1_distance(u, np.array([0, 1, 2, 3]), np.array([2, 1, 0, 3])) == 0.0
+
+    def test_crossing_example(self):
+        # value 1 on (0, 1/4) and 2 on (1/4, 1) against 2 on (0, 3/4) and 1 on (3/4, 1)
+        u = AtomField([1.0, 2.0], [0.25, 0.75], 1.0)
+        assert layout_l1_distance(u, np.array([0, 1]), np.array([1, 0])) == 0.5
+
+    @given(
+        st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=8),
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+    )
+    def test_orders_of_ties_lie_exactly_zero_apart(self, values, weights):
+        u = _random_field(values, weights)
+        by_value = np.argsort(-u.values, kind="stable")
+        assert layout_l1_distance(u, by_value, canonical_order(u.values, u.weights)) == 0.0
 
 
 class TestStaircaseSerialization:

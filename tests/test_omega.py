@@ -13,7 +13,9 @@ from nldyn import (
     IntegratorConfig,
     NoRootError,
     NotConvergedError,
+    PredictionResidualError,
     build_model,
+    builtin_model,
     consistency_check,
     energy_limit,
     extract_limit,
@@ -23,6 +25,7 @@ from nldyn import (
     predict_h3,
     sample_g_monotone,
 )
+from nldyn import omega
 from nldyn.dynamics import CheckResult
 from nldyn.model import NonlinearityPair
 
@@ -230,6 +233,29 @@ class TestPredictorMessages:
         h3 = predict_h3(-1.0, 1.0, 1.0, logistic)
         assert (h1.hypothesis, h1.plateau_values[1]) == ("H1", 1.0)
         assert (h3.hypothesis, h3.plateau_values[1]) == ("H3", 0.0)
+
+
+    @pytest.mark.parametrize("measure", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("predict, m0", [(predict_h1, 2.0), (predict_h3, -1.0)])
+    def test_domain_measure_must_be_positive_and_finite(self, logistic, predict, m0, measure):
+        with pytest.raises(ValueError, match="^domain measure must be positive and finite"):
+            predict(m0, 1.0, measure, logistic)
+
+
+class TestResidualGate:
+    def test_large_energy_limit_within_relative_bound(self):
+        # an energy residual of 1.3e-8 on |E| = 1.2e7 is a relative 1e-15
+        pair = builtin_model("logistic-cubic")
+        pred = predict_h3(-4.517471781237884, 12288603.207467718, 1.7240025663608955, pair)
+        assert abs(pred.energy_residual) <= 1e-10 * 12288603.207467718
+        assert abs(pred.mass_residual) <= 1e-10 * 4.517471781237884
+
+    @pytest.mark.parametrize("predict, m0, energy", [(predict_h1, 2.0, 2.5), (predict_h3, -1.0, 1.0)])
+    def test_root_off_by_1e_6_is_refused(self, logistic, monkeypatch, predict, m0, energy):
+        bisect = omega._bisect_increasing
+        monkeypatch.setattr(omega, "_bisect_increasing", lambda h, lo, hi: bisect(h, lo, hi) + 1e-6)
+        with pytest.raises(PredictionResidualError, match="^constraint residuals exceed"):
+            predict(m0, energy, 1.0, logistic)
 
 
 class TestAuditRows:

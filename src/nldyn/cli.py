@@ -478,8 +478,7 @@ def cmd_check(config_path: str) -> int:
             m0 = float(tr.mass_series[0])
             pred = predict(m0, elim.value, u0.domain_measure, pair)
             checks.append(omega.consistency_check(pred, emp, tol=1e-3))
-            res = max(abs(pred.mass_residual), abs(pred.energy_residual))
-            add("predictor-residuals", res <= 1e-10, res, 1e-10)
+            checks.append(omega.residual_check(pred, m0, elim.value, pair))
         except NotConvergedError:
             add("predictor-consistency", True, 0.0, 1e-3, "skipped: run not stationary")
         except (NoRootError, InfeasibleMeasureError) as exc:

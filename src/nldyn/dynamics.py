@@ -102,10 +102,6 @@ class SnapshotView(Sequence):
             return SnapshotView(self._values[k], self._weights, self._domain_measure)
         return AtomField(self._values[k], self._weights, self._domain_measure)
 
-    def __iter__(self):
-        for row in self._values:
-            yield AtomField(row, self._weights, self._domain_measure)
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -649,11 +649,13 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
 
     The antiderivative of p is ``antiderivative``'s closed form when p has
     one (``closed_form_P`` True), checked once against adaptive quadrature
-    at a few points of the working range; any other p keeps adaptive
-    Simpson on [0, s] per value. Violations of the structural
-    requirements (roots of g, sign pattern, strict monotonicity of p, a
-    closed form that disagrees with quadrature) raise
-    ModelValidationError with a witness point.
+    at a few points of the working range. Any other p gets a quadrature
+    that accepts arrays: adaptive Simpson over each gap between the sorted
+    distinct values and 0, to the gap's share of 1e-12, summed outward
+    from 0. A scalar s is that one gap, [0, s], integrated without the
+    sort. Violations of the structural requirements (roots of g, sign
+    pattern, strict monotonicity of p, a closed form that disagrees with
+    quadrature) raise ModelValidationError with a witness point.
     """
     from . import model as _model
     from .quad import adaptive_simpson
@@ -666,8 +668,19 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
     p_prime = to_callable(differentiate(p_ast))
     closed = antiderivative(p_ast)
 
-    def quadrature(s: float) -> float:
-        return adaptive_simpson(lambda t: float(p(t)), 0.0, float(s))
+    def quadrature(s):
+        if np.ndim(s) == 0:
+            return adaptive_simpson(lambda t: float(p(t)), 0.0, float(s))
+        x = np.asarray(s, dtype=float)
+        knots, where = np.unique(np.append(x.ravel(), 0.0), return_inverse=True)
+        pts, zero = knots.tolist(), int(np.searchsorted(knots, 0.0))
+        span = pts[-1] - pts[0]
+        gaps = [
+            adaptive_simpson(lambda t: float(p(t)), a, b, abs_tol=1e-12 * ((b - a) / span))
+            for a, b in zip(pts, pts[1:])
+        ]
+        left, right = np.cumsum(gaps[:zero][::-1]), np.cumsum(gaps[zero:])
+        return np.concatenate([-left[::-1], [0.0], right])[where[:-1]].reshape(x.shape)
 
     pair = _model.NonlinearityPair(
         g=g,

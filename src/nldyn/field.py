@@ -258,12 +258,7 @@ def profile_l1_distance(a: StepProfile, b: StepProfile) -> float:
         raise DomainMismatchError(
             f"profiles live on domains of measure {da!r} and {db!r}"
         )
-    cuts = np.unique(np.concatenate([a.breakpoints, b.breakpoints]))
-    terms = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        terms.append((hi - lo) * abs(a.value_at(mid) - b.value_at(mid)))
-    return math.fsum(terms)
+    return _step_l1_distance(a.breakpoints, a.plateau_values, b.breakpoints, b.plateau_values)
 
 
 def layout_l1_distance(u: AtomField, first: np.ndarray, second: np.ndarray) -> float:
@@ -280,12 +275,19 @@ def layout_l1_distance(u: AtomField, first: np.ndarray, second: np.ndarray) -> f
     layouts = []
     for order in (first, second):
         w = u.weights[order].tolist()
-        bps = np.array([math.fsum(w[:k]) for k in range(len(w) + 1)])
-        layouts.append((bps, u.values[order]))
-    (bps_a, va), (bps_b, vb) = layouts
-    cuts = np.union1d(bps_a, bps_b)
-    ia = np.searchsorted(bps_a, cuts[:-1], side="right") - 1
-    ib = np.searchsorted(bps_b, cuts[:-1], side="right") - 1
+        layouts += [np.array([math.fsum(w[:k]) for k in range(len(w) + 1)]), u.values[order]]
+    return _step_l1_distance(*layouts)
+
+
+def _step_l1_distance(bps_a, va, bps_b, vb) -> float:
+    """Exact (fsum) L1 distance between the step functions v on [bps[k], bps[k+1]).
+
+    Each piece reads a function on its last interval starting at or before
+    it, so a domain short by roundoff keeps its last value (``value_at``).
+    """
+    cuts = np.unique(np.concatenate([bps_a, bps_b]))
+    ia = np.searchsorted(bps_a[:-1], cuts[:-1], side="right") - 1
+    ib = np.searchsorted(bps_b[:-1], cuts[:-1], side="right") - 1
     return math.fsum((np.diff(cuts) * np.abs(va[ia] - vb[ib])).tolist())
 
 

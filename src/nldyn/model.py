@@ -40,13 +40,13 @@ ScalarFn = Callable[[float], float]
 class NonlinearityPair:
     """The model functions g, p, their derivatives and the antiderivative of p.
 
-    All callables accept scalars and numpy arrays. ``antideriv_P`` is
-    normalized to vanish at 0; ``closed_form_P`` records whether it is
-    analytic (the builtins, and expression models whose p is a linear
-    combination of polynomial terms and of exp, sin, cos, tanh of an
-    affine argument) or adaptive Simpson on [0, s], one scalar call per
-    value, which array callers reach through ``field.atomwise``'s
-    per-value fallback.
+    All callables accept scalars and numpy arrays of any shape and return
+    that shape, so no caller needs ``field.atomwise``'s per-value
+    fallback. ``antideriv_P`` is normalized to vanish at 0;
+    ``closed_form_P`` records whether it is analytic (the builtins, and
+    expression models whose p is a linear combination of polynomial terms
+    and of exp, sin, cos, tanh of an affine argument) or a cumulative
+    adaptive Simpson quadrature (``exprparse.build_model``).
     """
 
     g: ScalarFn
@@ -178,20 +178,15 @@ def validate_pair(
         k = np.arange(n, dtype=float)
         return a + (b - a) * (k + 0.5) / n
 
-    inner = _grid(0.0, 1.0)
-    gv = np.asarray(pair.g(inner), dtype=float)
-    bad = np.nonzero(~(gv > 0.0))[0]
-    if bad.size:
-        raise ModelValidationError(
-            "g > 0 on (0, 1)", float(inner[bad[0]]), f"g = {gv[bad[0]]!r}"
-        )
-    for a, b in ((lo, 0.0), (1.0, hi)):
+    for a, b, sign in ((0.0, 1.0, 1.0), (lo, 0.0, -1.0), (1.0, hi, -1.0)):
         grid = _grid(a, b)
         gv = np.asarray(pair.g(grid), dtype=float)
-        bad = np.nonzero(~(gv < 0.0))[0]
+        bad = np.nonzero(~(sign * gv > 0.0))[0]
         if bad.size:
             raise ModelValidationError(
-                f"g < 0 on ({a:g}, {b:g})", float(grid[bad[0]]), f"g = {gv[bad[0]]!r}"
+                f"g {'>' if sign > 0 else '<'} 0 on ({a:g}, {b:g})",
+                float(grid[bad[0]]),
+                f"g = {gv[bad[0]]!r}",
             )
 
     full = np.linspace(lo, hi, n)

@@ -122,15 +122,11 @@ def sample_g_monotone(
 ) -> CheckResult:
     """Audit strict monotonicity of G on the half-open span (ref, far_end].
 
-    The row's worst is the smallest increment between consecutive
-    samples, which must stay above tol = 0; its detail gives the sampled
-    span, where the smallest increment starts, and the quadrature
-    cross-check error. Quadrature-backed antiderivatives are sampled
-    cumulatively (one short integral per grid segment, absolute tolerance
-    1e-9 each) and cross-checked against the pair's own antiderivative at
-    a few moderate points. The audit resolves G increments down to ~1e-7;
-    violations of a strictly increasing p show up orders of magnitude
-    above that.
+    G is sampled as (P(grid) - P(ref)) / (grid - ref) with the pair's own
+    antiderivative, one array call on the grid. The row's worst is the
+    smallest increment between consecutive samples, which must stay above
+    tol = 0; its detail gives the sampled span and where the smallest
+    increment starts.
     """
     ref = float(reference_point)
     far = float(far_end)
@@ -138,29 +134,7 @@ def sample_g_monotone(
         raise ValueError("far_end must differ from the reference point")
     k = np.arange(1, n + 1, dtype=float)
     grid = ref + (far - ref) * k / n  # excludes ref, includes far_end
-
-    crosscheck = 0.0
-    if pair.closed_form_P:
-        p_ref = float(pair.antideriv_P(ref))
-        p_rel = np.asarray(pair.antideriv_P(grid), dtype=float) - p_ref
-    else:
-        p_fn = lambda t: float(pair.p(t))
-        seg_tol = 1e-9
-        p_rel = np.empty(n)
-        acc = adaptive_simpson(p_fn, ref, float(grid[0]), abs_tol=seg_tol)
-        p_rel[0] = acc
-        for i in range(1, n):
-            acc += adaptive_simpson(
-                p_fn, float(grid[i - 1]), float(grid[i]), abs_tol=seg_tol
-            )
-            p_rel[i] = acc
-        # tie the cumulative path to the pair's own antiderivative
-        p_ref_direct = float(pair.antideriv_P(ref))
-        moderate = np.nonzero(np.abs(grid) <= 50.0)[0]
-        for idx in moderate[:: max(1, moderate.size // 8)][:8]:
-            direct = float(pair.antideriv_P(float(grid[idx]))) - p_ref_direct
-            crosscheck = max(crosscheck, abs(direct - p_rel[idx]))
-
+    p_rel = np.asarray(pair.antideriv_P(grid), dtype=float) - float(pair.antideriv_P(ref))
     g_vals = p_rel / (grid - ref)
     order = np.argsort(grid)
     g_sorted = g_vals[order]
@@ -177,7 +151,7 @@ def sample_g_monotone(
         worst,
         0.0,
         f"span [{float(np.min(grid)):.17g}, {float(np.max(grid)):.17g}], "
-        f"smallest step at {worst_at:.17g}, crosscheck error {crosscheck:.3e}",
+        f"smallest step at {worst_at:.17g}",
     )
 
 
@@ -219,9 +193,8 @@ def _predict(
     bisection on a bracket from r +- 1e-12 that doubles outwards on the
     plateau's side of r, then reads the plateau measure off mass
     conservation: a1 = (m0 - r|Omega|) / (v - r). Under H3 (r = 0) the
-    terms in r and P(0) = 0 are exact zeros. Each constraint residual is
-    bounded relative to the size of its terms: _RESIDUAL_TOL times the
-    largest of 1, |m0| (|E|) and |r||Omega| (|P(r)||Omega|).
+    terms in r and P(0) = 0 are exact zeros. The constraint residuals
+    must pass ``residual_check``.
     """
     ref, side = _REGIMES[tag]
     omega = float(omega_measure)
@@ -269,18 +242,11 @@ def _predict(
     a1 = min(a1, omega)
     mass_res = v * a1 + ref * (omega - a1) - m0
     energy_res = float(pair.antideriv_P(v)) * a1 + p_ref * (omega - a1) - e_inf
-    mass_tol = _RESIDUAL_TOL * max(1.0, abs(m0), abs(ref) * omega)
-    energy_tol = _RESIDUAL_TOL * max(1.0, abs(e_inf), abs(p_ref) * omega)
-    if abs(mass_res) > mass_tol or abs(energy_res) > energy_tol:
-        raise PredictionResidualError(
-            f"constraint residuals exceed their bounds: mass {mass_res:.3e} "
-            f"(bound {mass_tol:.3e}), energy {energy_res:.3e} (bound {energy_tol:.3e})"
-        )
     if a1 < omega:
         values, measures = (v, ref), (a1, omega - a1)
     else:
         values, measures = (v,), (omega,)
-    return OmegaPrediction(
+    pred = OmegaPrediction(
         hypothesis=tag,
         plateau_values=values,
         plateau_measures=measures,
@@ -290,6 +256,34 @@ def _predict(
         domain_measure=omega,
         shape_deviation=0.0,
     )
+    row = residual_check(pred, m0, e_inf, pair)
+    if not row.passed:
+        raise PredictionResidualError(f"constraint residuals exceed their bounds: {row.detail}")
+    return pred
+
+
+def residual_check(
+    pred: OmegaPrediction, m0: float, e_inf: float, pair: NonlinearityPair
+) -> CheckResult:
+    """The predictor-residuals row of an H1/H3 prediction from (m0, E).
+
+    Each constraint residual is bounded by _RESIDUAL_TOL times the size of
+    its terms, the largest of 1, |m0| (|E|) and |r||Omega| (|P(r)||Omega|);
+    ``_predict`` raises when the row fails, with its detail (each residual
+    and bound). Its worst is the larger residual over its size, tol _RESIDUAL_TOL.
+    """
+    ref, omega = _REGIMES[pred.hypothesis][0], pred.domain_measure
+    p_ref = float(pair.antideriv_P(ref))
+    rows = (
+        ("mass", pred.mass_residual, max(1.0, abs(m0), abs(ref) * omega)),
+        ("energy", pred.energy_residual, max(1.0, abs(e_inf), abs(p_ref) * omega)),
+    )
+    passed = all(abs(r) <= _RESIDUAL_TOL * size for _, r, size in rows)
+    detail = "" if passed else ", ".join(
+        f"{name} {r:.3e} (bound {_RESIDUAL_TOL * size:.3e})" for name, r, size in rows
+    )
+    worst = max(abs(r) / size for _, r, size in rows)
+    return CheckResult("predictor-residuals", passed, worst, _RESIDUAL_TOL, detail)
 
 
 def predict_h1(
@@ -409,4 +403,5 @@ __all__ = [
     "predict_h3",
     "extract_limit",
     "consistency_check",
+    "residual_check",
 ]

@@ -345,6 +345,19 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "pass  rearrangement-commutation-flow worst 0.000e+00" in out
 
+    def test_large_energy_passes_predictor_residuals(self, tmp_path, capsys):
+        # E near 2e6: the row bounds each residual relative to the size of
+        # its constraint, as the predictor does
+        cfg = _write(tmp_path, "far.cfg", (
+            'model.builtin = "logistic-cubic"\n'
+            'initial.atoms = "-60.0:0.5, -50.0:0.5"\n'
+            'output.dir = "{out}"\n'
+        ))
+        assert cli.main(["check", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "pass  predictor-residuals" in out
+        assert "FAIL" not in out
+
 
 class TestPredictorLookup:
     def test_wrapped_predictors_see_every_cli_call(self, tmp_path, monkeypatch):

@@ -11,10 +11,11 @@ bound catches hangs rather than long runs: fields of at most 24 atoms on
 a domain of measure at most 4. Expression models draw p from those with
 a closed-form antiderivative, polynomial or not (u^3+u, tanh(u) + 2*u,
 u + 0.1*sin(u)): P is then one array call per recorded block. A p
-without one (such as u*exp(u)) is left out, since its P is integrated by
-adaptive quadrature per atom at every record, at milliseconds per call,
-and 24 atoms recorded every 0.01 take tens of seconds; that cost belongs
-to the quadrature path, not to the config boundary.
+without one (such as u*exp(u)) is left out. Its P is a cumulative
+adaptive quadrature, about a thousand integrand evaluations per recorded
+block, so 24 atoms recorded every 0.01 take seconds, where a closed form
+takes a fraction of one; that cost belongs to the quadrature path, not
+to the config boundary, and would make this test several times slower.
 """
 
 import tempfile

@@ -489,16 +489,23 @@ class TestClosedFormRecordPath:
     """An expression model with a closed-form P runs no quadrature per record.
 
     Under per-record adaptive Simpson this 132-atom run took tens of
-    seconds; the closed form reproduces its energies.
+    seconds; the closed form reproduces the energies of the same model
+    with the cumulative quadrature P.
     """
 
     def test_no_quadrature_and_same_energies(self, monkeypatch):
-        from nldyn import cli, quad
+        from nldyn import cli, exprparse, quad
 
         cfg = cli.parse_config_text(_TANH_CONFIG)
         u0 = cfg.build_initial()
         pair = cfg.build_pair(u0)
         assert pair.closed_form_P
+        with monkeypatch.context() as m:
+            m.setattr(exprparse, "antiderivative", lambda ast: None)
+            quadrature = cfg.build_pair(u0)
+        assert not quadrature.closed_form_P
+        tr_quad = integrate(u0, quadrature, cfg.integrator_config())
+
         simpson = quad.adaptive_simpson
         calls = []
 
@@ -510,15 +517,49 @@ class TestClosedFormRecordPath:
         tr = integrate(u0, pair, cfg.integrator_config())
         assert calls == []
         assert tr.times.size > 10
+        np.testing.assert_array_equal(tr.times, tr_quad.times)
+        np.testing.assert_array_equal(tr.values, tr_quad.values)
+        np.testing.assert_allclose(tr.energy_series, tr_quad.energy_series, rtol=1e-12, atol=0.0)
 
-        def quadrature(s):
-            return simpson(lambda t: float(pair.p(t)), 0.0, float(s))
 
-        old = dataclasses.replace(pair, antideriv_P=quadrature, closed_form_P=False)
-        tr_old = integrate(u0, old, cfg.integrator_config())
-        np.testing.assert_array_equal(tr.times, tr_old.times)
-        np.testing.assert_array_equal(tr.values, tr_old.values)
-        np.testing.assert_allclose(tr.energy_series, tr_old.energy_series, rtol=1e-12, atol=0.0)
+class TestQuadratureRecordPath:
+    """A p without a closed form: P of a record block is one cumulative
+    quadrature over the block's distinct values, not one Simpson integral
+    from 0 per atom."""
+
+    def test_integrand_evaluations_per_record_block(self, monkeypatch):
+        from nldyn import cli, quad
+
+        simpson = quad.adaptive_simpson
+        evals = [0]
+
+        def counted(f, *args, **kwargs):
+            def counted_f(t):
+                evals[0] += 1
+                return f(t)
+
+            return simpson(counted_f, *args, **kwargs)
+
+        monkeypatch.setattr(quad, "adaptive_simpson", counted)
+        cfg = cli.parse_config_text(_TANH_CONFIG.replace("tanh(u) + 2*u", "u + 0.1*u*exp(u)"))
+        u0 = cfg.build_initial()
+        pair = cfg.build_pair(u0)
+        assert not pair.closed_form_P
+        blocks = []
+
+        def P(s):
+            before = evals[0]
+            out = pair.antideriv_P(s)
+            blocks.append((np.unique(s).size, evals[0] - before))
+            return out
+
+        tr = integrate(u0, dataclasses.replace(pair, antideriv_P=P), cfg.integrator_config())
+        assert 10 < len(blocks) <= tr.times.size
+        # about a thousand evaluations a block plus a dozen per distinct
+        # value; one integral from 0 per atom took some 2,000 per atom
+        # (260,040 for one record of this run)
+        for distinct, count in blocks:
+            assert count <= 1200 + 12 * distinct
 
 
 class TestRearrangementAlongFlow:

@@ -352,6 +352,26 @@ class TestBuildModel:
         assert pair.antideriv_P(2.0) == pytest.approx(2.0 + 0.1 * (math.e**2 + 1.0), abs=1e-11)
         assert pair.closed_form_P is False
 
+    def test_quadrature_scalar_is_one_simpson_integral(self):
+        pair = build_model("u*(1-u)", "u + 0.1*u*exp(u)")
+        p = lambda t: float(pair.p(t))
+        for s in (-1.5, 0.0, 0.3, 2.0):
+            got = pair.antideriv_P(s)
+            assert type(got) is float
+            assert np.array(got).tobytes() == np.array(adaptive_simpson(p, 0.0, s)).tobytes()
+            # the array path gives a lone value the same bits
+            assert pair.antideriv_P(np.array([[s]])).tobytes() == np.array([[got]]).tobytes()
+
+    def test_quadrature_block_matches_per_value_simpson(self):
+        pair = build_model("u*(1-u)", "u + 0.1*u*exp(u)")
+        p = lambda t: float(pair.p(t))
+        block = np.random.default_rng(5).uniform(-8.0, 3.0, size=(4, 30))
+        block[0, :3] = (0.0, 0.3, 0.3)  # 0 and a repeated value
+        per_value = [adaptive_simpson(p, 0.0, s) for s in block.ravel().tolist()]
+        got = pair.antideriv_P(block)
+        assert got.shape == block.shape
+        np.testing.assert_allclose(got.ravel(), per_value, rtol=1e-12, atol=0.0)
+
     def test_wrong_closed_form_rejected(self, monkeypatch):
         # a jump at 1.1 keeps P(0) = 0 and the derivative at validate_pair's
         # difference points; only the comparison with quadrature sees it

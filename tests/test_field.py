@@ -226,6 +226,14 @@ class TestProfileL1Distance:
         b = StepProfile([0.0, 0.5, 1.0], [2.0, 1.0])
         assert profile_l1_distance(a, b) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_domains_within_roundoff(self, swap):
+        # past the shorter domain's end its last plateau continues
+        a = StepProfile([0.0, 0.5, 1.0], [2.0, 1.0])
+        b = StepProfile([0.0, 0.5, 1.0 - 1e-13], [2.0, 0.5])
+        expected = math.fsum([(1.0 - 1e-13 - 0.5) * 0.5, (1.0 - (1.0 - 1e-13)) * 0.5])
+        assert profile_l1_distance(*((b, a) if swap else (a, b))) == expected
+
     def test_domain_mismatch(self):
         a = StepProfile([0.0, 1.0], [1.0])
         b = StepProfile([0.0, 2.0], [1.0])

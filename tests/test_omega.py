@@ -58,6 +58,16 @@ class TestGFunction:
     def test_monotone_audit_reference_zero_analog(self, logistic):
         assert sample_g_monotone(logistic, 0.0, -1.0e4).passed
 
+    def test_monotone_audit_quadrature_pair(self):
+        pair = build_model("u*(1-u)", "u + 0.1*u*exp(u)")
+        assert not pair.closed_form_P
+        report = sample_g_monotone(pair, 1.0, 20.0)
+        assert report.passed
+        grid = 1.0 + 19.0 * np.arange(1, 10_001) / 10_000
+        P = lambda s: 0.5 * s * s + 0.1 * ((s - 1.0) * np.exp(s) + 1.0)
+        exact = float(np.min(np.diff((P(grid) - P(1.0)) / (grid - 1.0))))
+        assert report.worst == pytest.approx(exact, rel=1e-6)
+
     def test_violation_detected(self, logistic):
         """A decreasing p (never accepted by build_model) breaks the audit."""
         broken = NonlinearityPair(
@@ -258,6 +268,18 @@ class TestResidualGate:
             predict(m0, energy, 1.0, logistic)
 
 
+    def test_row_passes_exactly_when_the_predictor_gate_does(self, logistic):
+        pred = predict_h1(2.0, 2.5, 1.0, logistic)
+        # the mass bound is 1e-10 * max(1, |m0|, |Omega|) = 2e-10
+        for res, passed in ((1.9e-10, True), (2e-10, True), (2.1e-10, False)):
+            row = omega.residual_check(
+                dataclasses.replace(pred, mass_residual=res), 2.0, 2.5, logistic
+            )
+            assert (row.name, row.passed, row.tol) == ("predictor-residuals", passed, 1e-10)
+            assert row.worst == res / 2.0
+        assert row.detail == "mass 2.100e-10 (bound 2.000e-10), energy 0.000e+00 (bound 2.500e-10)"
+
+
 class TestAuditRows:
     def test_consistency_row(self, logistic):
         a = predict_h1(2.0, 2.5, 1.0, logistic)
@@ -275,7 +297,7 @@ class TestAuditRows:
         # G = (s + 1)/2 on the grid 1.5, 2, 2.5, 3 steps by 0.25 everywhere
         assert row.worst == 0.25
         assert row.detail == (
-            "span [1.5, 3], smallest step at 1.5, crosscheck error 0.000e+00"
+            "span [1.5, 3], smallest step at 1.5"
         )
 
 

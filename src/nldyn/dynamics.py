@@ -32,6 +32,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from typing import TextIO
 
 import numpy as np
 
@@ -143,18 +144,21 @@ class Trajectory:
         """The records as AtomFields, built on access."""
         return SnapshotView(self.values, self.weights, self.domain_measure)
 
-    def to_csv(self) -> str:
-        """Full-precision CSV: t,lambda,mass,energy,dissipation,v1,...,vn."""
+    def to_csv(self, file: TextIO) -> None:
+        """Write the full-precision CSV t,lambda,mass,energy,dissipation,v1,...,vn
+        to an open text file.
+
+        One row at a time: the whole table as text or as Python floats
+        would be several times the size of the array.
+        """
         n = self.weights.size
-        lines = ["t,lambda,mass,energy,dissipation," + ",".join(f"v{i + 1}" for i in range(n))]
-        row_format = ",".join(["%.17g"] * (5 + n))
+        header = ["t", "lambda", "mass", "energy", "dissipation"] + [f"v{i + 1}" for i in range(n)]
+        file.write(",".join(header) + "\n")
+        row_format = ",".join(["%.17g"] * (5 + n)) + "\n"
         series = zip(self.times.tolist(), self.lambda_series.tolist(), self.mass_series.tolist(),
                      self.energy_series.tolist(), self.dissipation_series.tolist())
-        # one row at a time: the whole table as Python floats would be
-        # several times the size of the array
         for head, row in zip(series, self.values):
-            lines.append(row_format % (*head, *row.tolist()))
-        return "\n".join(lines) + "\n"
+            file.write(row_format % (*head, *row.tolist()))
 
     @property
     def energy_index(self) -> int:

@@ -285,7 +285,10 @@ def _step_l1_distance(bps_a, va, bps_b, vb) -> float:
     Each piece reads a function on its last interval starting at or before
     it, so a domain short by roundoff keeps its last value (``value_at``).
     """
-    cuts = np.unique(np.concatenate([bps_a, bps_b]))
+    # np.unique's sort and adjacent-inequality mask, without the numpy.ma
+    # import that np.unique makes
+    cuts = np.sort(np.concatenate([bps_a, bps_b]))
+    cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
     ia = np.searchsorted(bps_a[:-1], cuts[:-1], side="right") - 1
     ib = np.searchsorted(bps_b[:-1], cuts[:-1], side="right") - 1
     return math.fsum((np.diff(cuts) * np.abs(va[ia] - vb[ib])).tolist())

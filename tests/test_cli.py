@@ -1,5 +1,11 @@
 """Tests for the command-line front end: config grammar, commands, outputs."""
 
+import io
+import json
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -167,9 +173,6 @@ class TestSimulate:
 
     def test_overflowing_atom_exit_3_one_line(self, tmp_path):
         """g*p overflows at 1e150: exit 3 with the failure file, no warnings."""
-        import subprocess
-        import sys
-
         text = H1_CONFIG.replace('"1.5:0.5, 2.0:0.5"', '"1e150:1.0"')
         cfg = _write(tmp_path, "big.cfg", text)
         proc = subprocess.run(
@@ -188,6 +191,21 @@ class TestSimulate:
         cfg = _write(tmp_path, "big.cfg", text)
         assert cli.main(["simulate", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: model: ")
+
+    def test_trajectory_csv_is_to_csv(self, tmp_path, monkeypatch):
+        runs = []
+        integrate = cli.dynamics.integrate
+
+        def keep(*args, **kwargs):
+            runs.append(integrate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli.dynamics, "integrate", keep)
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        assert cli.main(["simulate", cfg]) == 0
+        text = io.StringIO()
+        runs[0].to_csv(text)
+        assert (tmp_path / "out" / "h1.trajectory.csv").read_bytes() == text.getvalue().encode()
 
     def test_deterministic_csv(self, tmp_path):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
@@ -345,6 +363,34 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "pass  rearrangement-commutation-flow worst 0.000e+00" in out
 
+    @pytest.mark.parametrize("seed", ["-1", "1" + "0" * 29, "1" + "0" * 400],
+                             ids=["negative", "30-digit", "401-digit"])
+    def test_any_integer_seed(self, tmp_path, seed):
+        # run.seed seeds Python's random for the isometry pair sample
+        cfg = _write(tmp_path, "h3.cfg", H3_CONFIG + f"run.seed = {seed}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "nldyn", "check", cfg], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("atoms, reason", [
+        # H3, stationary at t = 1.46e-6 after two records
+        ("-60.0:0.5, -50.0:0.5", "skipped: 2 records, needs 3"),
+        ("-0.5:0.5, 1.5:0.5", "skipped: no hypothesis"),
+    ])
+    def test_dissipation_skip_names_its_reason(self, tmp_path, capsys, atoms, reason):
+        cfg = _write(tmp_path, "skip.cfg", (
+            'model.builtin = "logistic-cubic"\n'
+            'initial.atoms = "' + atoms + '"\n'
+            'integrator.t_max = 1.0\n'
+            'output.dir = "{out}"\n'
+        ))
+        assert cli.main(["check", cfg]) == 0
+        row, = (line for line in capsys.readouterr().out.splitlines()
+                if "dissipation-identity" in line)
+        assert row.endswith(f"({reason})"), row
+
     def test_large_energy_passes_predictor_residuals(self, tmp_path, capsys):
         # E near 2e6: the row bounds each residual relative to the size of
         # its constraint, as the predictor does
@@ -442,9 +488,6 @@ class TestConsoleScript:
         audit table is written (closing after its first line would race
         with the table's single write)."""
         import os
-        import subprocess
-        import sys
-
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -461,9 +504,6 @@ class TestConsoleScript:
         assert proc.stderr == "", proc.stderr  # no traceback, no flush error
 
     def test_no_scipy_import(self):
-        import subprocess
-        import sys
-
         code = (
             "import sys, nldyn.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -474,10 +514,43 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_entry_point_runs(self, tmp_path):
-        import subprocess
-        import sys
+    def test_no_numpy_random_or_ma_import(self, tmp_path):
+        """check, simulate and sweep load neither numpy.random (about 6 MB
+        of resident memory) nor numpy.ma (about 1.6 MB). Each command is
+        judged by what it adds to sys.modules, so a numpy that imports
+        either itself does not fail the test."""
+        h1 = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        h3 = _write(tmp_path, "h3.cfg", H3_CONFIG)
+        commands = [
+            ["check", h1],
+            ["check", h3],
+            ["simulate", h3],
+            ["sweep", h3, "--vary", "initial.atoms.0.value=-1.2:-0.8:2"],
+        ]
+        code = textwrap.dedent("""
+            import contextlib, io, json, sys
+            from nldyn import cli
+            subpackages = ("numpy.random", "numpy.ma")
+            added = []
+            for argv in json.loads(sys.argv[1]):
+                before = {m for m in subpackages if m in sys.modules}
+                with contextlib.redirect_stdout(io.StringIO()):
+                    exit_code = cli.main(argv)
+                loaded = [m for m in subpackages if m in sys.modules and m not in before]
+                added.append([argv[0], exit_code, loaded])
+            print(json.dumps(added))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = json.loads(proc.stdout)
+        assert [name for name, _, _ in added] == ["check", "check", "simulate", "sweep"]
+        for name, exit_code, loaded in added:
+            assert exit_code == 0, name
+            assert loaded == [], (name, loaded)
 
+    def test_entry_point_runs(self, tmp_path):
         cfg = _write(tmp_path, "h3.cfg", H3_CONFIG)
         proc = subprocess.run(
             [sys.executable, "-m", "nldyn.cli", "simulate", cfg],
@@ -488,9 +561,6 @@ class TestConsoleScript:
         assert "Stationary" in proc.stdout
 
     def test_package_runs_as_module(self, tmp_path):
-        import subprocess
-        import sys
-
         cfg = _write(tmp_path, "h3.cfg", H3_CONFIG)
         proc = subprocess.run(
             [sys.executable, "-m", "nldyn", "simulate", cfg],

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,12 +196,18 @@ class TestIntegrate:
         np.testing.assert_allclose(tr.snapshots[-1].values, -10.25, atol=1e-9)
 
     def test_csv_layout(self, h3_run):
-        text = h3_run.to_csv()
+        text = _csv_text(h3_run)
         lines = text.strip().splitlines()
         assert lines[0] == "t,lambda,mass,energy,dissipation,v1,v2"
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0
         assert first[5] == -0.2 and first[6] == -1.0
+
+
+def _csv_text(tr):
+    buf = io.StringIO()
+    tr.to_csv(buf)
+    return buf.getvalue()
 
 
 # values on which "%.17g" and "{:.17g}" could plausibly disagree
@@ -235,7 +243,7 @@ class TestCsv:
     @pytest.mark.parametrize("run", ["h1_run", "wide_run"])
     def test_rows_byte_identical(self, request, run):
         tr = request.getfixturevalue(run)
-        self._assert_same_text(tr.to_csv(), self._format_spec_csv(tr))
+        self._assert_same_text(_csv_text(tr), self._format_spec_csv(tr))
 
     def test_special_values_byte_identical(self, h3_run):
         k = len(_SPECIAL_FLOATS)
@@ -244,7 +252,30 @@ class TestCsv:
         values = h3_run.values.copy()
         values[:k, 1] = _SPECIAL_FLOATS[::-1]
         tr = dataclasses.replace(h3_run, lambda_series=lam, values=values)
-        self._assert_same_text(tr.to_csv(), self._format_spec_csv(tr))
+        self._assert_same_text(_csv_text(tr), self._format_spec_csv(tr))
+
+    def test_writes_row_by_row(self, h3_run, tmp_path):
+        """200 records of 1000 atoms: the traced peak while writing stays
+        within a few rows of text, far below the whole CSV."""
+        rows, n = 200, 1000
+        rng = np.random.default_rng(3)
+        series = {name: rng.uniform(-1.0, 1.0, rows) for name in
+                  ("lambda_series", "mass_series", "energy_series", "dissipation_series")}
+        tr = dataclasses.replace(h3_run, times=np.arange(rows) * 0.01, weights=np.full(n, 1.0 / n),
+                                 values=rng.uniform(-1.0, 1.0, (rows, n)), **series)
+        path = tmp_path / "wide.csv"
+        with path.open("w") as fh:
+            tracemalloc.start()
+            try:
+                tr.to_csv(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        row = max(len(line) for line in path.read_text().splitlines())
+        assert path.stat().st_size > 150 * row
+        # a row's text, its encoded bytes and its 1005 Python floats; the
+        # whole CSV as one string would be about 200 rows, three times over
+        assert peak < 10 * row, (peak, row)
 
 
 @pytest.fixture(scope="module")

@@ -34,9 +34,6 @@ from .errors import (
     NumericalFailureError,
 )
 
-# test hook: called with the finished trajectory before auditing (cmd_check)
-_trajectory_hook = None
-
 # config key -> (RunConfig field, value type, default); the integrator.*
 # keys are IntegratorConfig's fields, with its defaults
 _KEYS: dict[str, tuple[str, type, object]] = {
@@ -291,10 +288,8 @@ def _summary_lines(
 
 # ----------------------------------------------------------------- commands
 
-def cmd_simulate(config_path: str, overrides: list[tuple[str, float]] | None = None) -> int:
+def cmd_simulate(config_path: str) -> int:
     cfg = load_config(config_path)
-    for key, value in overrides or []:
-        cfg = apply_override(cfg, key, value)
     u0 = cfg.build_initial()
     pair = cfg.build_pair(u0)
     icfg = cfg.integrator_config()
@@ -427,8 +422,6 @@ def cmd_check(config_path: str) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure during audit run: {exc}", file=sys.stderr)
         return 3
-    if _trajectory_hook is not None:
-        tr = _trajectory_hook(tr)
 
     checks = list(dynamics.verify_trajectory(tr, pair, tr.hypothesis).checks)
 

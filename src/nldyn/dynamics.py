@@ -40,7 +40,7 @@ from . import field as field_mod
 from .errors import DenominatorVanishingError, NumericalFailureError
 from .field import AtomField
 from .model import HypothesisClass, NonlinearityPair, classify_hypothesis
-from .model import atom_rates, g_terms, guard_threshold, multiplier
+from .model import atom_rates, guard_threshold, multiplier
 from .model import input_order, unpermute
 
 _REGION_ABORT_TOL = 1e-6  # hard abort beyond this
@@ -325,28 +325,32 @@ def _integrate_canonical(
     energy_series: list[float] = []
     diss_series: list[float] = []
 
-    def check_state(t: float, vals: np.ndarray):
-        vals = vals[:n]
-        if not _all(np.isfinite(vals)):
-            raise NumericalFailureError("non-finite atom value", t, vals)
-        if region is not None:
-            vmin, vmax = float(_min(vals)), float(_max(vals))
-            if vmin < region[0] or vmax > region[1]:
-                raise NumericalFailureError(
-                    f"invariant region violated beyond {_REGION_ABORT_TOL:g} "
-                    f"(values in [{vmin!r}, {vmax!r}], region {region!r})",
-                    t,
-                    vals,
-                )
+    def admitted(block: np.ndarray) -> int:
+        """How many leading states (rows) of block pass the gate.
 
-    def valid_rows(block: np.ndarray) -> int:
-        """How many leading rows of block pass check_state."""
-        block = block[:, :n]
-        ok = _all(np.isfinite(block), axis=1)
+        The gate is the one test every state the run keeps passes, as its
+        current state or as a record: finite atoms, inside the region of
+        the hypothesis widened by _REGION_ABORT_TOL.
+        """
+        atoms = block[:, :n]
+        ok = _all(np.isfinite(atoms), axis=1)
         if region is not None:
-            ok &= (_min(block, axis=1) >= region[0]) & (_max(block, axis=1) <= region[1])
+            ok &= (_min(atoms, axis=1) >= region[0]) & (_max(atoms, axis=1) <= region[1])
         bad = np.flatnonzero(~ok)
         return int(bad[0]) if bad.size else ok.size
+
+    def refusal(t: float, vals: np.ndarray) -> NumericalFailureError:
+        """The failure of the state vals at time t, which the gate refused."""
+        vals = vals[:n]
+        if not _all(np.isfinite(vals)):
+            return NumericalFailureError("non-finite atom value", t, vals)
+        vmin, vmax = float(_min(vals)), float(_max(vals))
+        return NumericalFailureError(
+            f"invariant region violated beyond {_REGION_ABORT_TOL:g} "
+            f"(values in [{vmin!r}, {vmax!r}], region {region!r})",
+            t,
+            vals,
+        )
 
     def record(ts: list[float], block: np.ndarray):
         """Record the rows of block at the times ts, in time order.
@@ -377,7 +381,21 @@ def _integrate_canonical(
         times.extend(ts)
         blocks.append(unpermute(block, state_order) if permuted else block)
 
-    def finish(term: Termination, final_rates) -> tuple[Trajectory, np.ndarray]:
+    def keep(ts: list[float], block: np.ndarray):
+        """Record the states of block at the times ts, up to the first the
+        gate refuses, which raises with its own time and values."""
+        k = admitted(block)
+        if k:
+            record(ts[:k], block[:k])
+        if k < len(ts):
+            raise refusal(ts[k], block[k])
+
+    def finish(term: Termination, final_rates, *ends) -> tuple[Trajectory, np.ndarray]:
+        """The run, closed by the (t, state) pairs of ends that pass the gate
+        and come after the last record."""
+        for t_end, state in ends:
+            if t_end > times[-1] and admitted(state[None]):
+                record([t_end], state[None])
         final_max = float(_max(np.abs(final_rates[:n]))) if final_rates is not None else math.inf
         states = np.concatenate(blocks)
         return Trajectory(
@@ -398,13 +416,13 @@ def _integrate_canonical(
 
     values = np.append(u0.values[order], tracers)
     t = 0.0
-    record([0.0], values[None])
+    keep([t], values[None])
     try:
-        rates, den = atom_rates(0.0, values, weights, omega, pair, cfg.eps_den)
+        rates, den = atom_rates(t, values, weights, omega, pair, cfg.eps_den)
     except DenominatorVanishingError:
-        return finish(Termination.DENOMINATOR_VANISHING, None)
+        return finish(Termination.DENOMINATOR_VANISHING, None, (t, values))
     if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
-        return finish(Termination.STATIONARY, rates)
+        return finish(Termination.STATIONARY, rates, (t, values))
 
     dt = min(cfg.dt_init, cfg.dt_max)
     rec_count = 1
@@ -432,14 +450,9 @@ def _integrate_canonical(
                 dt = 0.5 * dt_try
                 rejected = True
                 continue
-            if times[-1] != t:
-                record([t], values[None])
-            sv = exc.stage_values
-            if bool(_all(np.isfinite(sv[:n]))):
-                t_stage = t + exc.stage_fraction * dt_try
-                if t_stage > times[-1]:
-                    record([t_stage], sv[None])
-            return finish(Termination.DENOMINATOR_VANISHING, rates)
+            t_stage = t + exc.stage_fraction * dt_try
+            return finish(Termination.DENOMINATOR_VANISHING, rates,
+                          (t, values), (t_stage, exc.stage_values))
         else:
             err = dt_try * _combine(_DP_E, ks)[:n]
             scale = cfg.atol + cfg.rtol * np.maximum(np.abs(values[:n]), np.abs(new[:n]))
@@ -464,18 +477,16 @@ def _integrate_canonical(
                 # step control collapsed; decide whether the denominator
                 # obstruction (a finite-time crossing of the g-integral,
                 # unreachable by explicit steps) caused it
-                gv, _ = g_terms(values[:n], weights, pair)
-                if flip or abs(den) < guard_threshold(gv, omega, 1e-6):
-                    if times[-1] != t:
-                        record([t], values[None])
-                    return finish(Termination.DENOMINATOR_VANISHING, rates)
+                if flip or abs(den) < guard_threshold(pair.g(values[:n]), omega, 1e-6):
+                    return finish(Termination.DENOMINATOR_VANISHING, rates, (t, values))
                 raise NumericalFailureError(
                     "step size underflow (error control cannot proceed)", t, values
                 )
             continue
 
         t_new = cfg.t_max if last else t + dt_try
-        check_state(t_new, new)
+        if not admitted(new[None]):
+            raise refusal(t_new, new)
         t_recs = []
         while rec_count * cfg.record_every <= t_new:
             t_recs.append(rec_count * cfg.record_every)
@@ -484,19 +495,14 @@ def _integrate_canonical(
             block = _dp_dense(values, dt_try, ks, [(t_rec - t) / dt_try for t_rec in t_recs])
             if t_recs[-1] == t_new:
                 block[-1] = new  # a record on the step's end is the step's state
-            n_ok = valid_rows(block)
-            record(t_recs[:n_ok], block[:n_ok])
-            if n_ok < len(t_recs):
-                check_state(t_recs[n_ok], block[n_ok])  # raises
+            keep(t_recs, block)
 
         t, values, rates, den = t_new, new, ks[-1], den_new
 
         if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
             stationary_streak += 1
             if stationary_streak >= 2:
-                if times[-1] != t:
-                    record([t], values[None])
-                return finish(Termination.STATIONARY, rates)
+                return finish(Termination.STATIONARY, rates, (t, values))
         else:
             stationary_streak = 0
 
@@ -508,9 +514,7 @@ def _integrate_canonical(
             dt = min(dt, _DP_STABLE_DT_RHO / rho)
         rejected = False
 
-    if times[-1] != cfg.t_max:
-        record([cfg.t_max], values[None])
-    return finish(Termination.REACHED_TMAX, rates)
+    return finish(Termination.REACHED_TMAX, rates, (t, values))
 
 
 # -------------------------------------------------------- characteristic flow

@@ -73,41 +73,6 @@ def dissipation_constant(
 
 
 @dataclass(frozen=True)
-class EnergyRecord:
-    """Pointwise energy data of a field under one hypothesis index.
-
-    ``dissipation`` is nonpositive (up to roundoff) whenever the field
-    lies inside the regime's invariant region; ``C_constant`` is None
-    when no positive constant exists (H2, degenerate intervals).
-    """
-
-    hypothesis_index: int
-    value: float
-    dissipation: float
-    C_constant: float | None
-
-
-def energy_record(
-    u: AtomField,
-    pair: NonlinearityPair,
-    hyp: HypothesisClass,
-    eps_den: float | None = None,
-) -> EnergyRecord:
-    """Bundle energy, dissipation rate and the regime's constant for a field."""
-    i = hyp.energy_index
-    try:
-        c = dissipation_constant(hyp, pair)
-    except DissipationUnavailableError:
-        c = None
-    return EnergyRecord(
-        hypothesis_index=i,
-        value=lyapunov(u, pair, i),
-        dissipation=dissipation_rate(u, pair, i, eps_den),
-        C_constant=c,
-    )
-
-
-@dataclass(frozen=True)
 class EnergyLimit:
     """Estimated energy limit with the last-decade variation as error bar."""
 
@@ -144,8 +109,6 @@ __all__ = [
     "lyapunov",
     "dissipation_rate",
     "dissipation_constant",
-    "EnergyRecord",
-    "energy_record",
     "EnergyLimit",
     "energy_limit",
 ]

@@ -30,14 +30,6 @@ from .errors import (
 
 FUNCTIONS = ("exp", "log", "tanh", "sin", "cos")
 
-_NUMPY_FUNCS = {
-    "exp": np.exp,
-    "log": np.log,
-    "tanh": np.tanh,
-    "sin": np.sin,
-    "cos": np.cos,
-}
-
 
 # ---------------------------------------------------------------- AST nodes
 
@@ -160,7 +152,7 @@ class _Parser:
             folded = _fold(exponent)
             if not isinstance(folded, Const) or not math.isfinite(folded.value):
                 raise ExprSyntaxError(
-                    _offset_of(exponent),
+                    exponent.offset,
                     {"finite constant exponent"},
                     "non-constant expression",
                 )
@@ -194,10 +186,6 @@ class _Parser:
             self.advance()
             return node
         self.fail({"number", "identifier", "(", "-"})
-
-
-def _offset_of(node: ExprAst) -> int:
-    return node.offset
 
 
 def parse(text: str, var: str = "u") -> ExprAst:

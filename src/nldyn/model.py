@@ -63,8 +63,8 @@ class HypothesisClass:
     """Which initial-data regime holds, with the quantities that decide it.
 
     ``tag`` is 'H1', 'H2', 'H3' or None. ``essinf_a``/``esssup_b`` are the
-    extreme atom values; ``integral_g_u0`` is the exact weighted sum of g
-    over the initial field.
+    extreme atom values; ``integral_g_u0`` is the weighted sum of g over
+    the initial field, pairwise in canonical order.
     """
 
     tag: str | None
@@ -233,17 +233,6 @@ _all = np.logical_and.reduce
 _max = np.maximum.reduce
 
 
-def g_terms(values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
-    """g at the atom values, and the terms w * g of the g-integral."""
-    gv = np.asarray(pair.g(values), dtype=float)
-    return gv, weights * gv
-
-
-def g_integral(wg: np.ndarray) -> float:
-    """The g-integral from its terms w * g, summed pairwise in the order given."""
-    return float(_sum(wg))
-
-
 def multiplier(t: float, values: np.ndarray, weights: np.ndarray, pair: NonlinearityPair):
     """g and p at the atoms, the multiplier lam and the g-integral (unguarded).
 
@@ -357,7 +346,7 @@ def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClas
     a = float(np.min(u0.values))
     b = float(np.max(u0.values))
     _, values, weights = canonical_atoms(u0)
-    integral_g = g_integral(g_terms(values, weights, pair)[1])
+    integral_g = float(_sum(weights * np.asarray(pair.g(values), dtype=float)))
     tag = None
     if a >= 1.0 and b > 1.0:
         tag = "H1"
@@ -429,7 +418,7 @@ def lipschitz_bound(
         )
     )
     _, values, weights = canonical_atoms(u)
-    integral_g = g_integral(g_terms(values, weights, pair)[1])
+    integral_g = float(_sum(weights * np.asarray(pair.g(values), dtype=float)))
     omega = u.domain_measure
     alpha = abs(integral_g) - K * float(ball_radius) * omega
     if alpha <= 0.0:

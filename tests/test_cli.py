@@ -304,10 +304,13 @@ class TestCheck:
         cfg = _write(tmp_path, "h3.cfg", H3_CONFIG)
         assert cli.main(["check", cfg]) == 0
 
-    def test_corrupting_hook_fails_audit(self, tmp_path, monkeypatch):
+    def test_corrupted_run_fails_audit(self, tmp_path, monkeypatch):
         import dataclasses
 
-        def corrupt(tr):
+        integrate = cli.dynamics.integrate
+
+        def corrupt(*args, **kwargs):
+            tr = integrate(*args, **kwargs)
             values = tr.values.copy()
             mid = len(values) // 2
             values[mid, 0] += 0.05
@@ -315,7 +318,7 @@ class TestCheck:
             masses[mid] += 0.05 * tr.weights[0]
             return dataclasses.replace(tr, values=values, mass_series=masses)
 
-        monkeypatch.setattr(cli, "_trajectory_hook", corrupt)
+        monkeypatch.setattr(cli.dynamics, "integrate", corrupt)
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         assert cli.main(["check", cfg]) == 1
 
@@ -337,13 +340,16 @@ class TestCheck:
         # record keeps its staircase, but the atoms cross
         import dataclasses
 
-        def swap(tr):
+        integrate = cli.dynamics.integrate
+
+        def swap(*args, **kwargs):
+            tr = integrate(*args, **kwargs)
             values = tr.values.copy()
             mid = len(values) // 2
             values[mid:] = values[mid:, ::-1]
             return dataclasses.replace(tr, values=values)
 
-        monkeypatch.setattr(cli, "_trajectory_hook", swap)
+        monkeypatch.setattr(cli.dynamics, "integrate", swap)
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         assert cli.main(["check", cfg]) == 1
         out = capsys.readouterr().out

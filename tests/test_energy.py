@@ -107,26 +107,24 @@ class TestDissipationConstant:
             assert diss <= bound + 1e-9
 
 
-class TestEnergyRecord:
-    def test_h1_bundle(self, logistic):
-        from nldyn import classify_hypothesis, energy_record
-
+class TestEnergyOfAField:
+    def test_h1_values(self, logistic):
         u = AtomField([2.0, 1.5], [0.5, 0.5], 1.0)
-        rec = energy_record(u, logistic, classify_hypothesis(u, logistic))
-        assert rec.hypothesis_index == 1
-        assert rec.value == lyapunov(u, logistic, 1)
-        assert rec.dissipation == pytest.approx(-3.0 / 44.0, abs=1e-14)
-        assert rec.C_constant == pytest.approx(0.5, rel=1e-8)
-        assert rec.dissipation <= 1e-12
+        hyp = classify_hypothesis(u, logistic)
+        assert hyp.energy_index == 1
+        assert lyapunov(u, logistic, 1) == pytest.approx(0.5 * (2.0 + 1.125), abs=1e-15)
+        diss = dissipation_rate(u, logistic, 1)
+        assert diss == pytest.approx(-3.0 / 44.0, abs=1e-14)
+        assert diss <= 1e-12
+        assert dissipation_constant(hyp, logistic) == pytest.approx(0.5, rel=1e-8)
 
     def test_h2_constant_unavailable(self, logistic):
-        from nldyn import classify_hypothesis, energy_record
-
         u = AtomField([0.7, 0.3], [0.5, 0.5], 1.0)
-        rec = energy_record(u, logistic, classify_hypothesis(u, logistic))
-        assert rec.hypothesis_index == 2
-        assert rec.C_constant is None
-        assert rec.dissipation <= 1e-12
+        hyp = classify_hypothesis(u, logistic)
+        assert hyp.energy_index == 2
+        with pytest.raises(DissipationUnavailableError):
+            dissipation_constant(hyp, logistic)
+        assert dissipation_rate(u, logistic, 2) <= 1e-12
 
 
 class TestEnergyLimit:

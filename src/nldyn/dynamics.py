@@ -23,7 +23,12 @@ are outputs, are summed exactly. Records are stored in the input order.
 
 Values are never clamped and mass is never projected back: drift and
 region violations are diagnostics of integrator health, and violations
-beyond 1e-6 abort the run.
+beyond 1e-6 abort the run. The one projection is onto the atom order:
+the exact flow keeps the atoms in order (they share one characteristic
+equation), but an explicit step rounds each atom on its own, so atoms
+that settle on one plateau can cross by an ulp. Each state the run keeps
+is therefore projected onto the ordered cone, which leaves an ordered
+state, exact ties included, bit for bit as it is.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ _ENERGY_MONOTONE_TOL = 1e-9
 _all = np.logical_and.reduce
 _max = np.maximum.reduce
 _min = np.minimum.reduce
+_cummin = np.minimum.accumulate
 
 
 class Termination(str, Enum):
@@ -276,9 +282,11 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     are recorded on the uniform grid k*record_every, plus the final
     state: the grid times inside an accepted step form one block of rows
     of its 4th-order continuous extension (a grid time on the step's end
-    takes the step's own state), checked for finiteness and the region
-    at once; each row then evaluates the rate kernel once for the
-    multiplier and the dissipation sum. Stationarity (max |rate| <
+    takes the step's own state). Every state the run keeps, accepted
+    or recorded, passes one gate: its atoms must be finite and inside
+    the hypothesis's region, and are then projected onto their order.
+    Each record row evaluates the rate kernel once for the multiplier
+    and the dissipation sum. Stationarity (max |rate| <
     stat_tol on two consecutive accepted steps) and the denominator
     guard terminate the run early; both are recorded as termination
     tags, not raised.
@@ -313,6 +321,14 @@ def _integrate_canonical(
     state_order = np.append(order, np.arange(n, n + len(tracers)))
     sign = hyp.energy_sign
 
+    start = u0.values[order]
+    tracers = np.asarray(tracers, dtype=float)
+    # a tracer started on an atom's value shares that atom's projection
+    # onto the ordered cone, so it stays equal to the atom bit for bit
+    lead = np.searchsorted(-start, -tracers)  # first atom at or below the start
+    carried = np.flatnonzero(start[np.minimum(lead, n - 1)] == tracers)
+    lead = lead[carried]
+
     region = None
     if hyp.region is not None:
         lo, hi = hyp.region
@@ -330,14 +346,22 @@ def _integrate_canonical(
 
         The gate is the one test every state the run keeps passes, as its
         current state or as a record: finite atoms, inside the region of
-        the hypothesis widened by _REGION_ABORT_TOL.
+        the hypothesis widened by _REGION_ABORT_TOL. The states it passes
+        are projected in place onto the ordered cone: the atoms, in
+        canonical order, by their running minimum, and each tracer that
+        started on an atom's value by that atom's projected value.
         """
         atoms = block[:, :n]
         ok = _all(np.isfinite(atoms), axis=1)
         if region is not None:
             ok &= (_min(atoms, axis=1) >= region[0]) & (_max(atoms, axis=1) <= region[1])
         bad = np.flatnonzero(~ok)
-        return int(bad[0]) if bad.size else ok.size
+        k = int(bad[0]) if bad.size else ok.size
+        kept = block[:k]
+        kept[:, :n] = _cummin(kept[:, :n], axis=1)
+        if carried.size:
+            kept[:, n + carried] = np.minimum(kept[:, n + carried], kept[:, lead])
+        return k
 
     def refusal(t: float, vals: np.ndarray) -> NumericalFailureError:
         """The failure of the state vals at time t, which the gate refused."""
@@ -414,7 +438,7 @@ def _integrate_canonical(
             pair=pair,
         ), states[:, n:]
 
-    values = np.append(u0.values[order], tracers)
+    values = np.append(start, tracers)
     t = 0.0
     keep([t], values[None])
     try:

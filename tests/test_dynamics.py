@@ -26,7 +26,7 @@ from nldyn import (
     rearrange,
     verify_trajectory,
 )
-from nldyn import field as field_mod
+from nldyn import dynamics, field as field_mod
 from nldyn.dynamics import _dp_attempt, _dp_dense, _integrate_canonical
 from nldyn.energy import lyapunov
 from nldyn.model import atom_rates, dissipation_sum, multiplier
@@ -435,6 +435,33 @@ class TestColumnarTrajectory:
         assert info.value.t == h1_run.times[k]
         assert np.array_equal(info.value.values, h1_run.values[k])
 
+    @pytest.mark.parametrize("bad, match", [(np.nan, "non-finite atom value"),
+                                            (2.5, "invariant region violated")])
+    def test_gate_refuses_a_record_row(self, h1_run, logistic, monkeypatch, bad, match):
+        """A dense record row that is not finite, or that leaves the region
+        while the step's own state stays inside, raises with its own time
+        and values, after the records before it."""
+        dense = dynamics._dp_dense
+        recorded = [1]  # rows so far, the initial state's included
+        corrupted = []  # (record index, the corrupted row)
+
+        def corrupt(values, dt, ks, thetas):
+            block = dense(values, dt, ks, thetas)
+            if not corrupted and len(thetas) >= 3:
+                block[1, 0] = bad
+                corrupted.append((recorded[0] + 1, block[1].copy()))
+            recorded[0] += len(thetas)
+            return block
+
+        monkeypatch.setattr(dynamics, "_dp_dense", corrupt)
+        u0 = AtomField([2.0, 1.5], [0.5, 0.5], 1.0)
+        with pytest.raises(NumericalFailureError, match=match) as info:
+            integrate(u0, logistic, h1_run.config)
+        k, row = corrupted[0]
+        assert info.value.t == h1_run.times[k]
+        assert np.array_equal(info.value.values, row, equal_nan=True)
+        assert row[1] == h1_run.values[k, 1]
+
 
 class TestCanonicalOrder:
     """integrate runs on the atoms in canonical order, fixed at t = 0."""
@@ -763,6 +790,25 @@ class TestCharacteristicFlow:
         values[-1, 0] += 1e-12
         with pytest.raises(ValueError, match="does not reproduce"):
             characteristic_flow(1.75, dataclasses.replace(h1_run, values=values), logistic)
+
+    def test_reproduces_atoms_where_the_order_projection_acts(self, monkeypatch):
+        """300 samples of 1 + x under logistic-cubic settle on one plateau,
+        where atoms cross by an ulp unless each kept state is projected onto
+        the ordered cone. A tracer started on each atom's value shares its
+        atom's projection and retraces the atom bit for bit."""
+        pair = builtin_model("logistic-cubic")
+        u0 = from_samples((1.0 + (np.arange(300) + 0.5) / 300).tolist(), 1.0)
+        cfg = IntegratorConfig(t_max=200.0)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_cummin", lambda a, axis: a)
+            crossed = integrate(u0, pair, cfg)
+        tr = integrate(u0, pair, cfg)
+        for run, passed in ((crossed, False), (tr, True)):
+            report = verify_trajectory(run, pair, run.hypothesis)
+            row = next(c for c in report.checks if c.name == "order-preservation")
+            assert row.passed is passed, row
+        y = characteristic_flow(u0.values, tr, pair)
+        assert y.tobytes() == np.ascontiguousarray(tr.values.T).tobytes()
 
     def test_non_finite_tracer_raises(self, h1_run, logistic):
         """A p that is infinite at the tracer's start, and nowhere the atoms

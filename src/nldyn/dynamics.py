@@ -21,14 +21,14 @@ sums in that order, so the run does not depend on how the initial field
 lists its atoms; only the recorded mass, energy and dissipation, which
 are outputs, are summed exactly. Records are stored in the input order.
 
-Values are never clamped and mass is never projected back: drift and
-region violations are diagnostics of integrator health, and violations
-beyond 1e-6 abort the run. The one projection is onto the atom order:
-the exact flow keeps the atoms in order (they share one characteristic
-equation), but an explicit step rounds each atom on its own, so atoms
-that settle on one plateau can cross by an ulp. Each state the run keeps
-is therefore projected onto the ordered cone, which leaves an ordered
-state, exact ties included, bit for bit as it is.
+Values are never clamped into the region and mass is never projected
+back: drift and region violations are diagnostics of integrator health,
+and violations beyond 1e-6 abort the run. The one projection is onto
+the atom order: the exact flow keeps the atoms in order (they share one
+characteristic equation), but an explicit step rounds each atom on its
+own, so atoms that settle on one plateau can cross by an ulp. Each state
+the run keeps is therefore projected onto the ordered cone, which leaves
+an ordered state, exact ties included, bit for bit as it is.
 """
 
 from __future__ import annotations

@@ -116,9 +116,13 @@ class Trajectory:
 
     ``values`` is a read-only (K, n) array: row k is the state at
     ``times[k]``, over the run's fixed ``weights`` and atom order.
-    ``snapshots`` shows the rows as AtomFields. The termination tag
-    DenominatorVanishing realizes the blow-up alternative (the
-    g-integral reached the guard in finite time).
+    ``snapshots`` shows the rows as AtomFields. ``dissipated`` is
+    (t, integral of the dissipation over [0, t]) for t the last accepted
+    step's time: the energy rate integrated alongside the atoms, on their
+    own stages and steps, so it carries the step error rather than the
+    record grid's. It is no record, and no output file holds it. The
+    termination tag DenominatorVanishing realizes the blow-up alternative
+    (the g-integral reached the guard in finite time).
     """
 
     times: np.ndarray
@@ -129,6 +133,7 @@ class Trajectory:
     mass_series: np.ndarray
     energy_series: np.ndarray
     dissipation_series: np.ndarray
+    dissipated: tuple[float, float]
     termination: Termination
     hypothesis: HypothesisClass
     final_max_rhs: float
@@ -166,16 +171,11 @@ class Trajectory:
         for head, row in zip(series, self.values):
             file.write(row_format % (*head, *row.tolist()))
 
-    @property
-    def energy_index(self) -> int:
-        """Lyapunov index of the run's regime."""
-        return self.hypothesis.energy_index
-
 
 # ------------------------------------------------------ Dormand-Prince 5(4)
 
 # Nodes and rows of the Dormand & Prince (1980) tableau for stages 2..7.
-# The last row is the 5th-order solution, so stage 7 is the rate at the
+# The last row holds the 5th-order weights, so stage 7 is the rate at the
 # new state and serves as the next step's stage 1 (FSAL).
 _DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
@@ -218,35 +218,37 @@ def _combine(coeffs, ks) -> np.ndarray:
     return acc
 
 
-def _dp_attempt(t, values, k1, dt, weights, omega, pair, eps_den):
-    """One Dormand-Prince attempt from (t, values) with first stage k1.
+def _dp_attempt(t, values, k1, d1, dt, weights, omega, pair, eps_den):
+    """One Dormand-Prince attempt from (t, values) with first stage rates k1
+    and dissipation sum d1.
 
-    Returns the 5th-order values, the seven stage rates (the last is the
-    rate at the new values), the g-integral at the new values and an
-    estimate of the Jacobian's largest eigenvalue. A guard trip raises
-    DenominatorVanishingError carrying the stage state and its step
-    fraction. Entries of ``values`` past the atoms are passive tracers
+    Returns the 5th-order values, the seven stage rates and dissipation
+    sums (the last are those at the new values), the g-integral at the new
+    values and an estimate of the Jacobian's largest eigenvalue. A guard
+    trip raises DenominatorVanishingError carrying the stage state and its
+    step fraction. Entries of ``values`` past the atoms are passive tracers
     (``model.atom_rates``); they stay out of the eigenvalue estimate.
     """
-    ks = [k1]
+    ks, ds = [k1], [d1]
     v = values
     for c, row in zip(_DP_C, _DP_A):
         v6, v = v, values + dt * _combine(row, ks)
         try:
-            k, den = atom_rates(t + c * dt, v, weights, omega, pair, eps_den)
+            k, den, d = atom_rates(t + c * dt, v, weights, omega, pair, eps_den)
         except DenominatorVanishingError as exc:
             # let the driver know where inside the step the guard tripped
             exc.stage_values = v
             exc.stage_fraction = c
             raise
         ks.append(k)
+        ds.append(d)
     # stages 6 and 7 share the time t + dt: their rate difference over
     # their state difference estimates the Jacobian's largest eigenvalue
     # (Hairer & Wanner, Solving ODEs II, IV.2)
     n = weights.size
     dv = float(_max(np.abs(v[:n] - v6[:n])))
     rho = float(_max(np.abs(ks[6][:n] - ks[5][:n]))) / dv if dv > 0.0 else 0.0
-    return v, ks, den, rho
+    return v, ks, ds, den, rho
 
 
 def _dp_dense(values, dt, ks, thetas: list[float]) -> np.ndarray:
@@ -285,11 +287,12 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     takes the step's own state). Every state the run keeps, accepted
     or recorded, passes one gate: its atoms must be finite and inside
     the hypothesis's region, and are then projected onto their order.
-    Each record row evaluates the rate kernel once for the multiplier
-    and the dissipation sum. Stationarity (max |rate| <
-    stat_tol on two consecutive accepted steps) and the denominator
-    guard terminate the run early; both are recorded as termination
-    tags, not raised.
+    The dissipation is integrated alongside the atoms, with each step's
+    5th-order weights (``Trajectory.dissipated``). Each record row
+    evaluates the rate kernel once for the multiplier and the dissipation
+    sum. Stationarity (max |rate| < stat_tol on two consecutive accepted
+    steps) and the denominator guard terminate the run early; both are
+    recorded as termination tags, not raised.
 
     The atoms are integrated in ``field.canonical_order``, fixed at t = 0,
     so the rate kernel's pairwise sums, and with them the whole run, do
@@ -311,6 +314,9 @@ def _integrate_canonical(
     atoms of weight zero (``model.atom_rates``), follow the atoms in the
     state through every stage, step and record, but stay out of all that
     decides the run, so the trajectory is the same with or without them.
+    They stay out of the order projection too: a tracer started on an
+    atom's value equals that atom bit for bit only while the projection
+    leaves the atoms as they are.
     """
     hyp = classify_hypothesis(u0, pair)
     weights = u0.weights[order]
@@ -320,14 +326,6 @@ def _integrate_canonical(
     # tracers keep their place when a block goes back to the input order
     state_order = np.append(order, np.arange(n, n + len(tracers)))
     sign = hyp.energy_sign
-
-    start = u0.values[order]
-    tracers = np.asarray(tracers, dtype=float)
-    # a tracer started on an atom's value shares that atom's projection
-    # onto the ordered cone, so it stays equal to the atom bit for bit
-    lead = np.searchsorted(-start, -tracers)  # first atom at or below the start
-    carried = np.flatnonzero(start[np.minimum(lead, n - 1)] == tracers)
-    lead = lead[carried]
 
     region = None
     if hyp.region is not None:
@@ -346,10 +344,9 @@ def _integrate_canonical(
 
         The gate is the one test every state the run keeps passes, as its
         current state or as a record: finite atoms, inside the region of
-        the hypothesis widened by _REGION_ABORT_TOL. The states it passes
-        are projected in place onto the ordered cone: the atoms, in
-        canonical order, by their running minimum, and each tracer that
-        started on an atom's value by that atom's projected value.
+        the hypothesis widened by _REGION_ABORT_TOL. The atoms of the
+        states it passes are projected in place onto the ordered cone: in
+        canonical order, by their running minimum.
         """
         atoms = block[:, :n]
         ok = _all(np.isfinite(atoms), axis=1)
@@ -359,8 +356,6 @@ def _integrate_canonical(
         k = int(bad[0]) if bad.size else ok.size
         kept = block[:k]
         kept[:, :n] = _cummin(kept[:, :n], axis=1)
-        if carried.size:
-            kept[:, n + carried] = np.minimum(kept[:, n + carried], kept[:, lead])
         return k
 
     def refusal(t: float, vals: np.ndarray) -> NumericalFailureError:
@@ -416,7 +411,8 @@ def _integrate_canonical(
 
     def finish(term: Termination, final_rates, *ends) -> tuple[Trajectory, np.ndarray]:
         """The run, closed by the (t, state) pairs of ends that pass the gate
-        and come after the last record."""
+        and come after the last record; the first end is the last accepted
+        state, where the dissipation integral stops."""
         for t_end, state in ends:
             if t_end > times[-1] and admitted(state[None]):
                 record([t_end], state[None])
@@ -431,6 +427,7 @@ def _integrate_canonical(
             mass_series=np.asarray(mass_series),
             energy_series=np.asarray(energy_series),
             dissipation_series=np.asarray(diss_series),
+            dissipated=(ends[0][0], sign * dissipated),
             termination=term,
             hypothesis=hyp,
             final_max_rhs=final_max,
@@ -438,11 +435,12 @@ def _integrate_canonical(
             pair=pair,
         ), states[:, n:]
 
-    values = np.append(start, tracers)
+    values = np.append(u0.values[order], tracers)
     t = 0.0
+    dissipated = 0.0  # the unsigned dissipation integral up to t
     keep([t], values[None])
     try:
-        rates, den = atom_rates(t, values, weights, omega, pair, cfg.eps_den)
+        rates, den, diss = atom_rates(t, values, weights, omega, pair, cfg.eps_den)
     except DenominatorVanishingError:
         return finish(Termination.DENOMINATOR_VANISHING, None, (t, values))
     if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
@@ -460,8 +458,8 @@ def _integrate_canonical(
             dt_try = cfg.t_max - t
 
         try:
-            new, ks, den_new, rho = _dp_attempt(
-                t, values, rates, dt_try, weights, omega, pair, cfg.eps_den
+            new, ks, ds, den_new, rho = _dp_attempt(
+                t, values, rates, diss, dt_try, weights, omega, pair, cfg.eps_den
             )
         except NumericalFailureError:
             # a stage state left the range where g and p are finite: the
@@ -521,7 +519,8 @@ def _integrate_canonical(
                 block[-1] = new  # a record on the step's end is the step's state
             keep(t_recs, block)
 
-        t, values, rates, den = t_new, new, ks[-1], den_new
+        dissipated += dt_try * _combine(_DP_A[-1], ds)
+        t, values, rates, diss, den = t_new, new, ks[-1], ds[-1], den_new
 
         if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
             stationary_streak += 1
@@ -543,46 +542,47 @@ def _integrate_canonical(
 
 # -------------------------------------------------------- characteristic flow
 
-def characteristic_flow(s0, companion: Trajectory, pair: NonlinearityPair) -> np.ndarray:
-    """s0 carried by ds/dt = g(s)(p(s) - lam(t)), at each of the companion's records.
+def characteristic_flow(s0, run: Trajectory) -> np.ndarray:
+    """s0 carried by ds/dt = g(s)(p(s) - lam(t)), at each of the run's records.
 
-    Re-integrates the companion's initial field under its config with a
-    passive tracer at s0, an atom of weight zero on the atoms' own steps:
-    started on an atom's value it retraces that atom bit for bit, at 0 or
-    1 it stays there, and elsewhere its error follows the atoms' steps.
-    A 1-D array of starts runs as that many tracers in the one re-run and
-    gives a (starts, records) array whose row i equals the call on start
-    i alone, bit for bit; a scalar start gives its 1-D series.
+    A start on an atom's initial value is that atom's recorded series.
+    Any other start is carried as a passive tracer, an atom of weight zero
+    on the atoms' own steps, through a re-run of the run's initial field
+    under its pair and config: at 0 or 1 it stays there, and elsewhere its
+    error follows the atoms' steps. A 1-D array of starts gives a
+    (starts, records) array whose row i equals the call on start i alone,
+    bit for bit; a scalar start gives its 1-D series.
     Raises ValueError when a start is not finite or lies outside
     [min(ess inf u0, 0), max(ess sup u0, 1)], where the exact flow keeps
     it between atoms or the roots of g, and when the re-run does not
-    reproduce the companion bit for bit (another pair, or a trajectory
-    not made by ``integrate``); NumericalFailureError when a tracer
-    turns non-finite.
+    reproduce the run bit for bit (a trajectory not made by
+    ``integrate``); NumericalFailureError when a tracer turns non-finite.
     """
     starts = np.asarray(s0, dtype=float)
     if starts.ndim > 1:
         raise ValueError(f"tracer starts must be a scalar or a 1-D array, got shape {starts.shape}")
-    flat = starts.reshape(-1)
-    u0 = companion.snapshots[0]
+    flat = starts.reshape(-1).tolist()
+    u0 = run.snapshots[0]
     lo = min(float(np.min(u0.values)), 0.0)
     hi = max(float(np.max(u0.values)), 1.0)
-    for start in flat.tolist():
+    for start in flat:
         if not lo <= start <= hi:
             raise ValueError(f"tracer start {start!r} outside [{lo!r}, {hi!r}]")
+    atom_of = {v: j for j, v in enumerate(u0.values.tolist())}
+    others = [v for v in flat if v not in atom_of]
     order = field_mod.canonical_order(u0.values, u0.weights)
-    try:
-        # a tracer that overflows is reported below; the atoms repeat a run
-        # that has already completed
-        with input_order(order), np.errstate(over="ignore", invalid="ignore"):
-            run, tracers = _integrate_canonical(u0, order, pair, companion.config, flat)
-    except NumericalFailureError as exc:
-        raise ValueError(f"the companion's run does not reproduce: {exc}") from exc
-    for got, want in ((run.times, companion.times), (run.values, companion.values)):
+    # a tracer that overflows is reported below; the atoms repeat a run that
+    # has already completed
+    with input_order(order), np.errstate(over="ignore", invalid="ignore"):
+        rerun, tracers = _integrate_canonical(u0, order, run.pair, run.config, others)
+    for got, want in ((rerun.times, run.times), (rerun.values, run.values)):
         want = np.asarray(want, dtype=float)
         if got.shape != want.shape or got.tobytes() != want.tobytes():
-            raise ValueError("the companion's run does not reproduce under this pair and config")
-    s = tracers.T.copy()
+            raise ValueError("the run does not reproduce under its pair and config")
+    s = np.empty((len(flat), run.times.size))
+    carried = iter(tracers.T)
+    for i, start in enumerate(flat):
+        s[i] = run.values[:, atom_of[start]] if start in atom_of else next(carried)
     bad = np.flatnonzero(~_all(np.isfinite(s), axis=0))
     if bad.size:
         k = int(bad[0])
@@ -621,17 +621,17 @@ class TrajectoryReport:
         return out
 
 
-def verify_trajectory(
-    tr: Trajectory, pair: NonlinearityPair, hyp: HypothesisClass
-) -> TrajectoryReport:
+def verify_trajectory(tr: Trajectory) -> TrajectoryReport:
     """Bundled invariant audit of a completed trajectory.
 
     Reports mass conservation, atom-order preservation, and the invariant
-    region, multiplier bound and energy monotonicity for the hypothesis.
-    Each check is one array pass over the recorded values.
+    region, multiplier bound and energy monotonicity for the run's
+    hypothesis under its pair. Each check is one array pass over the
+    recorded values.
     """
     checks: list[CheckResult] = []
     vals = tr.values
+    hyp = tr.hypothesis
 
     m0 = float(tr.mass_series[0])
     mass_tol = 1e-6 * max(abs(m0), 1e-12)
@@ -675,7 +675,7 @@ def verify_trajectory(
             )
         )
 
-        bound = max(abs(float(pair.p(lo))), abs(float(pair.p(hi))))
+        bound = max(abs(float(tr.pair.p(lo))), abs(float(tr.pair.p(hi))))
         finite = np.isfinite(tr.lambda_series)
         if not np.all(finite):
             checks.append(

@@ -101,7 +101,7 @@ def energy_limit(tr: Trajectory) -> EnergyLimit:
     return EnergyLimit(
         value=float(tr.energy_series[-1]),
         error_bar=error_bar,
-        index=tr.energy_index,
+        index=tr.hypothesis.energy_index,
     )
 
 

@@ -45,10 +45,6 @@ class DenominatorVanishingError(NldynError):
         )
 
 
-class BallTooLargeError(NldynError):
-    """No positive lower bound on |integral of g| holds on the requested ball."""
-
-
 class FieldError(NldynError):
     """Invalid atom field construction or ingestion input."""
 

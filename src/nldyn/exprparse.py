@@ -651,7 +651,6 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
     g_ast = parse(g_text)
     p_ast = parse(p_text)
     g = to_callable(g_ast)
-    g_prime = to_callable(differentiate(g_ast))
     p = to_callable(p_ast)
     p_prime = to_callable(differentiate(p_ast))
     closed = antiderivative(p_ast)
@@ -672,7 +671,6 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
 
     pair = _model.NonlinearityPair(
         g=g,
-        g_prime=g_prime,
         p=p,
         p_prime=p_prime,
         antideriv_P=quadrature if closed is None else closed,

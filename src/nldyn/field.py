@@ -15,6 +15,7 @@ independent of atom order too.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -84,10 +85,7 @@ class AtomField:
 
     def normalize(self) -> "AtomField":
         """Canonical form: values strictly decreasing, equal values merged."""
-        groups = _group_by_value(self.values, self.weights)
-        vals = [v for v, _ in groups]
-        wts = [w for _, w in groups]
-        return AtomField(vals, wts, self.domain_measure)
+        return AtomField(*_group_by_value(self.values, self.weights), self.domain_measure)
 
     @property
     def is_canonical(self) -> bool:
@@ -145,23 +143,32 @@ class StepProfile:
         return pts
 
 
-def _group_by_value(values: np.ndarray, weights: np.ndarray) -> list[tuple[float, float]]:
-    """(value, merged weight) pairs sorted by value descending; exact merge."""
+def _group_by_value(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The distinct values, descending, and the exact (fsum) merged weight of each.
+
+    Atoms are taken in the order ``argsort(values, stable)[::-1]``; a group's
+    value is its last member's, which fixes the sign of a zero plateau.
+    """
     order = np.argsort(values, kind="stable")[::-1]
-    groups: list[tuple[float, float]] = []
-    members: list[float] = []
-    current = None
-    for idx in order:
-        v = float(values[idx])
-        if current is None or v == current:
-            members.append(float(weights[idx]))
-            current = v
-        else:
-            groups.append((current, math.fsum(members)))
-            current = v
-            members = [float(weights[idx])]
-    groups.append((current, math.fsum(members)))
-    return groups
+    v = values[order]
+    w = weights[order].tolist()
+    cuts = np.flatnonzero(v[1:] != v[:-1]) + 1
+    starts, ends = [0, *cuts.tolist()], [*cuts.tolist(), v.size]
+    return v[np.asarray(ends) - 1], [math.fsum(w[a:b]) for a, b in zip(starts, ends)]
+
+
+def _prefix_sums(weights: list[float]) -> list[float]:
+    """0 and the exact prefix sums of the weights, each rounded once, as by
+    ``math.fsum``.
+
+    Every weight is an integer multiple of 1/D, D the largest power-of-two
+    denominator among them, so the prefix sums are sums of integers, and
+    one int / int division rounds each correctly. Linear in the number of
+    weights, where an fsum per prefix is quadratic.
+    """
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = max((d for _, d in ratios), default=1)
+    return [s / den for s in itertools.accumulate((n * (den // d) for n, d in ratios), initial=0)]
 
 
 # ------------------------------------------------------------------ builders
@@ -215,8 +222,8 @@ def integral_of(u: AtomField, h: Callable) -> float:
 
 def distribution(u: AtomField, s: float) -> float:
     """Measure of the superlevel set {w > s}; nonincreasing, right-continuous."""
-    groups = _group_by_value(u.values, u.weights)
-    return math.fsum(w for v, w in groups if v > s)
+    values, weights = _group_by_value(u.values, u.weights)
+    return math.fsum(w for v, w in zip(values.tolist(), weights) if v > s)
 
 
 # ------------------------------------------------------------- rearrangement
@@ -225,18 +232,18 @@ def rearrange(u: AtomField) -> StepProfile:
     """Decreasing rearrangement of the field.
 
     Sorts atoms by value descending and lays them out on (0, |Omega|);
-    equal values merge into one plateau. The result is equimeasurable
-    with the input (identical distribution functions).
+    equal values merge into one plateau, which starts at the exact prefix
+    sum of the plateaus before it. The result is equimeasurable with the
+    input (identical distribution functions), up to the plateaus it omits:
+    one whose exact prefix sum does not advance past its start, since its
+    measure is below the ulp of its position (or a last plateau that the
+    rounded prefix sums push past |Omega|). Linear in the number of atoms
+    after the sort.
     """
-    groups = _group_by_value(u.values, u.weights)
-    values = [v for v, _ in groups]
-    bps = [0.0]
-    acc: list[float] = []
-    for _, w in groups[:-1]:
-        acc.append(w)
-        bps.append(math.fsum(acc))
-    bps.append(u.domain_measure)
-    return StepProfile(bps, values)
+    values, weights = _group_by_value(u.values, u.weights)
+    starts = np.array(_prefix_sums(weights[:-1]))
+    kept = np.diff(np.append(starts, u.domain_measure)) > 0.0
+    return StepProfile(np.append(starts[kept], u.domain_measure), values[kept])
 
 
 # ----------------------------------------------------------------- distances
@@ -274,8 +281,7 @@ def layout_l1_distance(u: AtomField, first: np.ndarray, second: np.ndarray) -> f
     """
     layouts = []
     for order in (first, second):
-        w = u.weights[order].tolist()
-        layouts += [np.array([math.fsum(w[:k]) for k in range(len(w) + 1)]), u.values[order]]
+        layouts += [np.array(_prefix_sums(u.weights[order].tolist())), u.values[order]]
     return _step_l1_distance(*layouts)
 
 

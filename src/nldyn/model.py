@@ -1,4 +1,4 @@
-"""Nonlinearities, the nonlocal rate, hypothesis classification, Lipschitz data.
+"""Nonlinearities, the nonlocal rate and hypothesis classification.
 
 The dynamics are driven by two scalar functions: a rate factor g with
 g(0) = g(1) = 0, positive on (0, 1) and negative outside [0, 1], and a
@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    BallTooLargeError,
     DenominatorVanishingError,
     ModelValidationError,
     NumericalFailureError,
@@ -38,7 +37,7 @@ ScalarFn = Callable[[float], float]
 
 @dataclass(frozen=True)
 class NonlinearityPair:
-    """The model functions g, p, their derivatives and the antiderivative of p.
+    """The model functions g and p, the derivative of p and its antiderivative.
 
     All callables accept scalars and numpy arrays of any shape and return
     that shape, so no caller needs ``field.atomwise``'s per-value
@@ -50,7 +49,6 @@ class NonlinearityPair:
     """
 
     g: ScalarFn
-    g_prime: ScalarFn
     p: ScalarFn
     p_prime: ScalarFn
     antideriv_P: ScalarFn
@@ -96,22 +94,11 @@ class HypothesisClass:
         return {"H1": (1.0, b), "H2": (0.0, 1.0), "H3": (a, 0.0)}.get(self.tag)
 
 
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """Constants of the local Lipschitz bound for the nonlocal rate."""
-
-    K: float
-    alpha: float
-    L: float
-    ball_radius: float
-
-
 # ----------------------------------------------------------------- builtins
 
 def _logistic_identity() -> NonlinearityPair:
     return NonlinearityPair(
         g=lambda u: u * (1.0 - u),
-        g_prime=lambda u: 1.0 - 2.0 * u,
         p=lambda u: u * 1.0,
         p_prime=lambda u: 0.0 * u + 1.0,
         antideriv_P=lambda s: 0.5 * s * s,
@@ -123,7 +110,6 @@ def _logistic_identity() -> NonlinearityPair:
 def _logistic_cubic() -> NonlinearityPair:
     return NonlinearityPair(
         g=lambda u: u * (1.0 - u),
-        g_prime=lambda u: 1.0 - 2.0 * u,
         p=lambda u: u ** 3 + u,
         p_prime=lambda u: 3.0 * u * u + 1.0,
         antideriv_P=lambda s: 0.25 * s ** 4 + 0.5 * s * s,
@@ -286,21 +272,25 @@ def guarded_multiplier(t, values, weights, omega, pair, eps_den):
 
 
 def atom_rates(t, values, weights, omega, pair, eps_den):
-    """Per-atom rates g*(p - lam) and the g-integral at one state (guarded).
+    """Per-atom rates g*(p - lam), the g-integral and the dissipation sum at
+    one state (guarded).
 
-    Entries of ``values`` past the atoms that ``weights`` lists are passive
-    tracers, atoms of weight zero: each gets the rate g*(p - lam) with the
-    atoms' lam and enters neither lam nor the guard.
+    The dissipation sum is the pairwise sum of w*g*(p - lam)^2 over the
+    atoms, the energy rate of E_1 that the integrator carries alongside the
+    state. Entries of ``values`` past the atoms that ``weights`` lists are
+    passive tracers, atoms of weight zero: each gets the rate g*(p - lam)
+    with the atoms' lam and enters neither lam, the guard nor the sum.
     """
     n = weights.size
-    if values.size == n:
-        gv, pv, lam, den = guarded_multiplier(t, values, weights, omega, pair, eps_den)
-    else:
-        gv, pv, lam, den = guarded_multiplier(t, values[:n], weights, omega, pair, eps_den)
+    gv, pv, lam, den = guarded_multiplier(t, values[:n], weights, omega, pair, eps_den)
+    gap = pv - lam
+    rates = gv * gap
+    diss = float(_sum(weights * rates * gap))
+    if values.size > n:
         s = values[n:]
-        gv = np.concatenate([gv, np.asarray(pair.g(s), dtype=float)])
-        pv = np.concatenate([pv, np.asarray(pair.p(s), dtype=float)])
-    return gv * (pv - lam), den
+        carried = np.asarray(pair.g(s), dtype=float) * (np.asarray(pair.p(s), dtype=float) - lam)
+        rates = np.concatenate([rates, carried])
+    return rates, den, diss
 
 
 def dissipation_sum(weights: np.ndarray, gv: np.ndarray, pv: np.ndarray, lam: float) -> float:
@@ -386,58 +376,12 @@ def rhs(u: AtomField, pair: NonlinearityPair, eps_den: float | None = None) -> n
     return unpermute(rates, order)
 
 
-def lipschitz_bound(
-    u: AtomField,
-    pair: NonlinearityPair,
-    ball_radius: float,
-    n_samples: int = 100_000,
-) -> LipschitzEstimate:
-    """Local Lipschitz constant of the nonlocal rate on a sup-norm ball.
-
-    K is the dense-grid supremum of |f|, |g|, |f'|, |g'| (f = g*p) on
-    [-cbar, cbar] with cbar = sup|u| + ball_radius. The g-integral lower
-    bound alpha is estimated as |integral g(u)| - K * ball_radius * |Omega|;
-    a non-positive estimate raises BallTooLargeError. The bound is
-
-        L = K + 3 K^3 |Omega|^2 / alpha^2.
-    """
-    cbar = float(np.max(np.abs(u.values))) + float(ball_radius)
-    grid = np.linspace(-cbar, cbar, n_samples)
-    gv = np.asarray(pair.g(grid), dtype=float)
-    pv = np.asarray(pair.p(grid), dtype=float)
-    gpv = np.asarray(pair.g_prime(grid), dtype=float)
-    ppv = np.asarray(pair.p_prime(grid), dtype=float)
-    fv = gv * pv
-    fpv = gpv * pv + gv * ppv
-    K = float(
-        max(
-            np.max(np.abs(fv)),
-            np.max(np.abs(gv)),
-            np.max(np.abs(fpv)),
-            np.max(np.abs(gpv)),
-        )
-    )
-    _, values, weights = canonical_atoms(u)
-    integral_g = float(_sum(weights * np.asarray(pair.g(values), dtype=float)))
-    omega = u.domain_measure
-    alpha = abs(integral_g) - K * float(ball_radius) * omega
-    if alpha <= 0.0:
-        raise BallTooLargeError(
-            f"no positive g-integral bound on the ball: |integral g| = "
-            f"{abs(integral_g):.6e}, K * radius * |Omega| = {K * ball_radius * omega:.6e}"
-        )
-    L = K + 3.0 * K**3 * omega**2 / alpha**2
-    return LipschitzEstimate(K=K, alpha=alpha, L=L, ball_radius=float(ball_radius))
-
-
 __all__ = [
     "NonlinearityPair",
     "HypothesisClass",
-    "LipschitzEstimate",
     "builtin_model",
     "validate_pair",
     "classify_hypothesis",
     "lambda_of",
     "rhs",
-    "lipschitz_bound",
 ]

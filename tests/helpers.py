@@ -30,3 +30,42 @@ def random_h1_atoms(seed, count, n_max=7):
     for _ in range(count):
         n = int(rng.integers(2, n_max + 1))
         yield rng.uniform(1.01, 3.0, size=n), rng.uniform(0.1, 1.0, size=n)
+
+
+def group_by_value_reference(values, weights):
+    """(value, merged weight) pairs, value descending, one atom at a time.
+
+    The per-atom loop the field module grouped with before its numpy cuts:
+    atoms in the order argsort(values, stable)[::-1], each group's weight
+    an fsum of its members and its value the last member's.
+    """
+    order = np.argsort(values, kind="stable")[::-1]
+    groups = []
+    members = []
+    current = None
+    for idx in order:
+        v = float(values[idx])
+        if current is None or v == current:
+            members.append(float(weights[idx]))
+            current = v
+        else:
+            groups.append((current, math.fsum(members)))
+            current = v
+            members = [float(weights[idx])]
+    groups.append((current, math.fsum(members)))
+    return groups
+
+
+def prefix_sums_reference(weights):
+    """0 and every prefix sum of the weights, one math.fsum per prefix
+    (quadratic in the number of weights)."""
+    return [math.fsum(weights[:k]) for k in range(len(weights) + 1)]
+
+
+def rearrange_reference(u):
+    """Breakpoints and plateau values of u's decreasing rearrangement from the
+    two loops above, leaving out each plateau whose interval is empty."""
+    groups = group_by_value_reference(u.values, u.weights)
+    bps = prefix_sums_reference([w for _, w in groups[:-1]]) + [u.domain_measure]
+    kept = [k for k in range(len(groups)) if bps[k + 1] > bps[k]]
+    return [bps[k] for k in kept] + [u.domain_measure], [groups[k][0] for k in kept]

@@ -57,6 +57,27 @@ output.dir = "{out}"
 output.base = "wide"
 """
 
+# three atoms under logistic-cubic: the trapezoid rule on the record grid
+# missed the dissipation identity here by 6.6e-4 against a tol of 2.8e-6
+CUBIC_CONFIG = """\
+model.builtin = "logistic-cubic"
+domain.measure = 1.0
+initial.atoms = "2.0:0.3, 1.5:0.3, 1.0:0.4"
+integrator.t_max = 200.0
+output.dir = "{out}"
+output.base = "cubic"
+"""
+
+# the middle atom's measure is below the ulp of its position, 1.0, in the
+# rearrangement
+TINY_WEIGHT_CONFIG = """\
+model.builtin = "logistic-identity"
+domain.measure = 2.0
+initial.atoms = "2.0:1.0, 1.5:1e-20, 1.2:1.0"
+output.dir = "{out}"
+output.base = "tiny"
+"""
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -137,6 +158,14 @@ class TestSimulate:
         summary = (tmp_path / "out" / "wide.summary.txt").read_text()
         assert "pass  order-preservation             worst 0.000e+00" in summary
         assert "FAIL" not in summary
+
+    def test_tiny_weight_run_writes_every_output(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "tiny.cfg", TINY_WEIGHT_CONFIG)
+        assert cli.main(["simulate", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        for suffix in ("trajectory.csv", "profile.dat", "summary.txt"):
+            assert (tmp_path / "out" / f"tiny.{suffix}").stat().st_size > 0
+        assert cli.main(["check", cfg]) == 0
 
     def test_h1_run_outputs(self, tmp_path, capsys):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
@@ -375,13 +404,17 @@ class TestCheck:
 
     def test_wide_run_passes_order_preservation(self, tmp_path, capsys):
         cfg = _write(tmp_path, "wide.cfg", WIDE_CONFIG)
-        cli.main(["check", cfg])
+        assert cli.main(["check", cfg]) == 0
         out = capsys.readouterr().out
         assert "pass  order-preservation             worst 0.000e+00" in out
-        # the trapezoid-rule dissipation identity still fails this run
-        # (ROADMAP item 2); every other row passes
-        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
-        assert failed == ["dissipation-identity"]
+        assert "FAIL" not in out
+
+    def test_cubic_run_passes_dissipation_identity(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cubic.cfg", CUBIC_CONFIG)
+        assert cli.main(["check", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "pass  dissipation-identity" in out
+        assert "FAIL" not in out
 
     def test_sorted_initial_field_passes_commutation(self, tmp_path, capsys):
         # 100 samples of 1 + x are already sorted: the rearranged copy must
@@ -409,8 +442,6 @@ class TestCheck:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("atoms, reason", [
-        # H3, stationary at t = 1.46e-6 after two records
-        ("-60.0:0.5, -50.0:0.5", "skipped: 2 records, needs 3"),
         ("-0.5:0.5, 1.5:0.5", "skipped: no hypothesis"),
     ])
     def test_dissipation_skip_names_its_reason(self, tmp_path, capsys, atoms, reason):
@@ -424,6 +455,20 @@ class TestCheck:
         row, = (line for line in capsys.readouterr().out.splitlines()
                 if "dissipation-identity" in line)
         assert row.endswith(f"({reason})"), row
+
+    def test_two_record_run_checks_dissipation(self, tmp_path, capsys):
+        # H3, stationary at t = 1.46e-6 after two records: the integral
+        # carried on the steps needs no record grid
+        cfg = _write(tmp_path, "two.cfg", (
+            'model.builtin = "logistic-cubic"\n'
+            'initial.atoms = "-60.0:0.5, -50.0:0.5"\n'
+            'integrator.t_max = 1.0\n'
+            'output.dir = "{out}"\n'
+        ))
+        assert cli.main(["check", cfg]) == 0
+        row, = (line for line in capsys.readouterr().out.splitlines()
+                if "dissipation-identity" in line)
+        assert row.startswith("pass") and "skipped" not in row, row
 
     def test_large_energy_passes_predictor_residuals(self, tmp_path, capsys):
         # E near 2e6: the row bounds each residual relative to the size of

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import group_by_value_reference, prefix_sums_reference, rearrange_reference
 from nldyn import (
     AtomField,
     DomainMismatchError,
@@ -21,6 +22,7 @@ from nldyn import (
     profile_l1_distance,
     rearrange,
 )
+from nldyn import field as field_mod
 from nldyn.field import canonical_order, layout_l1_distance, staircase_lines
 
 RNG = np.random.default_rng(42)
@@ -32,6 +34,19 @@ _dyadic_weights = st.lists(st.integers(1, 16), min_size=1, max_size=8).map(
 )
 _values = st.lists(
     st.floats(-5, 5, allow_nan=False, allow_infinity=False), min_size=1, max_size=8
+)
+
+# ties, both signed zeros, and weights over 30 decades
+_tied_values = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300])
+    | st.floats(-5, 5, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=60,
+)
+_wide_weights = st.lists(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-15, 15)),
+    min_size=1,
+    max_size=60,
 )
 
 
@@ -179,6 +194,13 @@ class TestRearrange:
         integral = math.fsum((widths * profile.plateau_values).tolist())
         assert integral == pytest.approx(mass(u), abs=1e-12)
 
+    def test_plateau_below_the_ulp_of_its_position_omitted(self):
+        # 1 + 1e-20 rounds to 1: the middle plateau has no interval
+        u = AtomField([2.0, 1.5, 1.2], [1.0, 1e-20, 1.0], 2.0)
+        profile = rearrange(u)
+        assert profile.breakpoints.tolist() == [0.0, 1.0, 2.0]
+        assert profile.plateau_values.tolist() == [2.0, 1.2]
+
     def test_value_at_is_right_continuous(self):
         profile = rearrange(AtomField([3.0, 1.0], [0.5, 0.5], 1.0))
         assert profile.value_at(0.5) == 1.0
@@ -261,6 +283,59 @@ class TestLayoutL1Distance:
         u = _random_field(values, weights)
         by_value = np.argsort(-u.values, kind="stable")
         assert layout_l1_distance(u, by_value, canonical_order(u.values, u.weights)) == 0.0
+
+
+class TestExactPrefixSums:
+    """The linear-time grouping and prefix sums against the per-atom and
+    per-prefix loops they replace (tests/helpers.py), bit for bit."""
+
+    @staticmethod
+    def _assert_matches_reference(u):
+        values, weights = field_mod._group_by_value(u.values, u.weights)
+        ref = group_by_value_reference(u.values, u.weights)
+        assert values.tobytes() == np.array([v for v, _ in ref]).tobytes()
+        assert np.array(weights).tobytes() == np.array([w for _, w in ref]).tobytes()
+        bps, plateaus = rearrange_reference(u)
+        profile = rearrange(u)
+        assert profile.breakpoints.tobytes() == np.array(bps).tobytes()
+        assert profile.plateau_values.tobytes() == np.array(plateaus).tobytes()
+
+    @given(values=_tied_values, weights=_wide_weights)
+    @settings(max_examples=200, deadline=None)
+    def test_grouping_and_rearrangement_equal_the_loops(self, values, weights):
+        self._assert_matches_reference(_random_field(values, weights))
+
+    @given(weights=_wide_weights)
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_sums_equal_one_fsum_per_prefix(self, weights):
+        got = field_mod._prefix_sums(weights)
+        assert np.array(got).tobytes() == np.array(prefix_sums_reference(weights)).tobytes()
+
+    def test_wide_fields_equal_the_loops(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 401))
+            values = rng.integers(-3, 4, size=n) * rng.choice([1.0, 0.1, 1e-7], size=n)
+            weights = 10.0 ** rng.uniform(-15, 15, size=n)
+            u = AtomField(values, weights, math.fsum(weights.tolist()))
+            self._assert_matches_reference(u)
+            first, second = rng.permutation(n), canonical_order(u.values, u.weights)
+            layouts = [(np.array(prefix_sums_reference(u.weights[o].tolist())), u.values[o])
+                       for o in (first, second)]
+            expected = field_mod._step_l1_distance(*layouts[0], *layouts[1])
+            assert layout_l1_distance(u, first, second) == expected
+
+    def test_layout_fsum_calls_do_not_grow_with_atoms(self, monkeypatch):
+        fsum = math.fsum
+        counts = []
+        for n in (10, 2000):
+            u = from_samples(np.linspace(1.0, 2.0, n).tolist(), 1.0)
+            calls = []
+            monkeypatch.setattr(math, "fsum", lambda xs: calls.append(None) or fsum(xs))
+            layout_l1_distance(u, np.arange(n), np.arange(n)[::-1])
+            monkeypatch.setattr(math, "fsum", fsum)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestStaircaseSerialization:

@@ -1,4 +1,4 @@
-"""Tests for nldyn.model: nonlinearities, multiplier, rates, Lipschitz data."""
+"""Tests for nldyn.model: nonlinearities, multiplier, rates, classification."""
 
 import dataclasses
 import math
@@ -9,7 +9,6 @@ import pytest
 from helpers import random_h1_atoms
 from nldyn import (
     AtomField,
-    BallTooLargeError,
     DenominatorVanishingError,
     IntegratorConfig,
     ModelValidationError,
@@ -21,7 +20,6 @@ from nldyn import (
     dissipation_rate,
     integrate,
     lambda_of,
-    lipschitz_bound,
     rhs,
     validate_pair,
 )
@@ -92,7 +90,6 @@ class TestAntiderivativeQuadrature:
 
         pair = NonlinearityPair(
             g=logistic.g,
-            g_prime=logistic.g_prime,
             p=lambda u: u**3,
             p_prime=lambda u: 3.0 * u * u,
             antideriv_P=lambda s: adaptive_simpson(lambda t: t**3, 0.0, float(s)),
@@ -131,7 +128,6 @@ class TestValidatePair:
     def test_g_sign_violation_carries_witness(self, logistic):
         bad = type(logistic)(
             g=lambda u: u * 1.0,  # g(1) = 1 != 0
-            g_prime=lambda u: 0.0 * u + 1.0,
             p=logistic.p,
             p_prime=logistic.p_prime,
             antideriv_P=logistic.antideriv_P,
@@ -311,11 +307,6 @@ class TestCanonicalOrder:
                 assert dissipation_rate(v, pair, 1) == diss
                 assert classify_hypothesis(v, pair).integral_g_u0 == g_int
 
-    def test_lipschitz_bound_ignores_atom_order(self, logistic):
-        u = AtomField([1.5, 2.0, 1.2, 1.7], [0.1, 0.4, 0.3, 0.2], 1.0)
-        v = AtomField(u.values[::-1], u.weights[::-1], 1.0)
-        assert lipschitz_bound(u, logistic, 0.01, 1000) == lipschitz_bound(v, logistic, 0.01, 1000)
-
     @pytest.mark.parametrize("name", ["logistic-identity", "logistic-cubic"])
     def test_pairwise_lambda_close_to_exact_sums(self, name):
         """lam from pairwise sums agrees with exact sums of the same terms
@@ -346,37 +337,3 @@ class TestCanonicalOrder:
             with pytest.raises(NumericalFailureError, match="non-finite g or p") as info:
                 call(u, logistic)
             assert np.array_equal(info.value.values, u.values)
-
-
-class TestLipschitzBound:
-    def test_constants_on_constant_field(self, logistic):
-        """Dense-grid suprema on [-0.51, 0.51] peak at the left endpoint.
-
-        Oracle (by hand, f = g p = u^2 - u^3):
-          |g|  at -0.51: 0.51 * 1.51            = 0.7701
-          |f|  at -0.51: 0.51^2 * 1.51          = 0.392751
-          |f'| at -0.51: |2u - 3u^2|            = 1.8003
-          |g'| at -0.51: |1 - 2u|               = 2.02   <- K
-        """
-        u = AtomField([0.5], [1.0], 1.0)
-        est = lipschitz_bound(u, logistic, ball_radius=0.01)
-        assert est.K == pytest.approx(2.02, abs=1e-12)
-        assert est.alpha == pytest.approx(0.25 - 2.02 * 0.01, abs=1e-12)
-        assert est.L >= est.K
-
-    def test_exact_arithmetic_identity(self, logistic):
-        u = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)
-        est = lipschitz_bound(u, logistic, ball_radius=0.05)
-        omega = u.domain_measure
-        assert est.L == est.K + 3.0 * est.K**3 * omega**2 / est.alpha**2
-
-    def test_zero_integral_rejects_any_ball(self, logistic):
-        u = AtomField([0.0, 1.0], [0.5, 0.5], 1.0)
-        with pytest.raises(BallTooLargeError):
-            lipschitz_bound(u, logistic, ball_radius=0.01)
-
-    def test_oversized_ball_rejected(self, logistic):
-        """alpha estimate |int g| - K r |Omega| goes negative for big r."""
-        u = AtomField([0.5], [1.0], 1.0)
-        with pytest.raises(BallTooLargeError):
-            lipschitz_bound(u, logistic, ball_radius=10.0)

@@ -72,7 +72,6 @@ class TestGFunction:
         """A decreasing p (never accepted by build_model) breaks the audit."""
         broken = NonlinearityPair(
             g=logistic.g,
-            g_prime=logistic.g_prime,
             p=lambda u: -1.0 * u,
             p_prime=lambda u: 0.0 * u - 1.0,
             antideriv_P=lambda s: -0.5 * s * s,

@@ -265,39 +265,16 @@ def profile_l1_distance(a: StepProfile, b: StepProfile) -> float:
         raise DomainMismatchError(
             f"profiles live on domains of measure {da!r} and {db!r}"
         )
-    return _step_l1_distance(a.breakpoints, a.plateau_values, b.breakpoints, b.plateau_values)
-
-
-def layout_l1_distance(u: AtomField, first: np.ndarray, second: np.ndarray) -> float:
-    """Exact L1 distance on (0, |Omega|) between two layouts of u's atoms.
-
-    A layout puts the atoms end to end in the order of an index array:
-    its k-th atom takes the interval from the k-th to the (k+1)-th exact
-    (fsum) prefix sum of the weights in that order. Unlike
-    ``rearrange``, equal values are not merged, so no group weight is
-    rounded: two layouts that differ only in the order of equal values
-    share every breakpoint where the value changes, and lie exactly 0
-    apart.
-    """
-    layouts = []
-    for order in (first, second):
-        layouts += [np.array(_prefix_sums(u.weights[order].tolist())), u.values[order]]
-    return _step_l1_distance(*layouts)
-
-
-def _step_l1_distance(bps_a, va, bps_b, vb) -> float:
-    """Exact (fsum) L1 distance between the step functions v on [bps[k], bps[k+1]).
-
-    Each piece reads a function on its last interval starting at or before
-    it, so a domain short by roundoff keeps its last value (``value_at``).
-    """
+    # each piece reads a profile on its last interval starting at or before
+    # it, so a domain short by roundoff keeps its last value (``value_at``)
+    bps_a, bps_b = a.breakpoints, b.breakpoints
     # np.unique's sort and adjacent-inequality mask, without the numpy.ma
     # import that np.unique makes
     cuts = np.sort(np.concatenate([bps_a, bps_b]))
     cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
     ia = np.searchsorted(bps_a[:-1], cuts[:-1], side="right") - 1
     ib = np.searchsorted(bps_b[:-1], cuts[:-1], side="right") - 1
-    return math.fsum((np.diff(cuts) * np.abs(va[ia] - vb[ib])).tolist())
+    return math.fsum((np.diff(cuts) * np.abs(a.plateau_values[ia] - b.plateau_values[ib])).tolist())
 
 
 # -------------------------------------------------------------- serialization
@@ -320,6 +297,5 @@ __all__ = [
     "rearrange",
     "l1_distance",
     "profile_l1_distance",
-    "layout_l1_distance",
     "staircase_lines",
 ]

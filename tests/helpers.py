@@ -69,3 +69,17 @@ def rearrange_reference(u):
     bps = prefix_sums_reference([w for _, w in groups[:-1]]) + [u.domain_measure]
     kept = [k for k in range(len(groups)) if bps[k + 1] > bps[k]]
     return [bps[k] for k in kept] + [u.domain_measure], [groups[k][0] for k in kept]
+
+
+def order_gap_reference(values):
+    """The order-preservation margin in one pass over the whole run: the
+    smallest gap between neighbours in the first row's stable decreasing
+    order, or minus the largest split of an initial tie when that is worse."""
+    sorted_v = values[:, np.argsort(-values[0], kind="stable")]
+    gaps = sorted_v[:, :-1] - sorted_v[:, 1:]
+    tied0 = gaps[0] == 0.0
+    strict, ties = gaps[:, ~tied0], gaps[:, tied0]
+    worst = float(np.min(strict)) if strict.size else 0.0
+    if np.any(ties != 0.0):
+        worst = min(worst, -float(np.max(np.abs(ties))))
+    return worst

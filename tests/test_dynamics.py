@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import euler_orbit
+from helpers import euler_orbit, order_gap_reference
 from nldyn import (
     AtomField,
     IntegratorConfig,
@@ -651,6 +651,63 @@ class TestRearrangementAlongFlow:
             assert abs(d_atoms - d_prof) <= 1e-12
 
 
+def _midpoints(n: int) -> np.ndarray:
+    return (np.arange(n) + 0.5) / n
+
+
+def _sine_1d(n):
+    """1.5 + 0.4 sin(2 pi x) on (0, 1), and its rearrangement 1.5 + 0.4 cos(pi r)."""
+    x = _midpoints(n)
+    return 1.5 + 0.4 * np.sin(2 * np.pi * x), 1.5 + 0.4 * np.cos(np.pi * x), 1.0
+
+
+def _plane_2d(n):
+    """1 + x + y on an n x n grid of the unit square, and its rearrangement
+    3 - sqrt(2r) for r <= 1/2, 1 + sqrt(2(1 - r)) beyond, on n^2 points."""
+    x, y = np.meshgrid(_midpoints(n), _midpoints(n))
+    r = _midpoints(n * n)
+    star = np.where(r <= 0.5, 3 - np.sqrt(2 * r), 1 + np.sqrt(2 * (1 - r)))
+    return (1 + x + y).ravel(), star, 1.0
+
+
+def _radial(n):
+    """2 - (x^2 + y^2) at the points of an n x n grid of [-1, 1]^2 inside the
+    unit disc, |Omega| = pi, and its rearrangement 2 - r/pi on as many points."""
+    x, y = np.meshgrid(2 * _midpoints(n) - 1, 2 * _midpoints(n) - 1)
+    q = (x * x + y * y).ravel()
+    q = q[q < 1.0]
+    return 2 - q, 2 - _midpoints(q.size), math.pi
+
+
+class TestRearrangementOnContinuumData:
+    """The rearranged equation is the original one, on data that are not
+    already atoms: a field and its closed-form decreasing rearrangement,
+    each sampled, give two runs under logistic-identity whose rearranged
+    records converge to each other as the grid is refined, at first order
+    in 1/N at t = 0, and the flow does not pull them apart. Each grid size
+    is twice the one before it."""
+
+    @pytest.mark.parametrize("make, sizes", [
+        (_sine_1d, (64, 128, 256)),
+        (_plane_2d, (8, 16, 32)),
+        (_radial, (16, 32, 64)),
+    ], ids=["1-D", "2-D", "radial"])
+    def test_discretisations_converge(self, logistic, make, sizes):
+        cfg = IntegratorConfig(t_max=2.0, record_every=1.0)
+        dist = []
+        for n in sizes:
+            *samples, measure = make(n)
+            runs = [integrate(from_samples(v.tolist(), measure), logistic, cfg) for v in samples]
+            assert [r.times.tolist() for r in runs] == [[0.0, 1.0, 2.0]] * 2
+            dist.append([
+                profile_l1_distance(*(rearrange(r.snapshots[k]) for r in runs)) for k in range(3)
+            ])
+        dist = np.array(dist)  # one row per grid size, one column per record
+        assert np.all(dist[1:] < dist[:-1])
+        assert np.all(np.log2(dist[:-1, 0] / dist[1:, 0]) >= 0.8)
+        assert np.all(dist[:, 1:] <= dist[:, :1])
+
+
 _TRACER_MODELS = {
     "logistic-identity": lambda: builtin_model("logistic-identity"),
     "logistic-cubic": lambda: builtin_model("logistic-cubic"),
@@ -910,6 +967,22 @@ class TestVerifyTrajectory:
         split = dataclasses.replace(tr, values=values)
         row = self._order_row(verify_trajectory(split))
         assert not row.passed and row.worst == pytest.approx(-1e-12, rel=1e-3)
+
+    @pytest.mark.parametrize("block_values", [1, 9, 1 << 16])
+    def test_blocks_of_rows_equal_one_pass(self, logistic, monkeypatch, block_values):
+        # a tie, strict gaps, and the run read with atoms swapped or split
+        # from mid-run on; at 4 atoms, blocks of 1 row, 2 rows and the whole run
+        u0 = AtomField([1.5, 2.0, 1.5, 1.2], [0.25, 0.25, 0.25, 0.25], 1.0)
+        tr = integrate(u0, logistic, IntegratorConfig(t_max=5.0, record_every=0.1))
+        mid = len(tr.values) // 2
+        swapped, split = tr.values.copy(), tr.values.copy()
+        swapped[mid:, [0, 1]] = swapped[mid:, [1, 0]]
+        split[mid:, 2] += 1e-12
+        monkeypatch.setattr(dynamics, "_ORDER_BLOCK_VALUES", block_values)
+        for values in (tr.values, swapped, split):
+            run = dataclasses.replace(tr, values=values)
+            worst = self._order_row(verify_trajectory(run)).worst
+            assert np.float64(worst).tobytes() == np.float64(order_gap_reference(values)).tobytes()
 
     def test_audit_rows(self, h1_run, logistic):
         report = verify_trajectory(h1_run)

@@ -101,6 +101,9 @@ class TestEvaluate:
             evaluate(parse("log(u)"), -1.0)
         assert info.value.offset == 0
 
+    def test_log(self):
+        assert evaluate(parse("log(u)"), 2.0) == math.log(2.0)
+
     def test_division_by_zero(self):
         with pytest.raises(EvalDomainError):
             evaluate(parse("1/(u-1)"), 1.0)
@@ -159,6 +162,10 @@ class TestDifferentiate:
         x = 0.7
         expected = (1.0 - math.tanh(x * x) ** 2) * 2.0 * x
         assert evaluate(d, x) == pytest.approx(expected, rel=1e-12)
+
+    def test_log_quotient_rule(self):
+        d = differentiate(parse("log(u^2 + 1)"))
+        assert evaluate(d, 0.5) == pytest.approx(2.0 * 0.5 / (0.5**2 + 1.0), rel=1e-12)
 
     def test_hundred_random_expressions_match_finite_differences(self):
         """Symbolic derivative vs central differences at random points.

@@ -23,7 +23,7 @@ from nldyn import (
     rearrange,
 )
 from nldyn import field as field_mod
-from nldyn.field import canonical_order, layout_l1_distance, staircase_lines
+from nldyn.field import staircase_lines
 
 RNG = np.random.default_rng(42)
 
@@ -263,28 +263,6 @@ class TestProfileL1Distance:
             profile_l1_distance(a, b)
 
 
-class TestLayoutL1Distance:
-    def test_reordered_tie_lies_exactly_zero_apart(self):
-        # summed in order, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 round apart;
-        # both layouts reach the change of value at fsum(0.1, 0.2, 0.3)
-        u = AtomField([1.0, 1.0, 1.0, 0.0], [0.1, 0.2, 0.3, 0.4], 1.0)
-        assert layout_l1_distance(u, np.array([0, 1, 2, 3]), np.array([2, 1, 0, 3])) == 0.0
-
-    def test_crossing_example(self):
-        # value 1 on (0, 1/4) and 2 on (1/4, 1) against 2 on (0, 3/4) and 1 on (3/4, 1)
-        u = AtomField([1.0, 2.0], [0.25, 0.75], 1.0)
-        assert layout_l1_distance(u, np.array([0, 1]), np.array([1, 0])) == 0.5
-
-    @given(
-        st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=8),
-        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
-    )
-    def test_orders_of_ties_lie_exactly_zero_apart(self, values, weights):
-        u = _random_field(values, weights)
-        by_value = np.argsort(-u.values, kind="stable")
-        assert layout_l1_distance(u, by_value, canonical_order(u.values, u.weights)) == 0.0
-
-
 class TestExactPrefixSums:
     """The linear-time grouping and prefix sums against the per-atom and
     per-prefix loops they replace (tests/helpers.py), bit for bit."""
@@ -319,23 +297,25 @@ class TestExactPrefixSums:
             weights = 10.0 ** rng.uniform(-15, 15, size=n)
             u = AtomField(values, weights, math.fsum(weights.tolist()))
             self._assert_matches_reference(u)
-            first, second = rng.permutation(n), canonical_order(u.values, u.weights)
-            layouts = [(np.array(prefix_sums_reference(u.weights[o].tolist())), u.values[o])
-                       for o in (first, second)]
-            expected = field_mod._step_l1_distance(*layouts[0], *layouts[1])
-            assert layout_l1_distance(u, first, second) == expected
 
-    def test_layout_fsum_calls_do_not_grow_with_atoms(self, monkeypatch):
+    def test_fsum_values_per_atom_do_not_grow_with_atoms(self, monkeypatch):
+        # an fsum per prefix would take about n/2 values per atom
         fsum = math.fsum
-        counts = []
+
+        def counting(xs):
+            xs = list(xs)
+            received.append(len(xs))
+            return fsum(xs)
+
+        per_atom = []
         for n in (10, 2000):
             u = from_samples(np.linspace(1.0, 2.0, n).tolist(), 1.0)
-            calls = []
-            monkeypatch.setattr(math, "fsum", lambda xs: calls.append(None) or fsum(xs))
-            layout_l1_distance(u, np.arange(n), np.arange(n)[::-1])
+            received = []
+            monkeypatch.setattr(math, "fsum", counting)
+            rearrange(u)
             monkeypatch.setattr(math, "fsum", fsum)
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            per_atom.append(sum(received) / n)
+        assert per_atom[0] == per_atom[1]
 
 
 class TestStaircaseSerialization:

@@ -49,6 +49,23 @@ class TestGFunction:
         # near the reference point the integral mean stays clean
         assert gf(1.0 + 1e-9) == pytest.approx(1.0, rel=1e-6)
 
+    def test_integral_mean_without_closed_form(self):
+        # P(s) = s^2/2 + 0.1((s - 1)e^s + 1) for p = u + 0.1 u e^u
+        pair = build_model("u*(1-u)", "u + 0.1*u*exp(u)")
+        assert not pair.closed_form_P
+
+        def P(s):
+            return 0.5 * s * s + 0.1 * ((s - 1.0) * np.exp(s) + 1.0)
+
+        gf = gfunction(pair, 1.0)
+        for s in (1.25, 1.75, 2.0):
+            assert gf(s) == pytest.approx((P(s) - P(1.0)) / (s - 1.0), rel=1e-12)
+        # the H1 limit 1.75 on 0.6 and 1 on 0.4, from its mass and energy
+        m0, energy = 1.75 * 0.6 + 0.4, 0.6 * P(1.75) + 0.4 * P(1.0)
+        pred = predict_h1(m0, energy, 1.0, pair)
+        assert pred.plateau_values[0] == pytest.approx(1.75, abs=1e-9)
+        assert pred.plateau_measures[0] == pytest.approx(0.6, abs=1e-9)
+
     def test_monotone_audit_logistic(self, logistic):
         report = sample_g_monotone(logistic, 1.0, 1.0e4)
         assert report.passed

@@ -6,9 +6,9 @@ ill-typed keys reject the whole config (strict parsing). See README for
 the full grammar and the list of keys.
 
 Subcommands: simulate, rearrange, predict, check, sweep. Exit codes:
-0 success, 1 failed audit, 2 config error, 3 numerical failure or any
-other library error, 4 prediction infeasible, 141 stdout closed by the
-reader.
+0 success, 1 failed audit, 2 config error, 3 numerical failure, an
+allocation refused for lack of memory or any other library error, 4
+prediction infeasible, 141 stdout closed by the reader.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class RunConfig:
     atol: float
     dt_init: float
     dt_max: float
-    eps_den: float | None
     stat_tol: float
     record_every: float
     cluster_tol: float
@@ -431,8 +430,8 @@ def cmd_check(config_path: str) -> int:
     if tr.hypothesis.tag is None:
         add("dissipation-identity", True, 0.0, 0.0, "skipped: no hypothesis")
     else:
-        t_end, integral = tr.dissipated
-        drop = float(tr.energy_series[np.searchsorted(tr.times, t_end)] - tr.energy_series[0])
+        integral = tr.dissipated[1]
+        drop = float(tr.energy_series[-1] - tr.energy_series[0])
         tol = 1e-6 * max(abs(tr.energy_series[0]), 1e-12)
         add("dissipation-identity", abs(drop - integral) <= tol, abs(drop - integral), tol)
 
@@ -632,6 +631,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 3
     except NldynError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy refuses an array it cannot allocate
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return 3
 
 

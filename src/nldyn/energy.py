@@ -28,9 +28,7 @@ def lyapunov(u: AtomField, pair: NonlinearityPair, i: int) -> float:
     return HypothesisClass.energy_sign_of(i) * field_mod.integral_of(u, pair.antideriv_P)
 
 
-def dissipation_rate(
-    u: AtomField, pair: NonlinearityPair, i: int, eps_den: float | None = None
-) -> float:
+def dissipation_rate(u: AtomField, pair: NonlinearityPair, i: int) -> float:
     """Instantaneous energy rate; nonpositive inside the regime's region.
 
     lam comes from the atoms in canonical order, as in ``lambda_of``, so
@@ -39,7 +37,7 @@ def dissipation_rate(
     sign = HypothesisClass.energy_sign_of(i)
     order, values, weights = canonical_atoms(u)
     with input_order(order):
-        gv, pv, lam, _ = guarded_multiplier(0.0, values, weights, u.domain_measure, pair, eps_den)
+        gv, pv, lam, _ = guarded_multiplier(0.0, values, weights, u.domain_measure, pair)
     return sign * dissipation_sum(weights, gv, pv, lam)
 
 

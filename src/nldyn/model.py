@@ -259,19 +259,17 @@ def guard_threshold(gv: np.ndarray, omega: float, rel: float = 1e-10) -> float:
     return rel * omega * float(_max(np.abs(gv)))
 
 
-def guarded_multiplier(t, values, weights, omega, pair, eps_den):
-    """``multiplier``, raising DenominatorVanishingError below the guard.
-
-    The guard is ``eps_den``, or ``guard_threshold`` when it is None.
-    """
+def guarded_multiplier(t, values, weights, omega, pair):
+    """``multiplier``, raising DenominatorVanishingError when the g-integral
+    is 0 or below ``guard_threshold``."""
     gv, pv, lam, den = multiplier(t, values, weights, pair)
-    eps = guard_threshold(gv, omega) if eps_den is None else float(eps_den)
+    eps = guard_threshold(gv, omega)
     if den == 0.0 or abs(den) < eps:
         raise DenominatorVanishingError(den, eps)
     return gv, pv, lam, den
 
 
-def atom_rates(t, values, weights, omega, pair, eps_den):
+def atom_rates(t, values, weights, omega, pair):
     """Per-atom rates g*(p - lam), the g-integral and the dissipation sum at
     one state (guarded).
 
@@ -282,7 +280,7 @@ def atom_rates(t, values, weights, omega, pair, eps_den):
     with the atoms' lam and enters neither lam, the guard nor the sum.
     """
     n = weights.size
-    gv, pv, lam, den = guarded_multiplier(t, values[:n], weights, omega, pair, eps_den)
+    gv, pv, lam, den = guarded_multiplier(t, values[:n], weights, omega, pair)
     gap = pv - lam
     rates = gv * gap
     diss = float(_sum(weights * rates * gap))
@@ -349,21 +347,20 @@ def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClas
 
 # ------------------------------------------------------- rate and multiplier
 
-def lambda_of(u: AtomField, pair: NonlinearityPair, eps_den: float | None = None) -> float:
+def lambda_of(u: AtomField, pair: NonlinearityPair) -> float:
     """Nonlocal multiplier of the field: g-weighted average of p.
 
     Pairwise sums over the atoms in canonical order: the value the
     integrator records for this state, whatever order the field lists its
     atoms in. Raises DenominatorVanishingError when |sum of m*g| falls
-    below ``eps_den`` (scale-aware default), NumericalFailureError on
-    overflow.
+    below ``guard_threshold``, NumericalFailureError on overflow.
     """
     order, values, weights = canonical_atoms(u)
     with input_order(order):
-        return guarded_multiplier(0.0, values, weights, u.domain_measure, pair, eps_den)[2]
+        return guarded_multiplier(0.0, values, weights, u.domain_measure, pair)[2]
 
 
-def rhs(u: AtomField, pair: NonlinearityPair, eps_den: float | None = None) -> np.ndarray:
+def rhs(u: AtomField, pair: NonlinearityPair) -> np.ndarray:
     """Per-atom rates of the mass-conserving dynamics.
 
     r_i = g(s_i) (p(s_i) - lam), in the field's atom order, with lam as
@@ -372,7 +369,7 @@ def rhs(u: AtomField, pair: NonlinearityPair, eps_den: float | None = None) -> n
     """
     order, values, weights = canonical_atoms(u)
     with input_order(order):
-        rates = atom_rates(0.0, values, weights, u.domain_measure, pair, eps_den)[0]
+        rates = atom_rates(0.0, values, weights, u.domain_measure, pair)[0]
     return unpermute(rates, order)
 
 

@@ -6,8 +6,15 @@ no code with the adaptive integrator it checks.
 """
 
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def euler_orbit(values, weights, g, p, dt, n_steps):
@@ -81,5 +88,25 @@ def order_gap_reference(values):
     strict, ties = gaps[:, ~tied0], gaps[:, tied0]
     worst = float(np.min(strict)) if strict.size else 0.0
     if np.any(ties != 0.0):
-        worst = min(worst, -float(np.max(np.abs(ties))))
+        worst = float(np.minimum(worst, -np.max(np.abs(ties))))
     return worst
+
+
+def run_cli_bounded(args, cwd, timeout=30.0, address_space=2 << 30):
+    """(exit code, stdout, stderr) of ``python -m nldyn *args`` run in cwd
+    with a time limit and an address-space limit (bytes), so that a hang or
+    a runaway allocation fails the calling test instead of the host.
+
+    A run past the time limit is killed and raises
+    subprocess.TimeoutExpired.
+    """
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nldyn", *args], cwd=cwd, env=env, preexec_fn=limit,
+        capture_output=True, text=True, timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr

@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from helpers import run_cli_bounded
 from nldyn import IntegratorConfig, cli
 from nldyn.errors import ConfigError
 
@@ -600,6 +601,45 @@ class TestSweep:
     def test_non_finite_grid_exit_2(self, tmp_path):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         assert cli.main(["sweep", cfg, "--vary", "initial.samples=nan:4:2"]) == 2
+
+
+class TestBoundedRuns:
+    """Inputs that would hang or allocate without bound, each run in a child
+    process under a time limit and an address-space limit of 2 GiB."""
+
+    def test_record_grid_finer_than_a_step_exit_3(self, tmp_path):
+        text = H1_CONFIG.replace("record_every = 0.01", "record_every = 1e-300")
+        cfg = _write(tmp_path, "h1.cfg", text)
+        rc, _, err = run_cli_bounded(["simulate", cfg], tmp_path)
+        assert rc == 3 and err.count("\n") == 1, err
+        assert err.startswith("numerical failure; diagnostics at ")
+        diag = (tmp_path / "out" / "h1.failure.txt").read_text()
+        assert diag.startswith("numerical failure: record grid too fine: record_every 1e-300 ")
+        assert "t = 0.0\n" in diag
+        rc, _, err = run_cli_bounded(["check", cfg], tmp_path)
+        assert rc == 3 and err.count("\n") == 1, err
+        assert "record grid too fine" in err
+
+    def test_unallocatable_sample_count_exit_3(self, tmp_path):
+        text = (
+            'model.builtin = "logistic-identity"\n'
+            'initial.expr = "1 + x"\n'
+            "initial.samples = 1000000000000000\n"
+            'output.dir = "out"\n'
+        )
+        cfg = _write(tmp_path, "big.cfg", text)
+        rc, out, err = run_cli_bounded(["simulate", cfg], tmp_path)
+        assert rc == 3 and out == "" and err.count("\n") == 1, err
+        assert err.startswith("out of memory: ")
+
+    def test_unallocatable_sweep_grid_exit_3(self, tmp_path):
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        rc, out, err = run_cli_bounded(
+            ["sweep", cfg, "--vary", "integrator.t_max=1:2:100000000000"], tmp_path
+        )
+        assert rc == 3 and out == "" and err.count("\n") == 1, err
+        assert err.startswith("out of memory: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestConsoleScript:

@@ -60,14 +60,19 @@ _INTEGRATOR = {
     "integrator.atol": (1e-14, 1e-2),
     "integrator.dt_init": (1e-6, 1e-3),
     "integrator.dt_max": (0.05, 10.0),
-    "integrator.eps_den": (1e-14, 1.0),
     "integrator.stat_tol": (1e-12, 1e-2),
     "integrator.record_every": (1e-2, 10.0),
 }
 
+# keys the config grammar no longer has: a config that sets one is refused
+_REMOVED_KEYS = {
+    "integrator.lipschitz_cap": "yes",
+    "integrator.eps_den": "1e-12",
+}
+
 _FAULTS = (
     "model", "atom value", "atom weight", "measure", "expr", "samples",
-    "extra line", *_INTEGRATOR, "integrator.lipschitz_cap",
+    "extra line", *_INTEGRATOR, *_REMOVED_KEYS,
 )
 
 
@@ -103,12 +108,12 @@ def config_texts(draw):
             lines.append(f"{key} = {draw(_BAD_NUMBER)}")
         elif key == "integrator.t_max" or draw(st.booleans()):
             lines.append(f"{key} = {draw(st.floats(lo, hi))!r}")
-    if fault == "integrator.lipschitz_cap":
-        lines.append("integrator.lipschitz_cap = yes")
+    if fault in _REMOVED_KEYS:
+        lines.append(f"{fault} = {_REMOVED_KEYS[fault]}")
     if fault == "extra line":
         bad = draw(st.sampled_from(["integrator.t_max = 1.0", "no equals sign", "run.seeds = 1"]))
         lines.insert(draw(st.integers(0, len(lines))), bad)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", fault
 
 
 @settings(
@@ -117,8 +122,9 @@ def config_texts(draw):
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-@given(text=config_texts())
-def test_any_config_text_ends_cleanly(text, capsys):
+@given(case=config_texts())
+def test_any_config_text_ends_cleanly(case, capsys):
+    text, fault = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(text + f'output.dir = "{tmp}/out"\n')
@@ -128,6 +134,8 @@ def test_any_config_text_ends_cleanly(text, capsys):
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
     assert rc in (0, 2, 3), text
+    if fault in _REMOVED_KEYS:
+        assert rc == 2 and "unknown key" in err, (text, err)
     if rc != 0:
         assert err.count("\n") == 1 and err.strip(), (text, err)
     assert elapsed < TIME_BOUND_S, (text, elapsed)

@@ -29,6 +29,7 @@ from nldyn import (
 from nldyn import dynamics, field as field_mod
 from nldyn.dynamics import _dp_attempt, _dp_dense, _integrate_canonical
 from nldyn.energy import lyapunov
+from nldyn.errors import DenominatorVanishingError
 from nldyn.model import atom_rates, dissipation_sum, multiplier
 
 RNG = np.random.default_rng(11)
@@ -102,21 +103,6 @@ class TestIntegrate:
         tr = integrate(u, logistic, IntegratorConfig(t_max=1.0))
         assert tr.termination == Termination.DENOMINATOR_VANISHING
         assert tr.times.tolist() == [0.0]
-
-    def test_explicit_guard_threshold_holds_at_final_snapshot(self, logistic):
-        """With a fixed eps_den, the H2 orbit (whose g-integral decays to 0
-        without crossing) trips the guard cleanly: the final snapshot
-        satisfies |integral of g| < eps_den."""
-        u = AtomField([0.7, 0.3], [0.5, 0.5], 1.0)
-        eps = 1e-4
-        tr = integrate(
-            u, logistic, IntegratorConfig(t_max=200.0, record_every=0.1, eps_den=eps)
-        )
-        assert tr.termination == Termination.DENOMINATOR_VANISHING
-        final = tr.snapshots[-1]
-        den = float(np.dot(final.weights, logistic.g(final.values)))
-        assert abs(den) < eps
-        assert np.all(np.isfinite(final.values))
 
     def test_many_atom_field_keeps_structure(self, logistic):
         """200 atoms sampled from a smooth profile: mass at roundoff,
@@ -194,6 +180,22 @@ class TestIntegrate:
         tr = integrate(u0, cubic, IntegratorConfig(t_max=5.0))
         assert tr.termination == Termination.STATIONARY
         np.testing.assert_allclose(tr.snapshots[-1].values, -10.25, atol=1e-9)
+
+    def test_record_grid_bounded(self, h1_run, logistic, monkeypatch):
+        """Records that would hold more than _MAX_RECORD_VALUES values (each
+        record its atoms and five series values) raise at the step that
+        would pass the limit, with that step's start state."""
+        monkeypatch.setattr(dynamics, "_MAX_RECORD_VALUES", 7 * 100)
+        u0 = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)
+        with pytest.raises(NumericalFailureError, match="record grid too fine") as info:
+            integrate(u0, logistic, h1_run.config)
+        # about 100 records by t = 1; the values come in the input order
+        assert 0.8 < info.value.t < 1.0
+        assert 1.5 < info.value.values[0] < info.value.values[1] < 2.0
+        fine = IntegratorConfig(t_max=1.0, record_every=1e-300)
+        with pytest.raises(NumericalFailureError, match="record grid too fine") as info:
+            integrate(u0, logistic, fine)
+        assert info.value.t == 0.0
 
     def test_csv_layout(self, h3_run):
         text = _csv_text(h3_run)
@@ -398,9 +400,9 @@ class TestColumnarTrajectory:
         dissipated = 0.0
         for k in range(1, tr.times.size):
             prev = tr.values[k - 1]
-            rates, _, diss = atom_rates(0.0, prev, tr.weights, 1.0, logistic, None)
+            rates, _, diss = atom_rates(0.0, prev, tr.weights, 1.0, logistic)
             new, ks, ds, _, _ = _dp_attempt(tr.times[k - 1], prev, rates, diss, 0.5, tr.weights,
-                                            1.0, logistic, None)
+                                            1.0, logistic)
             assert np.array_equal(tr.values[k], new), k
             extension_differs |= not np.array_equal(_dp_dense(prev, 0.5, ks, [1.0])[0], new)
             # each step adds dt times the 5th-order weights over its stages
@@ -415,8 +417,8 @@ class TestColumnarTrajectory:
         rng = np.random.default_rng(5)
         v = rng.uniform(1.01, 3.0, size=7)
         w = np.full(7, 1.0 / 7.0)
-        rates, _, diss = atom_rates(0.0, v, w, 1.0, logistic, None)
-        _, ks, *_ = _dp_attempt(0.0, v, rates, diss, 0.3, w, 1.0, logistic, None)
+        rates, _, diss = atom_rates(0.0, v, w, 1.0, logistic)
+        _, ks, *_ = _dp_attempt(0.0, v, rates, diss, 0.3, w, 1.0, logistic)
         thetas = sorted(rng.random(40).tolist()) + [1.0]
         block = _dp_dense(v, 0.3, ks, thetas)
         for theta, row in zip(thetas, block):
@@ -894,17 +896,34 @@ class TestDissipationIntegral:
         drop = tr.energy_series[-1] - tr.energy_series[0]
         assert abs(drop - integral) <= 1e-8 * abs(tr.energy_series[0])
 
-    def test_stops_at_the_last_accepted_step(self, logistic):
-        """An absolute guard trips inside a step of an H2 run: the stage state
-        is recorded after the last accepted step, where the integral stops."""
-        u0 = AtomField([0.7, 0.3], [0.5, 0.5], 1.0)
-        tr = integrate(u0, logistic, IntegratorConfig(t_max=200.0, record_every=0.01,
-                                                      eps_den=1e-3))
-        assert tr.termination == Termination.DENOMINATOR_VANISHING
+    def test_guard_trip_in_a_stage_rejects_the_attempt(self, h1_run, logistic, monkeypatch):
+        """A stage that trips the guard rejects its step attempt, and the run
+        goes on; on it and on the guard-crossing run the integral stops at
+        the last record, the last accepted state."""
+        calls = []
+
+        def trip_once(*args):
+            calls.append(args[0])
+            if len(calls) == 20:  # a stage inside the run's first steps
+                raise DenominatorVanishingError(0.0, 1e-10)
+            return atom_rates(*args)
+
+        monkeypatch.setattr(dynamics, "atom_rates", trip_once)
+        tr = integrate(h1_run.snapshots[0], logistic, h1_run.config)
+        monkeypatch.undo()
+        assert len(calls) > 20 and tr.termination == Termination.STATIONARY
+        assert tr.values.tobytes() != h1_run.values.tobytes()  # the steps changed
+        np.testing.assert_allclose(tr.values[-1], 1.75, atol=1e-8)
         t_end, integral = tr.dissipated
-        assert t_end == tr.times[-2] < tr.times[-1]
-        drop = tr.energy_series[-2] - tr.energy_series[0]
+        assert t_end == tr.times[-1]
+        drop = tr.energy_series[-1] - tr.energy_series[0]
         assert abs(drop - integral) <= 1e-8 * abs(tr.energy_series[0])
+
+        pair = build_model("u*(1-u)/(1+4*u^2)", "u", working_range=(-3.0, 3.0))
+        u0 = AtomField([0.3, -1.0], [0.73, 0.27], 1.0)
+        crossing = integrate(u0, pair, IntegratorConfig(t_max=50.0, record_every=0.001))
+        assert crossing.termination == Termination.DENOMINATOR_VANISHING
+        assert crossing.dissipated[0] == crossing.times[-1]
 
 
 class TestVerifyTrajectory:
@@ -968,6 +987,18 @@ class TestVerifyTrajectory:
         row = self._order_row(verify_trajectory(split))
         assert not row.passed and row.worst == pytest.approx(-1e-12, rel=1e-3)
 
+    @pytest.mark.parametrize("atom", [2, 0])
+    def test_nan_fails(self, logistic, atom):
+        """A NaN in an atom fails the row, in a tied atom as in a strict one:
+        joining the tie margin must not drop it."""
+        u0 = AtomField([2.0, 1.5, 1.5, 1.5, 1.2], [0.2] * 5, 1.0)
+        tr = integrate(u0, logistic, IntegratorConfig(t_max=5.0, record_every=0.1))
+        assert self._order_row(verify_trajectory(tr)).passed
+        values = tr.values.copy()
+        values[10, atom] = np.nan
+        row = self._order_row(verify_trajectory(dataclasses.replace(tr, values=values)))
+        assert not row.passed and math.isnan(row.worst)
+
     @pytest.mark.parametrize("block_values", [1, 9, 1 << 16])
     def test_blocks_of_rows_equal_one_pass(self, logistic, monkeypatch, block_values):
         # a tie, strict gaps, and the run read with atoms swapped or split
@@ -1008,7 +1039,7 @@ class TestIntegratorConfigValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(t_max=0.0)
 
-    @pytest.mark.parametrize("name", ["rtol", "t_max", "record_every", "eps_den"])
+    @pytest.mark.parametrize("name", ["rtol", "t_max", "record_every"])
     def test_nan_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             IntegratorConfig(**{name: float("nan")})

@@ -186,11 +186,6 @@ class TestLambda:
         with pytest.raises(DenominatorVanishingError):
             lambda_of(u, logistic)
 
-    def test_explicit_eps_den(self, logistic):
-        u = AtomField([0.3, 0.7], [0.5, 0.5], 1.0)  # integral g = 0.21
-        with pytest.raises(DenominatorVanishingError):
-            lambda_of(u, logistic, eps_den=0.5)
-
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @OVERFLOWING
     def test_overflow_raises(self, logistic, values):

@@ -111,16 +111,21 @@ class RunConfig:
         values = np.asarray(fn(xs), dtype=float)
         if not np.all(np.isfinite(values)):
             raise ConfigError("initial.expr produced non-finite samples")
-        return field_mod.from_samples(values.tolist(), self.domain_measure)
+        try:
+            return field_mod.from_samples(values.tolist(), self.domain_measure)
+        except NldynError as exc:
+            raise ConfigError(f"initial.expr: {exc}") from None
 
-    def build_pair(self, u0: field_mod.AtomField) -> model.NonlinearityPair:
+    def build_pair(self, u0: field_mod.AtomField | None) -> model.NonlinearityPair:
+        """The model's pair, validated on a working range that covers u0's
+        values; without initial data (u0 None) the range is +-2."""
         has_builtin = self.model_builtin is not None
         has_expr = self.model_g is not None or self.model_p is not None
         if has_builtin == has_expr:
             raise ConfigError(
                 "exactly one of model.builtin and (model.g, model.p) must be given"
             )
-        s_range = max(2.0, float(np.max(np.abs(u0.values))) + 1.0)
+        s_range = 2.0 if u0 is None else max(2.0, float(np.max(np.abs(u0.values))) + 1.0)
         try:
             if has_builtin:
                 pair = model.builtin_model(self.model_builtin)
@@ -319,11 +324,18 @@ def cmd_simulate(config_path: str) -> int:
 def cmd_rearrange(
     config_path: str | None,
     inline_values: str | None = None,
-    inline_measure: float = 1.0,
-    out_dir: str = ".",
-    out_base: str = "rearrange",
+    inline_measure: float | None = None,
+    out_dir: str | None = None,
+    out_base: str | None = None,
 ) -> int:
+    """Rearrange a config's initial field, or the inline samples; the
+    inline flags (None when not given) do not combine with a config."""
     if config_path is not None:
+        if any(x is not None for x in (inline_values, inline_measure, out_dir, out_base)):
+            raise ConfigError(
+                "rearrange takes a config or --values, --domain-measure, "
+                "--out-dir and --base, not both"
+            )
         cfg = load_config(config_path)
         u = cfg.build_initial()
     else:
@@ -336,64 +348,40 @@ def cmd_rearrange(
         if not samples:
             raise ConfigError("empty --values list")
         try:
-            u = field_mod.from_samples(samples, inline_measure)
+            u = field_mod.from_samples(samples, 1.0 if inline_measure is None else inline_measure)
         except FieldError as exc:
             raise ConfigError(f"--values/--domain-measure: {exc}") from None
-        cfg = None
-    base_cfg = cfg if cfg is not None else replace(
-        parse_config_text(""), output_dir=out_dir, output_base=out_base
-    )
+        cfg = replace(
+            parse_config_text(""),
+            output_dir="." if out_dir is None else out_dir,
+            output_base="rearrange" if out_base is None else out_base,
+        )
     profile = field_mod.rearrange(u)
-    _write_staircase(
-        _out_path(base_cfg, ".staircase.dat"), profile, "decreasing rearrangement"
-    )
-    _out_path(base_cfg, ".distribution.dat").write_text(_distribution_table(u))
+    _write_staircase(_out_path(cfg, ".staircase.dat"), profile, "decreasing rearrangement")
+    _out_path(cfg, ".distribution.dat").write_text(_distribution_table(u))
     print(f"wrote staircase with {len(profile.plateau_values)} plateaus")
     return 0
 
 
-def _predictor(tag: str | None):
-    """The analytic limit predictor for a hypothesis tag, or None.
-
-    Looked up at call time, so that a wrapped ``omega.predict_h1`` or
-    ``predict_h3`` sees every call.
-    """
-    return {"H1": omega.predict_h1, "H3": omega.predict_h3}.get(tag)
-
-
-def cmd_predict(
-    config_path: str,
-    m0: float,
-    energy_limit_value: float,
-    hypothesis: str | None = None,
-) -> int:
+def cmd_predict(config_path: str, m0: float, energy_limit_value: float) -> int:
+    """The H1 or H3 limit in the regime of the mass m0 (``omega.regime``)."""
     cfg = load_config(config_path)
     # working range for model validation comes from the initial data when present
     try:
         u0 = cfg.build_initial()
     except ConfigError:
-        u0 = field_mod.AtomField([0.5], [cfg.domain_measure], cfg.domain_measure)
+        u0 = None
     pair = cfg.build_pair(u0)
-    omega_measure = cfg.domain_measure
-
-    tag = hypothesis.upper() if hypothesis else None
-    if tag == "H2":
-        print("the analytic H2 predictor is not implemented yet", file=sys.stderr)
+    predict = omega.predictor(omega.regime(m0, cfg.domain_measure))
+    if predict is None:
+        print(
+            f"cannot infer hypothesis from m0 = {m0!r} "
+            f"(needs m0 > |Omega| for H1 or m0 < 0 for H3)",
+            file=sys.stderr,
+        )
         return 2
-    if tag is None:
-        if m0 > omega_measure:
-            tag = "H1"
-        elif m0 < 0.0:
-            tag = "H3"
-        else:
-            print(
-                f"cannot infer hypothesis from m0 = {m0!r} "
-                f"(needs m0 > |Omega| for H1 or m0 < 0 for H3)",
-                file=sys.stderr,
-            )
-            return 2
     try:
-        pred = _predictor(tag)(m0, energy_limit_value, omega_measure, pair)
+        pred = predict(m0, energy_limit_value, cfg.domain_measure, pair)
     except (NoRootError, InfeasibleMeasureError) as exc:
         print(f"prediction infeasible: {exc}", file=sys.stderr)
         return 4
@@ -430,10 +418,10 @@ def cmd_check(config_path: str) -> int:
     if tr.hypothesis.tag is None:
         add("dissipation-identity", True, 0.0, 0.0, "skipped: no hypothesis")
     else:
-        integral = tr.dissipated[1]
         drop = float(tr.energy_series[-1] - tr.energy_series[0])
+        gap = abs(drop - tr.dissipated)
         tol = 1e-6 * max(abs(tr.energy_series[0]), 1e-12)
-        add("dissipation-identity", abs(drop - integral) <= tol, abs(drop - integral), tol)
+        add("dissipation-identity", gap <= tol, gap, tol)
 
     # rearrangement isometry on random snapshot pairs; the stdlib generator
     # takes any integer seed and spares the numpy.random import
@@ -451,7 +439,7 @@ def cmd_check(config_path: str) -> int:
 
     # predictor consistency (H1/H3 only)
     tag = tr.hypothesis.tag
-    predict = _predictor(tag)
+    predict = omega.predictor(tag)
     if predict is not None:
         try:
             elim = energy.energy_limit(tr)
@@ -485,7 +473,7 @@ def _sweep_one(cfg: RunConfig, key: str, value: float, index: int):
     try:
         elim = energy.energy_limit(tr)
         elim_v = elim.value
-        predict = _predictor(tr.hypothesis.tag)
+        predict = omega.predictor(tr.hypothesis.tag)
         if predict is not None:
             pred = predict(float(tr.mass_series[0]), elim.value, u0.domain_measure, pair)
         else:
@@ -542,7 +530,7 @@ def cmd_sweep(config_path: str, vary: str) -> int:
 
 # --------------------------------------------------------------------- main
 
-_VALUE_ARG = re.compile(r"-\.?\d.*")
+_VALUE_ARG = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -558,15 +546,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rearrange", help="decreasing rearrangement of a field")
     p.add_argument("config", nargs="?", default=None)
     p.add_argument("--values", help="inline comma-separated samples")
-    p.add_argument("--domain-measure", type=float, default=1.0)
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--base", default="rearrange")
+    p.add_argument("--domain-measure", type=float)
+    p.add_argument("--out-dir")
+    p.add_argument("--base")
 
     p = sub.add_parser("predict", help="analytic limit profile from m0 and energy limit")
     p.add_argument("config")
     p.add_argument("--m0", type=float, required=True)
     p.add_argument("--energy-limit", type=float, required=True)
-    p.add_argument("--hypothesis", choices=["h1", "h2", "h3"], default=None)
 
     p = sub.add_parser("check", help="full invariant audit of a config")
     p.add_argument("config")
@@ -577,8 +564,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # argparse reads an argument that starts with a minus as an option unless
     # its matcher takes it for a negative number, and that matcher knows only
-    # -12 and -1.5: "--m0 -6e-1" and "--values -1,2,3" would be refused. No
-    # option here starts with a minus and a digit, so every such argument is a
+    # -12 and -1.5: "--m0 -6e-1", "--m0 -inf" and "--values -1,2,3" would be
+    # refused. No option here starts with a minus and a digit, "inf" or "nan"
+    # (the forms float() reads, in any case), so every such argument is a
     # value. Each subparser parses its own arguments with its own matcher.
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = _VALUE_ARG
@@ -615,9 +603,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 out_base=args.base,
             )
         if args.command == "predict":
-            return cmd_predict(
-                args.config, args.m0, args.energy_limit, args.hypothesis
-            )
+            return cmd_predict(args.config, args.m0, args.energy_limit)
         if args.command == "check":
             return cmd_check(args.config)
         if args.command == "sweep":

@@ -118,9 +118,9 @@ class Trajectory:
 
     ``values`` is a read-only (K, n) array: row k is the state at
     ``times[k]``, over the run's fixed ``weights`` and atom order.
-    ``snapshots`` shows the rows as AtomFields. ``dissipated`` is
-    (t, integral of the dissipation over [0, t]) for t the last record's,
-    the last accepted step's time: the energy rate integrated alongside
+    ``snapshots`` shows the rows as AtomFields. ``dissipated`` is the
+    integral of the dissipation over [0, times[-1]]; the last record is
+    the last accepted state. It is the energy rate integrated alongside
     the atoms, on their own stages and steps, so it carries the step error
     rather than the record grid's. It is no record, and no output file
     holds it. The termination tag DenominatorVanishing realizes the
@@ -135,7 +135,7 @@ class Trajectory:
     mass_series: np.ndarray
     energy_series: np.ndarray
     dissipation_series: np.ndarray
-    dissipated: tuple[float, float]
+    dissipated: float
     termination: Termination
     hypothesis: HypothesisClass
     final_max_rhs: float
@@ -425,7 +425,7 @@ def _integrate_canonical(
             mass_series=np.asarray(mass_series),
             energy_series=np.asarray(energy_series),
             dissipation_series=np.asarray(diss_series),
-            dissipated=(t_end, sign * dissipated),
+            dissipated=sign * dissipated,
             termination=term,
             hypothesis=hyp,
             final_max_rhs=final_max,

@@ -640,8 +640,8 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
     at a few points of the working range. Any other p gets a quadrature
     that accepts arrays: adaptive Simpson over each gap between the sorted
     distinct values and 0, to the gap's share of 1e-12, summed outward
-    from 0. A scalar s is that one gap, [0, s], integrated without the
-    sort. Violations of the structural requirements (roots of g, sign
+    from 0, as a Python float for a scalar (the one gap [0, s] to 1e-12).
+    Violations of the structural requirements (roots of g, sign
     pattern, strict monotonicity of p, a closed form that disagrees with
     quadrature) raise ModelValidationError with a witness point.
     """
@@ -656,8 +656,6 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
     closed = antiderivative(p_ast)
 
     def quadrature(s):
-        if np.ndim(s) == 0:
-            return adaptive_simpson(lambda t: float(p(t)), 0.0, float(s))
         x = np.asarray(s, dtype=float)
         knots, where = np.unique(np.append(x.ravel(), 0.0), return_inverse=True)
         pts, zero = knots.tolist(), int(np.searchsorted(knots, 0.0))
@@ -667,7 +665,8 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
             for a, b in zip(pts, pts[1:])
         ]
         left, right = np.cumsum(gaps[:zero][::-1]), np.cumsum(gaps[zero:])
-        return np.concatenate([-left[::-1], [0.0], right])[where[:-1]].reshape(x.shape)
+        out = np.concatenate([-left[::-1], [0.0], right])[where[:-1]].reshape(x.shape)
+        return out if out.ndim else float(out)
 
     pair = _model.NonlinearityPair(
         g=g,

@@ -180,6 +180,13 @@ def _bisect_increasing(h: Callable[[float], float], lo: float, hi: float) -> flo
 _REGIMES = {"H1": (1.0, +1), "H3": (0.0, -1)}
 
 
+def regime(m0: float, omega_measure: float) -> str | None:
+    """The tag whose (r, side) has side * (m0 - r|Omega|) > 0, or None:
+    H1 for m0 > |Omega|, H3 for m0 < 0."""
+    return next((tag for tag, (ref, side) in _REGIMES.items()
+                 if side * (m0 - ref * omega_measure) > 0.0), None)
+
+
 def _predict(
     tag: str,
     m0: float,
@@ -193,22 +200,23 @@ def _predict(
     bisection on a bracket from r +- 1e-12 that doubles outwards on the
     plateau's side of r, then reads the plateau measure off mass
     conservation: a1 = (m0 - r|Omega|) / (v - r). Under H3 (r = 0) the
-    terms in r and P(0) = 0 are exact zeros. The constraint residuals
-    must pass ``residual_check``.
+    terms in r and P(0) = 0 are exact zeros. m0 must be finite and in the
+    regime (``regime``), E finite; the constraint residuals must pass
+    ``residual_check``.
     """
     ref, side = _REGIMES[tag]
     omega = float(omega_measure)
     m0 = float(m0)
     if not 0.0 < omega < math.inf:
         raise ValueError(f"domain measure must be positive and finite, got {omega!r}")
-    if side > 0 and not m0 > omega:
+    if regime(m0, omega) != tag:
         raise ValueError(
             f"H1 prediction needs m0 > |Omega| (got m0 = {m0!r}, |Omega| = {omega!r})"
+            if side > 0 else f"H3 prediction needs m0 < 0 (got {m0!r})"
         )
-    if side < 0 and not m0 < 0.0:
-        raise ValueError(f"H3 prediction needs m0 < 0 (got {m0!r})")
-    if not math.isfinite(e_inf):
-        raise ValueError("energy limit must be finite")
+    for name, x in (("m0", m0), ("energy limit", e_inf)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite")
     p_ref = float(pair.antideriv_P(ref))
     target = (e_inf - p_ref * omega) / (m0 - ref * omega)
     gf = gfunction(pair, ref)
@@ -300,6 +308,12 @@ def predict_h3(
     return _predict("H3", m0, E3_inf, omega_measure, pair)
 
 
+def predictor(tag: str | None) -> Callable[..., OmegaPrediction] | None:
+    """predict_h1 or predict_h3 for a regime tag, or None; looked up at
+    call time, so that a wrapped module attribute sees every call."""
+    return {"H1": predict_h1, "H3": predict_h3}.get(tag)
+
+
 # -------------------------------------------------------------- extraction
 
 def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
@@ -330,8 +344,9 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
             start = i
 
     tag = tr.hypothesis.tag
-    if tag == "H3":
-        clusters = sorted(clusters, key=lambda c: c[0])  # most negative first
+    if tag in _REGIMES:
+        ref, side = _REGIMES[tag]
+        clusters.sort(key=lambda c: -side * c[0])  # main plateau first
 
     values = tuple(c[0] for c in clusters)
     measures = tuple(c[1] for c in clusters)
@@ -343,15 +358,11 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
     )
 
     deviation: float | None = None
-    if tag in ("H1", "H3"):
-        refv = 1.0 if tag == "H1" else 0.0
-        mainward = (lambda v: v > refv) if tag == "H1" else (lambda v: v < refv)
-        if len(values) == 1:
-            deviation = 0.0 if mainward(values[0]) else math.inf
-        elif len(values) == 2:
-            deviation = abs(values[1] - refv) if mainward(values[0]) else math.inf
-        else:
+    if tag in _REGIMES:
+        if len(values) > 2 or not side * (values[0] - ref) > 0.0:
             deviation = math.inf
+        else:
+            deviation = abs(values[1] - ref) if len(values) == 2 else 0.0
 
     return OmegaPrediction(
         hypothesis=tag,

@@ -304,6 +304,29 @@ class TestRearrange:
         assert cli.main(["rearrange", "--values", "-1,2,3", *args]) == 0
         assert capsys.readouterr().out == "wrote staircase with 3 plateaus\n"
 
+    @pytest.mark.parametrize("args", [
+        ["--values", "-inf,1"],
+        ["--values", "-nan,1"],
+        ["--values", "1,2", "--domain-measure", "-inf"],
+    ])
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, args):
+        assert cli.main(["rearrange", *args, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--values", "5,6,7"), ("--domain-measure", "3"), ("--out-dir", "x"), ("--base", "y"),
+    ])
+    def test_config_with_inline_flag_refused(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        assert cli.main(["rearrange", cfg, flag, value]) == 2
+        assert capsys.readouterr().err == (
+            "config error: rearrange takes a config or --values, --domain-measure, "
+            "--out-dir and --base, not both\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h1.cfg"]
+
     def test_config_field(self, tmp_path):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
         assert cli.main(["rearrange", cfg]) == 0
@@ -329,13 +352,6 @@ class TestPredict:
         fields = dict(l.split(" = ") for l in out.strip().splitlines() if " = " in l)
         assert float(fields["plateau_1_value"]) == pytest.approx(3.0, abs=1e-10)
         assert (tmp_path / "out" / "h1.predicted.dat").exists()
-
-    def test_h2_refused(self, tmp_path):
-        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
-        rc = cli.main(
-            ["predict", cfg, "--m0", "0.5", "--energy-limit", "0.1", "--hypothesis", "h2"]
-        )
-        assert rc == 2
 
     def test_infeasible_inputs_exit_4(self, tmp_path):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
@@ -369,6 +385,52 @@ class TestPredict:
         cfg = _write(tmp_path, "h3.cfg", H3_CONFIG)
         assert cli.main(["predict", cfg, "--m0", "-0.6", "--energy-limit", "-1e-5"]) == 4
         assert capsys.readouterr().err.startswith("prediction infeasible: ")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--m0", "inf", "m0 must be finite"),
+        ("--m0", "-inf", "m0 must be finite"),
+        ("--m0", "-Infinity", "m0 must be finite"),
+        ("--energy-limit", "-inf", "energy limit must be finite"),
+        ("--energy-limit", "-NaN", "energy limit must be finite"),
+    ])
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, flag, value, message):
+        # a minus before inf or nan is a value too, and reaches the finite checks
+        argv = ["predict", _write(tmp_path, "h1.cfg", H1_CONFIG), "--m0", "2.0",
+                "--energy-limit", "2.5"]
+        argv[argv.index(flag) + 1] = value
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"bad predictor input: {message}\n"
+
+    @pytest.mark.parametrize("measure", ["-1.0", "0.0"])
+    @pytest.mark.parametrize("config", [H1_CONFIG, WIDE_CONFIG])
+    def test_non_positive_domain_measure_exit_2(self, tmp_path, capsys, config, measure):
+        # initial data by atoms and by expression: either way the measure
+        # reaches the predictor, and simulate refuses the config
+        text = config.replace("domain.measure = 1.0\n", "") + f"domain.measure = {measure}\n"
+        cfg = _write(tmp_path, "c.cfg", text)
+        assert cli.main(["predict", cfg, "--m0", "2.0", "--energy-limit", "2.5"]) == 2
+        assert capsys.readouterr().err == (
+            f"bad predictor input: domain measure must be positive and finite, got {measure}\n"
+        )
+        assert cli.main(["simulate", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial.") and err.count("\n") == 1
+
+    def test_config_without_initial_data(self, tmp_path, capsys):
+        """The model is validated on +-2 and the measure read from the config."""
+        cfg = _write(tmp_path, "bare.cfg", (
+            'model.builtin = "logistic-identity"\n'
+            "domain.measure = 2.0\n"
+            'output.dir = "{out}"\n'
+        ))
+        assert cli.main(["predict", cfg, "--m0", "3.0", "--energy-limit", "3.0"]) == 0
+        assert "domain_measure = 2\n" in capsys.readouterr().out
+
+    def test_help_lists_only_the_energy_route(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["predict", "--help"])
+        options = [w for w in capsys.readouterr().out.split() if w.startswith("--")]
+        assert sorted(set(options)) == ["--energy-limit", "--help", "--m0"]
 
 
 class TestCheck:

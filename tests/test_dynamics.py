@@ -408,7 +408,7 @@ class TestColumnarTrajectory:
             # each step adds dt times the 5th-order weights over its stages
             dissipated += 0.5 * dynamics._combine(dynamics._DP_A[-1], ds)
         assert extension_differs
-        assert tr.dissipated == (10.0, dissipated)
+        assert tr.dissipated == dissipated
 
     def test_dense_rows_equal_single_fraction_calls(self, logistic):
         """Each row of a dense block is the extension at its fraction alone,
@@ -467,6 +467,29 @@ class TestColumnarTrajectory:
         assert info.value.t == h1_run.times[k]
         assert np.array_equal(info.value.values, row, equal_nan=True)
         assert row[1] == h1_run.values[k, 1]
+
+    def test_gate_refuses_an_accepted_step(self, h1_run, logistic, monkeypatch):
+        """A step whose error estimate accepts it, but whose state leaves the
+        region, raises at the step's end time with the values in the order
+        the input lists its atoms."""
+        attempt = dynamics._dp_attempt
+        pushed = []  # (end time, state) of each pushed attempt
+
+        def push(t, values, k1, d1, dt, *args):
+            new, ks, ds, den, rho = attempt(t, values, k1, d1, dt, *args)
+            if t > 0.0:  # from the second step on, the top atom (canonical
+                new = new.copy()  # index 0) past the region [1, 2]
+                new[0] = 2.0 + 1e-3
+                pushed.append((t + dt, new))
+            return new, ks, ds, den, rho  # the same stage rates: accepted
+
+        monkeypatch.setattr(dynamics, "_dp_attempt", push)
+        u0 = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)  # not in canonical order
+        with pytest.raises(NumericalFailureError, match="^invariant region violated") as info:
+            integrate(u0, logistic, h1_run.config)
+        t_end, new = pushed[-1]
+        assert info.value.t == t_end
+        assert info.value.values.tolist() == [new[1], 2.0 + 1e-3]
 
 
 class TestCanonicalOrder:
@@ -891,15 +914,13 @@ class TestDissipationIntegral:
         within 1e-8 of |E(0)| (2.1e-9 at worst here); the trapezoid rule on
         the 0.01 record grid missed it by 1.0e-6 on H1."""
         tr = request.getfixturevalue(run)
-        t_end, integral = tr.dissipated
-        assert t_end == tr.times[-1]
         drop = tr.energy_series[-1] - tr.energy_series[0]
-        assert abs(drop - integral) <= 1e-8 * abs(tr.energy_series[0])
+        assert abs(drop - tr.dissipated) <= 1e-8 * abs(tr.energy_series[0])
 
     def test_guard_trip_in_a_stage_rejects_the_attempt(self, h1_run, logistic, monkeypatch):
         """A stage that trips the guard rejects its step attempt, and the run
-        goes on; on it and on the guard-crossing run the integral stops at
-        the last record, the last accepted state."""
+        goes on, its dissipation integral meeting the energy drop; a run
+        whose g-integral crosses the guard ends there."""
         calls = []
 
         def trip_once(*args):
@@ -914,16 +935,13 @@ class TestDissipationIntegral:
         assert len(calls) > 20 and tr.termination == Termination.STATIONARY
         assert tr.values.tobytes() != h1_run.values.tobytes()  # the steps changed
         np.testing.assert_allclose(tr.values[-1], 1.75, atol=1e-8)
-        t_end, integral = tr.dissipated
-        assert t_end == tr.times[-1]
         drop = tr.energy_series[-1] - tr.energy_series[0]
-        assert abs(drop - integral) <= 1e-8 * abs(tr.energy_series[0])
+        assert abs(drop - tr.dissipated) <= 1e-8 * abs(tr.energy_series[0])
 
         pair = build_model("u*(1-u)/(1+4*u^2)", "u", working_range=(-3.0, 3.0))
         u0 = AtomField([0.3, -1.0], [0.73, 0.27], 1.0)
         crossing = integrate(u0, pair, IntegratorConfig(t_max=50.0, record_every=0.001))
         assert crossing.termination == Termination.DENOMINATOR_VANISHING
-        assert crossing.dissipated[0] == crossing.times[-1]
 
 
 class TestVerifyTrajectory:
@@ -947,6 +965,13 @@ class TestVerifyTrajectory:
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "mass-conservation" in failed
+
+    def test_non_finite_multiplier_fails_lambda_bound(self, h1_run):
+        lam = h1_run.lambda_series.copy()
+        lam[len(lam) // 2] = np.nan
+        report = verify_trajectory(dataclasses.replace(h1_run, lambda_series=lam))
+        row = next(c for c in report.checks if c.name == "lambda-bound")
+        assert not row.passed and row.worst == math.inf
 
     def test_constant_trajectory_trivially_passes(self, logistic):
         u = AtomField([0.5], [1.0], 1.0)

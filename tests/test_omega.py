@@ -1,6 +1,7 @@
 """Tests for nldyn.omega: the scalar predictor, extraction, consistency."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -241,6 +242,17 @@ class TestPredictorMessages:
         for predict, m0 in ((predict_h1, 2.0), (predict_h3, -1.0)):
             with pytest.raises(ValueError, match="^energy limit must be finite$"):
                 predict(m0, float("nan"), 1.0, logistic)
+        for predict, m0 in ((predict_h1, math.inf), (predict_h3, -math.inf)):
+            with pytest.raises(ValueError, match="^m0 must be finite$"):
+                predict(m0, 1.0, 1.0, logistic)
+
+    @pytest.mark.parametrize("m0, tag", [
+        (1.5, "H1"), (-0.5, "H3"), (math.inf, "H1"), (-math.inf, "H3"),
+        (1.0, None), (0.5, None), (0.0, None), (-0.0, None), (math.nan, None),
+    ])
+    def test_regime_of_a_mass(self, m0, tag):
+        assert omega.regime(m0, 1.0) == tag
+        assert omega.predictor(tag) is {"H1": predict_h1, "H3": predict_h3}.get(tag)
 
     def test_infeasible_measure_h1(self, logistic):
         # G(mu) = 1.5 gives mu = 2, so a1 = (m0 - 1)/(mu - 1) = 2 > |Omega|

@@ -45,7 +45,7 @@ from . import field as field_mod
 from .errors import DenominatorVanishingError, NumericalFailureError
 from .field import AtomField
 from .model import HypothesisClass, NonlinearityPair, classify_hypothesis
-from .model import atom_rates, guard_threshold, multiplier
+from .model import atom_rates, multiplier
 from .model import input_order, unpermute
 
 _REGION_ABORT_TOL = 1e-6  # hard abort beyond this
@@ -225,9 +225,10 @@ def _dp_attempt(t, values, k1, d1, dt, weights, omega, pair):
     and dissipation sum d1.
 
     Returns the 5th-order values, the seven stage rates and dissipation
-    sums (the last are those at the new values), the g-integral at the new
-    values and an estimate of the Jacobian's largest eigenvalue. A stage
-    that trips the guard or fails raises, as ``model.atom_rates`` does.
+    sums (the last are those at the new values), the g-integral's margin
+    (``model.guarded_multiplier``) at the new values and an estimate of the
+    Jacobian's largest eigenvalue. A stage that trips the guard or fails
+    raises, as ``model.atom_rates`` does.
     Entries of ``values`` past the atoms are passive tracers
     (``model.atom_rates``); they stay out of the eigenvalue estimate.
     """
@@ -235,7 +236,7 @@ def _dp_attempt(t, values, k1, d1, dt, weights, omega, pair):
     v = values
     for c, row in zip(_DP_C, _DP_A):
         v6, v = v, values + dt * _combine(row, ks)
-        k, den, d = atom_rates(t + c * dt, v, weights, omega, pair)
+        k, margin, d = atom_rates(t + c * dt, v, weights, omega, pair)
         ks.append(k)
         ds.append(d)
     # stages 6 and 7 share the time t + dt: their rate difference over
@@ -244,7 +245,7 @@ def _dp_attempt(t, values, k1, d1, dt, weights, omega, pair):
     n = weights.size
     dv = float(_max(np.abs(v[:n] - v6[:n])))
     rho = float(_max(np.abs(ks[6][:n] - ks[5][:n]))) / dv if dv > 0.0 else 0.0
-    return v, ks, ds, den, rho
+    return v, ks, ds, margin, rho
 
 
 def _dp_dense(values, dt, ks, thetas: list[float]) -> np.ndarray:
@@ -438,7 +439,7 @@ def _integrate_canonical(
     dissipated = 0.0  # the unsigned dissipation integral up to t
     keep([t], values[None])
     try:
-        rates, den, diss = atom_rates(t, values, weights, omega, pair)
+        rates, margin, diss = atom_rates(t, values, weights, omega, pair)
     except DenominatorVanishingError:
         return finish(Termination.DENOMINATOR_VANISHING, None, t, values)
     if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
@@ -456,7 +457,7 @@ def _integrate_canonical(
             dt_try = cfg.t_max - t
 
         try:
-            new, ks, ds, den_new, rho = _dp_attempt(
+            new, ks, ds, margin_new, rho = _dp_attempt(
                 t, values, rates, diss, dt_try, weights, omega, pair
             )
         except (NumericalFailureError, DenominatorVanishingError):
@@ -473,7 +474,7 @@ def _integrate_canonical(
             err_ratio = math.inf
         # a sign flip of the g-integral inside the step means the step
         # straddles the continuation obstruction: refine toward it
-        flip = err_ratio <= 1.0 and math.copysign(1.0, den_new) != math.copysign(1.0, den)
+        flip = err_ratio <= 1.0 and math.copysign(1.0, margin_new) != math.copysign(1.0, margin)
         factor = (
             _DP_MAX_FACTOR
             if err_ratio == 0.0
@@ -488,7 +489,7 @@ def _integrate_canonical(
                 # step control collapsed; decide whether the denominator
                 # obstruction (a finite-time crossing of the g-integral,
                 # unreachable by explicit steps) caused it
-                if flip or abs(den) < guard_threshold(pair.g(values[:n]), omega, 1e-6):
+                if flip or abs(margin) < 1e-6:
                     return finish(Termination.DENOMINATOR_VANISHING, rates, t, values)
                 raise NumericalFailureError(
                     "step size underflow (error control cannot proceed)", t, values
@@ -517,7 +518,7 @@ def _integrate_canonical(
             keep(t_recs, block)
 
         dissipated += dt_try * _combine(_DP_A[-1], ds)
-        t, values, rates, diss, den = t_new, new, ks[-1], ds[-1], den_new
+        t, values, rates, diss, margin = t_new, new, ks[-1], ds[-1], margin_new
 
         if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
             stationary_streak += 1

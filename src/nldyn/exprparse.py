@@ -216,10 +216,10 @@ def evaluate(ast: ExprAst, u: float) -> float:
             return math.log(x)
         if ast.op == "tanh":
             return math.tanh(x)
-        if ast.op == "sin":
-            return math.sin(x)
-        if ast.op == "cos":
-            return math.cos(x)
+        if ast.op in ("sin", "cos"):
+            if math.isinf(x):
+                raise EvalDomainError(f"{ast.op} of {x!r}", ast.offset)
+            return getattr(math, ast.op)(x)
         raise AssertionError(f"bad unary op {ast.op!r}")
     if isinstance(ast, Binary):
         a = evaluate(ast.left, u)
@@ -248,41 +248,45 @@ def evaluate(ast: ExprAst, u: float) -> float:
 
 
 def to_callable(ast: ExprAst, var: str = "u") -> Callable:
-    """Compile the AST to a numpy-capable closure (nan/inf propagate).
+    """Compile the AST to a closure over scalars or arrays (a float for a scalar).
 
-    The returned function accepts scalars or ndarrays. It is the fast
-    evaluation path used inside samplers and the integrator; the strict
+    Constants are float64 values held by the closure and a scalar comes in
+    as a float64, so every value follows numpy's rules: a zero divisor or
+    a non-finite literal gives inf or nan, never an exception. The strict
     ``evaluate`` above is the error-reporting path.
     """
-    source = _codegen(ast, var)
-    namespace = {"np": np}
+    consts: list[float] = []
+    source = _codegen(ast, var, consts)
+    namespace = {"np": np, **{f"c{k}": np.float64(c) for k, c in enumerate(consts)}}
     fn = eval(f"lambda {var}: {source}", namespace)  # noqa: S307 - generated from our own AST
 
     def wrapped(u):
+        scalar = np.ndim(u) == 0
         with np.errstate(all="ignore"):
-            out = fn(u)
-        if np.ndim(u) == 0 and np.ndim(out) == 0:
+            out = fn(np.float64(u) if scalar else u)
+        if scalar:
             return float(out)
         return np.broadcast_to(out, np.shape(u)).astype(float) if np.ndim(out) == 0 else out
 
     return wrapped
 
 
-def _codegen(ast: ExprAst, var: str) -> str:
+def _codegen(ast: ExprAst, var: str, consts: list[float]) -> str:
     if isinstance(ast, Const):
-        return repr(ast.value)
+        consts.append(ast.value)
+        return f"c{len(consts) - 1}"
     if isinstance(ast, Var):
         return var
     if isinstance(ast, Unary):
-        inner = _codegen(ast.arg, var)
+        inner = _codegen(ast.arg, var, consts)
         if ast.op == "neg":
             return f"(-({inner}))"
         return f"np.{ast.op}({inner})"
     if isinstance(ast, Binary):
-        a = _codegen(ast.left, var)
-        b = _codegen(ast.right, var)
+        a = _codegen(ast.left, var, consts)
+        b = _codegen(ast.right, var, consts)
         if ast.op == "^":
-            return f"np.power(np.asarray({a}, dtype=float), {b})"
+            return f"np.power({a}, {b})"
         return f"(({a}) {ast.op} ({b}))"
     raise AssertionError(f"bad node {ast!r}")
 
@@ -290,17 +294,19 @@ def _codegen(ast: ExprAst, var: str) -> str:
 # --------------------------------------------------------- differentiation
 
 def differentiate(ast: ExprAst) -> ExprAst:
-    """Exact symbolic derivative, simplified by folding and identities."""
-    return _simplify(_diff(ast))
+    """Exact symbolic derivative: the unsimplified product- and chain-rule tree.
 
-
-def _diff(ast: ExprAst) -> ExprAst:
+    Nothing is folded or cancelled, so the printed form carries every
+    factor of the rules: ``unparse(differentiate(parse("u^2")))`` is
+    ``2.0*u^1.0*1.0``. The derivative of a constant power ``a^0`` is
+    exactly 0.
+    """
     if isinstance(ast, Const):
         return Const(0.0)
     if isinstance(ast, Var):
         return Const(1.0)
     if isinstance(ast, Unary):
-        dx = _diff(ast.arg)
+        dx = differentiate(ast.arg)
         x = ast.arg
         if ast.op == "neg":
             return Unary("neg", dx)
@@ -319,8 +325,8 @@ def _diff(ast: ExprAst) -> ExprAst:
             return Unary("neg", Binary("*", Unary("sin", x), dx))
         raise AssertionError(f"bad unary op {ast.op!r}")
     if isinstance(ast, Binary):
-        da = _diff(ast.left)
-        db = _diff(ast.right)
+        da = differentiate(ast.left)
+        db = differentiate(ast.right)
         a, b = ast.left, ast.right
         if ast.op == "+":
             return Binary("+", da, db)
@@ -332,8 +338,11 @@ def _diff(ast: ExprAst) -> ExprAst:
             num = Binary("-", Binary("*", da, b), Binary("*", a, db))
             return Binary("/", num, Binary("^", b, Const(2.0)))
         if ast.op == "^":
-            # exponent is a Const by construction
+            # exponent is a Const by construction; a^0 is constant, and
+            # 0 * a^-1 would be nan where a = 0
             c = b.value  # type: ignore[union-attr]
+            if c == 0.0:
+                return Const(0.0)
             return Binary(
                 "*",
                 Binary("*", Const(c), Binary("^", a, Const(c - 1.0))),
@@ -365,58 +374,6 @@ def _fold(ast: ExprAst) -> ExprAst:
                 return node
         return node
     return ast
-
-
-def _simplify(ast: ExprAst) -> ExprAst:
-    if isinstance(ast, (Const, Var)):
-        return ast
-    if isinstance(ast, Unary):
-        arg = _simplify(ast.arg)
-        if isinstance(arg, Const):
-            folded = _fold(Unary(ast.op, arg))
-            if isinstance(folded, Const):
-                return folded
-        return Unary(ast.op, arg, ast.offset)
-    assert isinstance(ast, Binary)
-    a = _simplify(ast.left)
-    b = _simplify(ast.right)
-    op = ast.op
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold(Binary(op, a, b))
-        if isinstance(folded, Const):
-            return folded
-    if op == "+":
-        if _is_const(a, 0.0):
-            return b
-        if _is_const(b, 0.0):
-            return a
-    elif op == "-":
-        if _is_const(b, 0.0):
-            return a
-        if _is_const(a, 0.0):
-            return _simplify(Unary("neg", b))
-    elif op == "*":
-        if _is_const(a, 0.0) or _is_const(b, 0.0):
-            return Const(0.0)
-        if _is_const(a, 1.0):
-            return b
-        if _is_const(b, 1.0):
-            return a
-    elif op == "/":
-        if _is_const(b, 1.0):
-            return a
-        if _is_const(a, 0.0):
-            return Const(0.0)
-    elif op == "^":
-        if _is_const(b, 1.0):
-            return a
-        if _is_const(b, 0.0):
-            return Const(1.0)
-    return Binary(op, a, b, ast.offset)
-
-
-def _is_const(node: ExprAst, value: float) -> bool:
-    return isinstance(node, Const) and node.value == value
 
 
 # ---------------------------------------------------------- antiderivative

@@ -154,7 +154,7 @@ def validate_pair(
 
     for point in (0.0, 1.0):
         value = float(pair.g(point))
-        if abs(value) > 1e-12:
+        if not abs(value) <= 1e-12:  # a NaN fails too
             raise ModelValidationError(
                 f"g({point:g}) = 0", point, f"got {value!r}"
             )
@@ -250,28 +250,21 @@ def multiplier(t: float, values: np.ndarray, weights: np.ndarray, pair: Nonlinea
     return gv, pv, lam, den
 
 
-def guard_threshold(gv: np.ndarray, omega: float, rel: float = 1e-10) -> float:
-    """Scale-aware guard threshold: rel * |Omega| * max |g| over the atoms.
-
-    Shrinks together with g as all atoms approach roots of g, so the
-    guard only fires when the integral is small relative to its terms.
-    """
-    return rel * omega * float(_max(np.abs(gv)))
-
-
 def guarded_multiplier(t, values, weights, omega, pair):
-    """``multiplier``, raising DenominatorVanishingError when the g-integral
-    is 0 or below ``guard_threshold``."""
+    """``multiplier`` with the g-integral's margin den / (|Omega| max|g|), its
+    size against its terms, in place of den; raises DenominatorVanishingError
+    when the margin is below 1e-10 (g = 0 at every atom included)."""
     gv, pv, lam, den = multiplier(t, values, weights, pair)
-    eps = guard_threshold(gv, omega)
-    if den == 0.0 or abs(den) < eps:
-        raise DenominatorVanishingError(den, eps)
-    return gv, pv, lam, den
+    scale = omega * float(_max(np.abs(gv)))
+    margin = den / scale if scale > 0.0 else 0.0
+    if abs(margin) < 1e-10:
+        raise DenominatorVanishingError(den, 1e-10 * scale)
+    return gv, pv, lam, margin
 
 
 def atom_rates(t, values, weights, omega, pair):
-    """Per-atom rates g*(p - lam), the g-integral and the dissipation sum at
-    one state (guarded).
+    """Per-atom rates g*(p - lam), the g-integral's margin (``guarded_multiplier``)
+    and the dissipation sum at one state (guarded).
 
     The dissipation sum is the pairwise sum of w*g*(p - lam)^2 over the
     atoms, the energy rate of E_1 that the integrator carries alongside the
@@ -280,7 +273,7 @@ def atom_rates(t, values, weights, omega, pair):
     with the atoms' lam and enters neither lam, the guard nor the sum.
     """
     n = weights.size
-    gv, pv, lam, den = guarded_multiplier(t, values[:n], weights, omega, pair)
+    gv, pv, lam, margin = guarded_multiplier(t, values[:n], weights, omega, pair)
     gap = pv - lam
     rates = gv * gap
     diss = float(_sum(weights * rates * gap))
@@ -288,7 +281,7 @@ def atom_rates(t, values, weights, omega, pair):
         s = values[n:]
         carried = np.asarray(pair.g(s), dtype=float) * (np.asarray(pair.p(s), dtype=float) - lam)
         rates = np.concatenate([rates, carried])
-    return rates, den, diss
+    return rates, margin, diss
 
 
 def dissipation_sum(weights: np.ndarray, gv: np.ndarray, pv: np.ndarray, lam: float) -> float:
@@ -353,7 +346,7 @@ def lambda_of(u: AtomField, pair: NonlinearityPair) -> float:
     Pairwise sums over the atoms in canonical order: the value the
     integrator records for this state, whatever order the field lists its
     atoms in. Raises DenominatorVanishingError when |sum of m*g| falls
-    below ``guard_threshold``, NumericalFailureError on overflow.
+    below the guard (``guarded_multiplier``), NumericalFailureError on overflow.
     """
     order, values, weights = canonical_atoms(u)
     with input_order(order):

@@ -39,7 +39,6 @@ from .quad import adaptive_simpson
 
 _RESIDUAL_TOL = 1e-10
 _BRACKET_LIMIT = 1e6
-_BISECT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,11 @@ def sample_g_monotone(
 # ------------------------------------------------------------------ roots
 
 def _bisect_increasing(h: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of increasing h with h(lo) < 0 < h(hi), to bracket exhaustion."""
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
+    """Root of increasing h with h(lo) < 0 < h(hi), to bracket exhaustion
+    (at most about 2,200 halvings); the midpoint 0.5*lo + 0.5*hi is
+    0.5*(lo + hi) on normal floats, but cannot overflow."""
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
         hm = h(mid)
@@ -172,7 +173,7 @@ def _bisect_increasing(h: Callable[[float], float], lo: float, hi: float) -> flo
             hi = mid
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 # regime tag -> (root r of g that the regime leaves in place, side of r
@@ -197,7 +198,8 @@ def _predict(
     """Two-plateau limit v chi_A + r (1 - chi_A) from mass and energy limit.
 
     Solves G(v) = (E - P(r)|Omega|) / (m0 - r|Omega|) for G around r by
-    bisection on a bracket from r +- 1e-12 that doubles outwards on the
+    bisection on a bracket from r +- 1e-12 to a far end at 2|m0|/|Omega|
+    (at least 2, at most the largest float) that doubles outwards on the
     plateau's side of r, then reads the plateau measure off mass
     conservation: a1 = (m0 - r|Omega|) / (v - r). Under H3 (r = 0) the
     terms in r and P(0) = 0 are exact zeros. m0 must be finite and in the
@@ -227,7 +229,7 @@ def _predict(
         return (gf(a), gf(b)) if side > 0 else (gf(b), gf(a))
 
     near = ref + side * 1e-12
-    far = side * max(2.0, 2.0 * abs(m0) / omega)
+    far = side * min(max(2.0, 2.0 * abs(m0) / omega), float(np.finfo(float).max))
     if side * h(near) >= 0.0:
         raise NoRootError(
             f"right-hand side {target!r} at or {'below' if side > 0 else 'above'} "

@@ -401,6 +401,19 @@ class TestPredict:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"bad predictor input: {message}\n"
 
+    @pytest.mark.parametrize("m0, energy, message", [
+        ("1e308", "1.0", "right-hand side 5e-309 at or below G(1+)"
+                         " (function range sampled: [1.0, inf])"),
+        ("-1e308", "1e308", "plateau measure 4.999999999999999e+307 exceeds domain measure 1.0"),
+        ("1e307", "1e308", "plateau measure 5.555555555555556e+305 exceeds domain measure 1.0"),
+    ])
+    def test_huge_mass_exit_4(self, tmp_path, capsys, m0, energy, message):
+        # the bracket's far end 2|m0|/|Omega| is capped at the largest float,
+        # and the bisection runs until the bracket is exhausted
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        assert cli.main(["predict", cfg, "--m0", m0, "--energy-limit", energy]) == 4
+        assert capsys.readouterr().err == f"prediction infeasible: {message}\n"
+
     @pytest.mark.parametrize("measure", ["-1.0", "0.0"])
     @pytest.mark.parametrize("config", [H1_CONFIG, WIDE_CONFIG])
     def test_non_positive_domain_measure_exit_2(self, tmp_path, capsys, config, measure):

@@ -48,6 +48,12 @@ _BAD_MODELS = st.sampled_from([
     ['model.g = "u"', 'model.p = "u"'],
     ['model.g = "u*(1"', 'model.p = "u"'],
     ['model.g = "u*(1-u)"', 'model.p = "log(u)"'],
+    # constant faults: a zero divisor or a non-finite literal or value
+    ['model.g = "u*(1-u)"', 'model.p = "u + 0.1*u/0"'],
+    ['model.g = "u*(1-u)"', 'model.p = "u + 1/(1-1)"'],
+    ['model.g = "u*(1-u)"', 'model.p = "u + 1e999"'],
+    ['model.g = "u*(1-u)"', 'model.p = "u + 0.1*sin(1e308^2)"'],
+    ['model.g = "u*(1-u)"', 'model.p = "u + 0.1*(exp(1e308) - exp(1e308))*u"'],
     ['model.g = "u*(1-u)"'],
     [],
 ])
@@ -89,7 +95,9 @@ def config_texts(draw):
         expr = draw(st.sampled_from(["1 + x", "-x", "0.5 + 0.1*x", "2 - x"]))
         samples = draw(st.integers(1, 24))
         if fault == "expr":
-            expr = draw(st.sampled_from(["1/x", "x^", "log(-x)", "exp(1000*x)", ""]))
+            expr = draw(st.sampled_from([
+                "1/x", "x^", "log(-x)", "exp(1000*x)", "", "1 + x + 0/0", "1 + x + 1e999*0",
+            ]))
         if fault == "samples":
             samples = draw(st.sampled_from(["0", "-2", "1.5", "many"]))
         lines.append(f'initial.expr = "{expr}"')

@@ -111,11 +111,38 @@ class TestEvaluate:
     def test_exp_overflow_is_ieee_infinity(self):
         assert evaluate(parse("exp(u)"), 1e4) == math.inf
 
+    def test_sin_cos_of_infinity_are_domain_errors(self):
+        for text in ("sin(1e308^2)", "cos(-exp(1000))"):
+            with pytest.raises(EvalDomainError):
+                evaluate(parse(text), 0.0)
+        # so constant folding leaves them in place: no constant exponent
+        with pytest.raises(ExprSyntaxError):
+            parse("u^sin(1e999)")
+
     def test_callable_matches_scalar_eval(self):
+        """The compiled callable is numpy's arithmetic throughout: it never
+        raises, on a scalar or an array, and a scalar gets its array entry's
+        bits. Node by node, on the same operands, it agrees with ``evaluate``
+        to 1e-15 where that is finite and is non-finite where that raises
+        EvalDomainError. A whole tree is compared on one smooth expression
+        only: an absorbed fault (tanh(1/0) is 1 here) or a libm ulp grown
+        through exp and cos parts the two elsewhere."""
         ast = parse("u*(1-u) + tanh(u)")
         fn = to_callable(ast)
         for x in RNG.uniform(-2, 2, size=50):
             assert fn(float(x)) == pytest.approx(evaluate(ast, float(x)), rel=1e-15)
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            ast = _random_ast(depth=4, rng=rng, extremes=(math.inf, -math.inf, math.nan, 1e308))
+            fn = to_callable(ast)
+            xs = rng.uniform(-2.0, 2.0, size=8)
+            block = fn(xs)
+            assert block.shape == xs.shape
+            for x, entry in zip(xs.tolist(), block.tolist()):
+                for arg in (x, np.float64(x), np.array(x)):
+                    got = fn(arg)
+                    assert type(got) is float and _same_float(got, entry), (unparse(ast), x)
+                assert _same_float(_compiled_nodewise(ast, x), entry), (unparse(ast), x)
 
     def test_callable_vectorized(self):
         fn = to_callable(parse("u^2"))
@@ -123,20 +150,49 @@ class TestEvaluate:
 
 
 # random expression generator over the full grammar; exp nesting kept shallow
-# so values stay in floating range on [-2, 2]
-def _random_ast(depth, allow_exp=True):
-    roll = RNG.integers(0, 10)
+# so values stay in floating range on [-2, 2]. A quarter of the constant
+# leaves are drawn from ``extremes`` when it is given.
+def _random_ast(depth, allow_exp=True, rng=RNG, extremes=()):
+    roll = rng.integers(0, 10)
     if depth <= 0 or roll < 2:
         if roll % 2 == 0:
-            return Const(float(RNG.integers(0, 4)) + float(RNG.random() < 0.5) * 0.5)
+            if extremes and rng.random() < 0.25:
+                return Const(float(rng.choice(extremes)))
+            return Const(float(rng.integers(0, 4)) + float(rng.random() < 0.5) * 0.5)
         return Var("u")
+    sub = lambda allow: _random_ast(depth - 1, allow, rng, extremes)
     if roll < 4:
-        op = RNG.choice(["neg", "tanh", "sin", "cos"] + (["exp"] if allow_exp else []))
-        return Unary(str(op), _random_ast(depth - 1, allow_exp and op != "exp"))
-    op = str(RNG.choice(["+", "-", "*", "/", "^"]))
+        op = rng.choice(["neg", "tanh", "sin", "cos"] + (["exp"] if allow_exp else []))
+        return Unary(str(op), sub(allow_exp and op != "exp"))
+    op = str(rng.choice(["+", "-", "*", "/", "^"]))
     if op == "^":
-        return Binary("^", _random_ast(depth - 1, allow_exp), Const(float(RNG.integers(0, 4))))
-    return Binary(op, _random_ast(depth - 1, allow_exp), _random_ast(depth - 1, allow_exp))
+        return Binary("^", sub(allow_exp), Const(float(rng.integers(0, 4))))
+    return Binary(op, sub(allow_exp), sub(allow_exp))
+
+
+def _same_float(a, b):
+    """Equal bits, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _compiled_nodewise(ast, x):
+    """The compiled value of ast at x, one node at a time: each node is
+    compiled with its operands' compiled values as constants, and checked
+    against ``evaluate`` on those same operands."""
+    if isinstance(ast, Unary):
+        ast = Unary(ast.op, Const(_compiled_nodewise(ast.arg, x)))
+    elif isinstance(ast, Binary):
+        left, right = (Const(_compiled_nodewise(a, x)) for a in (ast.left, ast.right))
+        ast = Binary(ast.op, left, right)
+    got = to_callable(ast)(x)
+    try:
+        want = evaluate(ast, x)
+    except EvalDomainError:
+        assert not math.isfinite(got), (unparse(ast), got)
+    else:
+        if math.isfinite(want):
+            assert got == pytest.approx(want, rel=1e-15), unparse(ast)
+    return got
 
 
 def _finite_difference(ast, x, h=1e-6):
@@ -153,6 +209,16 @@ class TestDifferentiate:
         d = differentiate(parse("u*(1-u)"))
         assert evaluate(d, 0.5) == pytest.approx(0.0, abs=1e-15)
         assert evaluate(d, 0.5) == pytest.approx(_finite_difference(parse("u*(1-u)"), 0.5), abs=1e-8)
+
+    def test_unsimplified_tree(self):
+        # every factor of the power and chain rules, nothing folded
+        assert unparse(differentiate(parse("u^2"))) == "2.0*u^1.0*1.0"
+
+    def test_constant_power_derivative_is_zero(self):
+        # 0 * (u - 1)^-1 would be nan at u = 1
+        p_prime = to_callable(differentiate(parse("u + (u - 1)^0")))
+        assert p_prime(1.0) == 1.0
+        np.testing.assert_array_equal(p_prime(np.array([0.0, 1.0, 2.0])), [1.0, 1.0, 1.0])
 
     def test_constant_derivative(self):
         assert evaluate(differentiate(parse("42")), 1.0) == 0.0
@@ -402,3 +468,10 @@ class TestBuildModel:
         with pytest.raises(ModelValidationError) as info:
             build_model("u", "u")
         assert "g(1)" in info.value.check
+
+    @pytest.mark.parametrize("g", ["u*(1-u)/0", "u*(1-u)*1e999"])
+    def test_constant_fault_in_g_rejected(self, g):
+        # g(0) = 0 * inf is nan, and g = inf keeps the sign pattern
+        with pytest.raises(ModelValidationError) as info:
+            build_model(g, "u")
+        assert info.value.check == "g(0) = 0"

@@ -246,6 +246,27 @@ class TestPredictorMessages:
             with pytest.raises(ValueError, match="^m0 must be finite$"):
                 predict(m0, 1.0, 1.0, logistic)
 
+    def test_far_bracket_end_stays_finite(self, logistic):
+        # 2|m0|/|Omega| overflows past about 9e307; the far end stops at the
+        # largest float, where G is inf, not nan
+        with pytest.raises(NoRootError) as info:
+            predict_h1(1e308, 1.0, 1.0, logistic)
+        assert info.value.value_range == (gfunction(logistic, 1.0)(1.0 + 1e-12), math.inf)
+        assert str(info.value).endswith("(function range sampled: [1.0, inf])")
+        # G(xi) = xi/2 = -1 gives xi = -2, so a1 = m0/xi = 5e307 > |Omega|
+        with pytest.raises(InfeasibleMeasureError) as info:
+            predict_h3(-1e308, 1e308, 1.0, logistic)
+        _assert_infeasible_message(str(info.value), 5e307)
+
+    def test_bisection_runs_to_bracket_exhaustion(self, logistic):
+        # G(v) = (v + 1)/2 = 10 at v = 19, so a1 = (1e307 - 1)/18; 200
+        # halvings of the bracket [1, 2e307] stopped near 6e246
+        with pytest.raises(InfeasibleMeasureError) as info:
+            predict_h1(1e307, 1e308, 1.0, logistic)
+        assert str(info.value) == (
+            "plateau measure 5.555555555555556e+305 exceeds domain measure 1.0"
+        )
+
     @pytest.mark.parametrize("m0, tag", [
         (1.5, "H1"), (-0.5, "H3"), (math.inf, "H1"), (-math.inf, "H3"),
         (1.0, None), (0.5, None), (0.0, None), (-0.0, None), (math.nan, None),

@@ -149,7 +149,10 @@ class _Parser:
         if self.peek()[:2] == ("op", "^"):
             _, _, offset = self.advance()
             exponent = self.unary()
-            folded = _fold(exponent)
+            try:
+                folded = _fold(exponent)[0]
+            except EvalDomainError:
+                folded = exponent
             if not isinstance(folded, Const) or not math.isfinite(folded.value):
                 raise ExprSyntaxError(
                     exponent.offset,
@@ -189,8 +192,13 @@ class _Parser:
 
 
 def parse(text: str, var: str = "u") -> ExprAst:
-    """Parse expression text into an AST over the single variable ``var``."""
-    return _Parser(text, var).parse()
+    """Parse expression text into an AST over the single variable ``var``.
+
+    Every all-constant subtree is folded once, here (``_fold``): a constant
+    fault that ``evaluate`` refuses, such as ``(1/0)^0``, raises
+    EvalDomainError at its node's offset.
+    """
+    return _fold(_Parser(text, var).parse())[0]
 
 
 # -------------------------------------------------------------- evaluation
@@ -252,23 +260,22 @@ def to_callable(ast: ExprAst, var: str = "u") -> Callable:
 
     Constants are float64 values held by the closure and a scalar comes in
     as a float64, so every value follows numpy's rules: a zero divisor or
-    a non-finite literal gives inf or nan, never an exception. The strict
-    ``evaluate`` above is the error-reporting path.
+    a non-finite literal gives inf or nan, never an exception or a
+    warning. The strict ``evaluate`` above is the error-reporting path.
     """
     consts: list[float] = []
     source = _codegen(ast, var, consts)
     namespace = {"np": np, **{f"c{k}": np.float64(c) for k, c in enumerate(consts)}}
-    fn = eval(f"lambda {var}: {source}", namespace)  # noqa: S307 - generated from our own AST
+    fn = np.errstate(all="ignore")(eval(f"lambda {var}: {source}", namespace))  # noqa: S307 - generated from our own AST
 
-    def wrapped(u):
-        scalar = np.ndim(u) == 0
-        with np.errstate(all="ignore"):
-            out = fn(np.float64(u) if scalar else u)
-        if scalar:
-            return float(out)
-        return np.broadcast_to(out, np.shape(u)).astype(float) if np.ndim(out) == 0 else out
+    def compiled(u):
+        if np.ndim(u) == 0:
+            return float(fn(np.float64(u)))
+        out = fn(u)
+        # a constant expression gives one value for the whole array
+        return out if np.ndim(out) else np.full(np.shape(u), out)
 
-    return wrapped
+    return compiled
 
 
 def _codegen(ast: ExprAst, var: str, consts: list[float]) -> str:
@@ -352,28 +359,27 @@ def differentiate(ast: ExprAst) -> ExprAst:
     raise AssertionError(f"bad node {ast!r}")
 
 
-def _fold(ast: ExprAst) -> ExprAst:
-    """Fold all-constant subtrees; leave anything that cannot evaluate."""
+def _fold(ast: ExprAst) -> tuple[ExprAst, bool]:
+    """The tree with every all-constant subtree folded to its compiled value,
+    and whether the whole tree is constant.
+
+    A constant subtree that ``evaluate`` refuses raises its EvalDomainError;
+    one whose value is inf or nan stays in place, under numpy's rules.
+    """
     if isinstance(ast, Unary):
-        arg = _fold(ast.arg)
+        arg, constant = _fold(ast.arg)
         node = Unary(ast.op, arg, ast.offset)
-        if isinstance(arg, Const):
-            try:
-                return Const(evaluate(node, 0.0), ast.offset)
-            except EvalDomainError:
-                return node
-        return node
-    if isinstance(ast, Binary):
-        left = _fold(ast.left)
-        right = _fold(ast.right)
-        node = Binary(ast.op, left, right, ast.offset)
-        if isinstance(left, Const) and isinstance(right, Const):
-            try:
-                return Const(evaluate(node, 0.0), ast.offset)
-            except EvalDomainError:
-                return node
-        return node
-    return ast
+    elif isinstance(ast, Binary):
+        (left, left_const), (right, right_const) = _fold(ast.left), _fold(ast.right)
+        node, constant = Binary(ast.op, left, right, ast.offset), left_const and right_const
+    else:
+        return ast, isinstance(ast, Const)
+    if constant:
+        evaluate(node, 0.0)
+        value = to_callable(node)(0.0)
+        if math.isfinite(value):
+            return Const(value, ast.offset), True
+    return node, constant
 
 
 # ---------------------------------------------------------- antiderivative
@@ -405,7 +411,12 @@ def antiderivative(ast: ExprAst) -> Callable | None:
     # coefficients of s^1 .. s^(N+1)
     integ = [c / (k + 1) for k, c in enumerate(poly)]
 
-    def transcendental(acc, x):
+    @np.errstate(all="ignore")
+    def P(s):
+        x = np.float64(s) if np.ndim(s) == 0 else np.asarray(s, dtype=float)
+        acc = np.zeros_like(x)
+        for c in reversed(integ):
+            acc = (acc + c) * x
         for c, op, a, b in funcs:
             if op == "exp":
                 acc = acc + c / a * np.exp(b) * np.expm1(a * x)
@@ -416,27 +427,7 @@ def antiderivative(ast: ExprAst) -> Callable | None:
                 h = 0.5 * a * x
                 outer = np.sin(h + b) if op == "sin" else np.cos(h + b)
                 acc = acc + 2.0 * c / a * outer * np.sin(h)
-        return acc
-
-    def P(s):
-        if isinstance(s, (int, float)) or (isinstance(s, np.ndarray) and s.ndim == 0):
-            # Python floats round + and * as numpy does, so this equals
-            # the array path bit for bit without numpy's per-call cost
-            x = float(s)
-            acc = 0.0
-            for c in reversed(integ):
-                acc = (acc + c) * x
-            if funcs:
-                with np.errstate(all="ignore"):
-                    acc = float(transcendental(acc, x))
-            return acc
-        x = np.asarray(s, dtype=float)
-        with np.errstate(all="ignore"):
-            acc = np.zeros_like(x)
-            for c in reversed(integ):
-                acc = (acc + c) * x
-            acc = transcendental(acc, x)
-        return float(acc) if acc.ndim == 0 else acc
+        return float(acc) if np.ndim(acc) == 0 else acc
 
     return P
 
@@ -518,8 +509,11 @@ def _constant_value(terms: _Terms) -> float | None:
 
 
 def _folded(node: ExprAst) -> _Terms | None:
-    folded = _fold(node)
-    return ([folded.value], []) if isinstance(folded, Const) else None
+    """The value of one operation on constants, or None where ``evaluate`` refuses it."""
+    try:
+        return [evaluate(node, 0.0)], []
+    except EvalDomainError:
+        return None
 
 
 def _mapped(terms: _Terms, scale: Callable[[float], float]) -> _Terms:
@@ -551,7 +545,10 @@ _ATOM_PREC = 5
 
 
 def _prec(node: ExprAst) -> int:
-    if isinstance(node, (Const, Var)):
+    if isinstance(node, Const):
+        # a folded negative constant prints with its sign, like a 'neg' node
+        return _PREC["neg"] if math.copysign(1.0, node.value) < 0.0 else _ATOM_PREC
+    if isinstance(node, Var):
         return _ATOM_PREC
     if isinstance(node, Unary):
         return _ATOM_PREC if node.op != "neg" else _PREC["neg"]

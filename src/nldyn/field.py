@@ -236,12 +236,12 @@ def rearrange(u: AtomField) -> StepProfile:
     sum of the plateaus before it. The result is equimeasurable with the
     input (identical distribution functions), up to the plateaus it omits:
     one whose exact prefix sum does not advance past its start, since its
-    measure is below the ulp of its position (or a last plateau that the
-    rounded prefix sums push past |Omega|). Linear in the number of atoms
-    after the sort.
+    measure is below the ulp of its position, and those that the rounded
+    prefix sums push to or past |Omega| (each start is clipped at |Omega|).
+    Linear in the number of atoms after the sort.
     """
     values, weights = _group_by_value(u.values, u.weights)
-    starts = np.array(_prefix_sums(weights[:-1]))
+    starts = np.minimum(_prefix_sums(weights[:-1]), u.domain_measure)
     kept = np.diff(np.append(starts, u.domain_measure)) > 0.0
     return StepProfile(np.append(starts[kept], u.domain_measure), values[kept])
 

@@ -172,7 +172,7 @@ def validate_pair(
             raise ModelValidationError(
                 f"g {'>' if sign > 0 else '<'} 0 on ({a:g}, {b:g})",
                 float(grid[bad[0]]),
-                f"g = {gv[bad[0]]!r}",
+                f"g = {float(gv[bad[0]])!r}",
             )
 
     full = np.linspace(lo, hi, n)
@@ -180,7 +180,7 @@ def validate_pair(
     bad = np.nonzero(~(pv > 0.0))[0]
     if bad.size:
         raise ModelValidationError(
-            "p' > 0 on the working range", float(full[bad[0]]), f"p' = {pv[bad[0]]!r}"
+            "p' > 0 on the working range", float(full[bad[0]]), f"p' = {float(pv[bad[0]])!r}"
         )
 
     p0 = float(pair.antideriv_P(0.0))

@@ -71,9 +71,11 @@ def prefix_sums_reference(weights):
 
 def rearrange_reference(u):
     """Breakpoints and plateau values of u's decreasing rearrangement from the
-    two loops above, leaving out each plateau whose interval is empty."""
+    two loops above, each start clipped at |Omega|, leaving out each plateau
+    whose interval is empty."""
     groups = group_by_value_reference(u.values, u.weights)
-    bps = prefix_sums_reference([w for _, w in groups[:-1]]) + [u.domain_measure]
+    starts = prefix_sums_reference([w for _, w in groups[:-1]])
+    bps = [min(b, u.domain_measure) for b in starts] + [u.domain_measure]
     kept = [k for k in range(len(groups)) if bps[k + 1] > bps[k]]
     return [bps[k] for k in kept] + [u.domain_measure], [groups[k][0] for k in kept]
 
@@ -110,3 +112,52 @@ def run_cli_bounded(args, cwd, timeout=30.0, address_space=2 << 30):
         capture_output=True, text=True, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def two_atom_exact(s0, weights, g, p, s_lim, times, nodes=20):
+    """Exact states (K, 2) of a two-atom field at the given times, in float64.
+
+    Mass fixes s2 = (m0 - w1 s1) / w2, so s1 solves the scalar ODE
+    s1' = f(s1) = w2 g1 g2 (p1 - p2) / (w1 g1 + w2 g2), the two-atom form
+    of g (p - lam). Its time t(s) = integral of 1/f from s1(0) to s is
+    summed with ``nodes``-point Gauss-Legendre panels that halve in length
+    toward s_lim, the limit of s1, where 1/f is singular; s1(t) is t(s)
+    inverted by bisection to the last bit, on a bracket that stops short
+    of s_lim.
+    """
+    (a, b), (w1, w2) = s0, weights
+    m0 = w1 * a + w2 * b
+    x, wq = np.polynomial.legendre.leggauss(nodes)
+
+    def f(s):
+        r = (m0 - w1 * s) / w2
+        g1, g2 = g(s), g(r)
+        return w2 * g1 * g2 * (p(s) - p(r)) / (w1 * g1 + w2 * g2)
+
+    def t_of(s):
+        # panel edges as distances from s_lim: d0, d0/2, d0/4, ... down to s
+        d, edges = s - s_lim, [a - s_lim]
+        while abs(edges[-1]) > 2.0 * abs(d):
+            edges.append(edges[-1] / 2.0)
+        edges = np.array(edges + [d]) + s_lim
+        half, mid = np.diff(edges) / 2.0, (edges[1:] + edges[:-1]) / 2.0
+        return float(np.sum(half[:, None] * wq / f(mid[:, None] + half[:, None] * x)))
+
+    far = a - s_lim
+    while t_of(s_lim + far) <= times[-1]:
+        far /= 256.0
+    stop = s_lim + far
+    assert stop != s_lim, "every record time must come before s1 reaches its limit"
+    out = []
+    for tk in np.asarray(times, dtype=float).tolist():
+        lo, hi = a, stop  # t(lo) <= tk < t(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if t_of(mid) <= tk:
+                lo = mid
+            else:
+                hi = mid
+        out.append((lo, (m0 - w1 * lo) / w2))
+    return np.array(out)

@@ -22,6 +22,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nldyn import cli
@@ -54,6 +55,7 @@ _BAD_MODELS = st.sampled_from([
     ['model.g = "u*(1-u)"', 'model.p = "u + 1e999"'],
     ['model.g = "u*(1-u)"', 'model.p = "u + 0.1*sin(1e308^2)"'],
     ['model.g = "u*(1-u)"', 'model.p = "u + 0.1*(exp(1e308) - exp(1e308))*u"'],
+    ['model.g = "u*(1-u)"', 'model.p = "u + (1/0)^0"'],
     ['model.g = "u*(1-u)"'],
     [],
 ])
@@ -97,6 +99,7 @@ def config_texts(draw):
         if fault == "expr":
             expr = draw(st.sampled_from([
                 "1/x", "x^", "log(-x)", "exp(1000*x)", "", "1 + x + 0/0", "1 + x + 1e999*0",
+                "1 + x + tanh(1/0)",
             ]))
         if fault == "samples":
             samples = draw(st.sampled_from(["0", "-2", "1.5", "many"]))
@@ -147,3 +150,23 @@ def test_any_config_text_ends_cleanly(case, capsys):
     if rc != 0:
         assert err.count("\n") == 1 and err.strip(), (text, err)
     assert elapsed < TIME_BOUND_S, (text, elapsed)
+
+
+@pytest.mark.parametrize(
+    "lines, offset",
+    [
+        (['model.g = "u*(1-u)"', 'model.p = "u + (1/0)^0"', 'initial.atoms = "0.5:1.0"'], 6),
+        (['model.builtin = "logistic-identity"', 'initial.expr = "1 + x + tanh(1/0)"',
+          "initial.samples = 4"], 14),
+    ],
+)
+def test_absorbed_constant_fault_is_a_config_error(lines, offset, tmp_path, capsys):
+    """A constant fault that its context would absorb under numpy's rules
+    (p = u + 1, samples 2 + x) is refused at parse, naming its node."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + f'\nintegrator.t_max = 1.0\noutput.dir = "{tmp_path}/out"\n')
+    capsys.readouterr()
+    rc = cli.main(["simulate", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and f"division by zero (node at offset {offset})" in err, err

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import euler_orbit, order_gap_reference
+from helpers import euler_orbit, order_gap_reference, two_atom_exact
 from nldyn import (
     AtomField,
     IntegratorConfig,
@@ -216,6 +216,44 @@ def _csv_text(tr):
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
                    2.2250738585072014e-308, 1.797e308, 1.7976931348623157e308,
                    0.1, -1.0 / 3.0, 1e16, 123456789012345678.0]
+
+
+# two-atom fields with their limit of the first atom: H1 settles on the
+# constant m0 = 1.75, and in H2 the first atom rises to the root 1 of g
+_TWO_ATOM_RUNS = {
+    "H1": (((2.0, 0.5), (1.5, 0.5)), 1.75),
+    "H2": (((0.9, 0.3), (0.2, 0.7)), 1.0),
+}
+
+
+class TestExactTwoAtomReference:
+    """The integrator's global error against the exact two-atom solution
+    (``helpers.two_atom_exact``), record by record, to t = 8."""
+
+    @staticmethod
+    def _run(model, hyp, **cfg):
+        atoms, limit = _TWO_ATOM_RUNS[hyp]
+        pair = builtin_model(model)
+        u0 = AtomField([v for v, _ in atoms], [w for _, w in atoms], 1.0)
+        tr = integrate(u0, pair, IntegratorConfig(t_max=8.0, record_every=0.5, **cfg))
+        exact = two_atom_exact(tr.values[0], tr.weights, pair.g, pair.p, limit, tr.times)
+        return tr, np.abs(tr.values - exact)
+
+    @pytest.mark.parametrize("hyp", sorted(_TWO_ATOM_RUNS))
+    @pytest.mark.parametrize("model", ["logistic-identity", "logistic-cubic"])
+    def test_every_record_within_rtol(self, model, hyp):
+        tr, err = self._run(model, hyp)
+        # the cubic H1 run settles after a few records
+        assert len(tr.times) >= 5
+        assert err.max() <= tr.config.rtol, (model, hyp, err.max(axis=0))
+
+    @pytest.mark.parametrize("hyp", sorted(_TWO_ATOM_RUNS))
+    def test_reference_agrees_with_a_tight_run(self, hyp):
+        # two independent solutions of the same ODE: the reference is good
+        # to far below the default rtol it is used to check
+        tr, err = self._run("logistic-identity", hyp, rtol=1e-13, atol=1e-16)
+        assert len(tr.times) == 17
+        assert err.max() <= 1e-13
 
 
 class TestCsv:

@@ -2,6 +2,7 @@
 and integration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,13 +77,65 @@ class TestParse:
     def test_custom_variable_name(self):
         assert evaluate(parse("1 + x", var="x"), 0.5) == 1.5
 
+    def test_constants_folded_to_compiled_values(self):
+        ast = parse("u*(2+3) - exp(1)")
+        assert ast == Binary("-", Binary("*", Var("u"), Const(5.0)), Const(math.e))
+        # the folded value is the compiled one, bit for bit
+        assert ast.right.value == to_callable(Unary("exp", Const(1.0)))(0.0)
+
+    def test_folding_keeps_compiled_bits(self):
+        """A tree and its parsed, folded text compile to the same values, on
+        a scalar and an array, non-finite constants (left in place) included."""
+        rng = np.random.default_rng(8)
+        xs = np.linspace(-2.0, 2.0, 9)
+        folded = 0
+        for _ in range(300):
+            ast = _random_ast(depth=4, rng=rng, extremes=(1e308,))
+            try:
+                ast2 = parse(unparse(ast))
+            except EvalDomainError:
+                continue
+            folded += ast2 != ast
+            want, got = to_callable(ast)(xs), to_callable(ast2)(xs)
+            assert all(map(_same_float, want.tolist(), got.tolist())), unparse(ast)
+            assert _same_float(to_callable(ast2)(0.5), to_callable(ast)(0.5)), unparse(ast)
+        assert folded > 50
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("u + (1/0)^0", 6),
+            ("u + 0.1*sin(1e308^2)", 8),
+            ("u + 1/(1-1)", 5),
+            ("u*log(1-1)", 2),
+            ("tanh(1/0) + u", 6),
+        ],
+    )
+    def test_constant_fault_refused_at_parse(self, text, offset):
+        with pytest.raises(EvalDomainError) as info:
+            parse(text)
+        assert info.value.offset == offset
+
+    def test_nonfinite_constant_stays_in_place(self):
+        # numpy's rules decide it, and validation refuses the model later
+        ast = parse("u + 1e308*10")
+        assert ast.right == Binary("*", Const(1e308), Const(10.0))
+        assert to_callable(ast)(1.0) == math.inf
+        np.testing.assert_array_equal(to_callable(parse("1e308*10"))(np.zeros((2, 3))), np.inf)
+
+    def test_constant_fault_in_exponent_is_syntax_error(self):
+        for text in ("u^(1/0)", "u^log(0)", "u^(1e308*10)"):
+            with pytest.raises(ExprSyntaxError):
+                parse(text)
+
     @given(st.text(max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_totality(self, text):
-        """Any input either parses or raises a structured error."""
+        """Any input either parses or raises a structured error; a constant
+        fault such as 1/0 is refused at parse with EvalDomainError."""
         try:
             parse(text)
-        except (ExprSyntaxError, UnknownIdentifierError):
+        except (ExprSyntaxError, UnknownIdentifierError, EvalDomainError):
             pass
 
 
@@ -143,6 +196,23 @@ class TestEvaluate:
                     got = fn(arg)
                     assert type(got) is float and _same_float(got, entry), (unparse(ast), x)
                 assert _same_float(_compiled_nodewise(ast, x), entry), (unparse(ast), x)
+
+    def test_no_floating_point_warning(self):
+        """Overflow, zero division and invalid values give inf or nan under
+        numpy's strictest error state: the compiled callable and the closed
+        form P ignore floating-point errors themselves."""
+        x = np.array([1e300, 0.0, -1e300, 800.0])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = to_callable(parse("exp(u) + u*u/u"))(x)
+            assert not np.isfinite(out).any() and np.isnan(out[1])
+            assert np.isinf(to_callable(parse("1/u"))(0.0))
+            assert np.isinf(to_callable(parse("1e308*10 + 0*u"))(x)).all()
+            for text in ("u^5+u", "2*exp(0.5*u-1)", "tanh(u)+2*u", "u+0.1*sin(u)"):
+                P = antiderivative(parse(text))
+                block = P(x.reshape(2, 2))
+                assert block.shape == (2, 2) and not np.isfinite(block).all(), text
+                assert not math.isfinite(P(1e300)), text
 
     def test_callable_vectorized(self):
         fn = to_callable(parse("u^2"))
@@ -287,6 +357,8 @@ class TestUnparseRoundTrip:
             "tanh(u) + 2*u",
             "-(u + 1)",
             "exp(0*u) - cos(u)*sin(u)",
+            # folds to a negative constant base under a power left unfolded
+            "(-1e200)^2 + u",
         ],
     )
     def test_specific_texts(self, text):
@@ -297,7 +369,14 @@ class TestUnparseRoundTrip:
         for _ in range(300):
             t1 = _random_ast(depth=4)
             text = unparse(t1)
-            t2 = parse(text)
+            try:
+                t2 = parse(text)
+            except EvalDomainError:
+                # a constant fault such as 1.0/0.0 is refused at parse, as
+                # ``evaluate`` refuses the whole tree
+                with pytest.raises(EvalDomainError):
+                    evaluate(t1, 0.5)
+                continue
             assert parse(unparse(t2)) == t2
 
 
@@ -383,9 +462,9 @@ class TestAntiderivative:
             np.testing.assert_array_equal(P(_GRID), scalar)
 
     def test_scalar_calls_equal_block_bitwise(self):
-        """A float, a numpy float or a 0-d array takes the Horner path on
-        Python floats: a float, bit for bit the block's entry, overflow and
-        signed zeros included."""
+        """A float, a numpy float or a 0-d array takes the block's path on
+        one float64 and returns a float, bit for bit the block's entry,
+        overflow and signed zeros included."""
         grid = np.concatenate([_GRID, [-0.0, 5e-324, 1e80, -1e80, 1e200, -1e200]])
         for _ in range(40):
             P = antiderivative(_random_polynomial(depth=4))
@@ -463,6 +542,8 @@ class TestBuildModel:
         with pytest.raises(ModelValidationError) as info:
             build_model("u*(1-u)", "-u")
         assert "p'" in info.value.check
+        # the witness value prints as a float, not as a numpy repr
+        assert str(info.value).endswith("p' = -1.0")
 
     def test_wrong_g_root_rejected(self):
         with pytest.raises(ModelValidationError) as info:

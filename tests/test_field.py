@@ -298,6 +298,16 @@ class TestExactPrefixSums:
             u = AtomField(values, weights, math.fsum(weights.tolist()))
             self._assert_matches_reference(u)
 
+    def test_prefix_sums_past_the_measure_are_clipped(self):
+        # the per-value grouped weights, each rounded, sum past |Omega| by
+        # more than the last plateau: the last two starts lie past it
+        weights = [1e-4, 1.0, 1e-5, 1e-5, 0.3, 6e11, 0.3]
+        u = AtomField([0.0, 1.0, 0.0, -1.0, 1.0, 1.0, 2.5], weights, math.fsum(weights))
+        self._assert_matches_reference(u)
+        profile = rearrange(u)
+        assert profile.plateau_values.tolist() == [2.5, 1.0]
+        assert profile.breakpoints.tolist() == [0.0, 0.3, u.domain_measure]
+
     def test_fsum_values_per_atom_do_not_grow_with_atoms(self, monkeypatch):
         # an fsum per prefix would take about n/2 values per atom
         fsum = math.fsum

@@ -558,7 +558,9 @@ def _prec(node: ExprAst) -> int:
 def unparse(ast: ExprAst) -> str:
     """Render the AST so that re-parsing yields a structurally equal tree."""
     if isinstance(ast, Const):
-        return repr(ast.value)
+        # the grammar has no inf, but an overflowing literal reads as inf;
+        # parse leaves a non-finite subtree unfolded, so -inf is neg of it
+        return "1e999" if ast.value == math.inf else repr(ast.value)
     if isinstance(ast, Var):
         return ast.name
     if isinstance(ast, Unary):

@@ -359,6 +359,9 @@ class TestUnparseRoundTrip:
             "exp(0*u) - cos(u)*sin(u)",
             # folds to a negative constant base under a power left unfolded
             "(-1e200)^2 + u",
+            # an infinite constant, and the negation of one, left unfolded
+            "u + 1e999",
+            "-1e999*u",
         ],
     )
     def test_specific_texts(self, text):

@@ -79,6 +79,10 @@ class RunConfig:
     output_base: str
     seed: int
 
+    def __post_init__(self):
+        if not self.cluster_tol > 0.0:
+            raise ConfigError("omega.cluster_tol must be positive and finite")
+
     def integrator_config(self) -> dynamics.IntegratorConfig:
         try:
             return dynamics.IntegratorConfig(
@@ -227,9 +231,12 @@ def apply_override(cfg: RunConfig, key: str, value: float) -> RunConfig:
             raise ConfigError(f"cannot vary {key!r}: config has no initial.atoms")
         try:
             idx = int(parts[2])
-            atom = cfg.initial_atoms[idx]
-        except (ValueError, IndexError):
-            raise ConfigError(f"bad atom index in {key!r}") from None
+        except ValueError:
+            idx = -1
+        # a negative index would count from the end
+        if not 0 <= idx < len(cfg.initial_atoms):
+            raise ConfigError(f"bad atom index in {key!r}")
+        atom = cfg.initial_atoms[idx]
         new_atom = (float(value), atom[1]) if parts[3] == "value" else (atom[0], float(value))
         atoms = list(cfg.initial_atoms)
         atoms[idx] = new_atom
@@ -503,7 +510,7 @@ def cmd_sweep(config_path: str, vary: str) -> int:
         raise ConfigError(f"sweep grid bounds must be finite, got {grid_text!r}")
     apply_override(cfg, key, start)  # validates the key before any run
 
-    grid = [start] if count == 1 else np.linspace(start, stop, count).tolist()
+    grid = [start] if count == 1 else model.finite_linspace(start, stop, count).tolist()
     results = []
     for i, v in enumerate(grid):
         try:

@@ -63,6 +63,7 @@ _all = np.logical_and.reduce
 _max = np.maximum.reduce
 _min = np.minimum.reduce
 _cummin = np.minimum.accumulate
+_sum_rows = np.add.reduce  # over the rows of an array: one add per row, in order
 
 
 class Termination(str, Enum):
@@ -209,62 +210,59 @@ _RK_SAFETY = 0.9
 _RK_MIN_FACTOR = 0.2
 _RK_MAX_FACTOR = 10.0
 _RK_STABLE_DT_RHO = 2.0
-
-
-def _combine(coeffs, ks) -> np.ndarray:
-    """sum_i coeffs[i] * ks[i], one elementwise operation at a time.
-
-    Every atom sees the same sequence of roundings, so tied atoms stay
-    bitwise tied and a permuted input gives a permuted output.
-    """
-    acc = None
-    for c, k in zip(coeffs, ks):
-        if c != 0.0:
-            acc = c * k if acc is None else acc + c * k
-    return acc
+# the rows of _RK_A and _RK_E as columns, to weight the rows of a stage array
+_RK_A_COLS = tuple(np.array(row)[:, None] for row in _RK_A)
+_RK_E_COL = np.array(_RK_E)[:, None]
 
 
 def _rk_attempt(t, values, k1, d1, dt, weights, omega, pair):
     """One Runge-Kutta attempt from (t, values) with first stage rates k1
     and dissipation sum d1.
 
-    Returns the 5th-order values, the seven stage rates and dissipation
-    sums (the last are those at the new values), the g-integral's margin
+    Returns the 5th-order values, the seven stage rates as the rows of a
+    (7, m) array and the seven stage dissipation sums as a (7, 1) column
+    (the last rows are those at the new values), the g-integral's margin
     (``model.guarded_multiplier``) at the new values and an estimate of the
     Jacobian's largest eigenvalue. A stage that trips the guard or fails
     raises, as ``model.atom_rates`` does.
     Entries of ``values`` past the atoms are passive tracers
     (``model.atom_rates``); they stay out of the eigenvalue estimate.
+
+    Every sum over stages (here, in the caller and in ``_rk_dense``) adds
+    weighted stage rows in stage order, so every atom sees the same
+    roundings: ties stay bitwise tied, a permuted input gives a permuted step.
     """
-    ks, ds = [k1], [d1]
+    K, D = np.empty((7, values.size)), np.empty((7, 1))
+    K[0], D[0] = k1, d1
     v = values
-    for c, row in zip(_RK_C, _RK_A):
-        v6, v = v, values + dt * _combine(row, ks)
-        k, margin, d = atom_rates(t + c * dt, v, weights, omega, pair)
-        ks.append(k)
-        ds.append(d)
+    for i, (c, a) in enumerate(zip(_RK_C, _RK_A_COLS), 1):
+        v6, v = v, values + dt * _sum_rows(a * K[:i])
+        K[i], margin, D[i] = atom_rates(t + c * dt, v, weights, omega, pair)
     # stages 6 and 7 share the time t + dt: their rate difference over
     # their state difference estimates the Jacobian's largest eigenvalue
     # (Hairer & Wanner, Solving ODEs II, IV.2)
     n = weights.size
     dv = float(_max(np.abs(v[:n] - v6[:n])))
-    rho = float(_max(np.abs(ks[6][:n] - ks[5][:n]))) / dv if dv > 0.0 else 0.0
-    return v, ks, ds, margin, rho
+    rho = float(_max(np.abs(K[6, :n] - K[5, :n]))) / dv if dv > 0.0 else 0.0
+    return v, K, D, margin, rho
 
 
-def _rk_dense(values, dt, ks, thetas: list[float]) -> np.ndarray:
+def _rk_dense(values, dt, K, thetas: list[float]) -> np.ndarray:
     """The continuous extension of an accepted step, one row per fraction.
 
-    Row r has the stage weights _RK_P @ theta_r^(1..4) and the roundings
-    of ``_combine``, so it equals the extension evaluated at theta_r
-    alone, bit for bit.
+    Row r has the stage weights _RK_P @ theta_r^(1..4) times the rows of
+    the stage rates K, added in stage order, so it equals the extension
+    evaluated at theta_r alone, bit for bit. The terms are formed one
+    stage at a time: all seven at once would take seven times the block.
+    A stage weighted 0 on every row (the last at theta = 0.6) is left out:
+    its terms could turn a -0 sum into +0, or a tracer's inf rate into nan.
     """
     # one matrix-vector product per row, stacked: a single matrix product
     # over all rows (powers @ _RK_P.T) would round differently
     powers = np.asarray(thetas)[:, None] ** np.arange(1, 5)
     q = np.matmul(_RK_P, powers[:, :, None])[:, :, 0]
     acc = None
-    for c, k in zip(q.T, ks):
+    for c, k in zip(q.T, K):
         if c.any():
             term = c[:, None] * k
             acc = term if acc is None else acc + term
@@ -277,26 +275,27 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     """Integrate the field until t_max, stationarity, or the guard.
 
     Adaptive Tsitouras 5(4) with first-same-as-last stages: six new
-    rate evaluations per step attempt. The step is accepted when the
-    largest atom error estimate is within rtol*scale + atol; the next
-    step size follows the usual 5th-root controller, capped so that it
-    times the estimated largest eigenvalue stays well inside the
-    method's stability interval. Steps are cut only at t_max. States
-    are recorded on the uniform grid k*record_every, plus the final
-    state: the grid times inside an accepted step form one block of rows
-    of its 4th-order continuous extension (a grid time on the step's end
-    takes the step's own state). Every state the run keeps, accepted
-    or recorded, passes one gate: its atoms must be finite and inside
-    the hypothesis's region, and are then projected onto their order.
-    The dissipation is integrated alongside the atoms, with each step's
-    5th-order weights (``Trajectory.dissipated``). Each record row
-    evaluates the rate kernel once for the multiplier and the dissipation
-    sum. A stage that trips the guard or turns non-finite rejects its
-    step attempt. Stationarity (max |rate| < stat_tol on two consecutive
-    accepted steps) and the denominator guard (tripped by u0, or step
-    control collapsing on a vanishing g-integral) terminate the run early;
-    both are recorded as termination tags, not raised. Records that would
-    hold over _MAX_RECORD_VALUES values raise NumericalFailureError.
+    rate evaluations per step attempt, the rows of one stage array
+    (``_rk_attempt``). The step is accepted when the largest atom error
+    estimate is within rtol*scale + atol; the next step size follows the
+    usual 5th-root controller, capped so that it times the estimated
+    largest eigenvalue stays well inside the method's stability
+    interval. Steps are cut only at t_max. States are recorded on the
+    uniform grid k*record_every, plus the final state: the grid times
+    inside an accepted step form one block of rows of its 4th-order
+    continuous extension (a grid time on the step's end takes the step's
+    own state). Every state the run keeps, accepted or recorded, passes
+    one gate: its atoms must be finite and inside the hypothesis's
+    region, and are then projected onto their order. The dissipation is
+    integrated alongside the atoms, each step adding its 5th-order
+    weights times its stage dissipation sums (``Trajectory.dissipated``).
+    Each record row evaluates the rate kernel once for the multiplier and
+    the dissipation sum. A stage that trips the guard or turns non-finite
+    rejects its step attempt. Stationarity (max |rate| < stat_tol on two
+    consecutive accepted steps) and the denominator guard (tripped by u0,
+    or step control collapsing on a vanishing g-integral) end the run
+    early; both are recorded as termination tags, not raised. Records
+    that would hold over _MAX_RECORD_VALUES values raise NumericalFailureError.
 
     The atoms are integrated in ``field.canonical_order``, fixed at t = 0,
     so the rate kernel's pairwise sums, and with them the whole run, do
@@ -461,7 +460,7 @@ def _integrate_canonical(
             dt_try = cfg.t_max - t
 
         try:
-            new, ks, ds, margin_new, rho = _rk_attempt(
+            new, K, D, margin_new, rho = _rk_attempt(
                 t, values, rates, diss, dt_try, weights, omega, pair
             )
         except (NumericalFailureError, DenominatorVanishingError):
@@ -470,7 +469,7 @@ def _integrate_canonical(
             # Solving ODEs I, II.4)
             err_ratio = math.inf
         else:
-            err = dt_try * _combine(_RK_E, ks)[:n]
+            err = dt_try * _sum_rows(_RK_E_COL * K)[:n]
             scale = cfg.atol + cfg.rtol * np.maximum(np.abs(values[:n]), np.abs(new[:n]))
             err_ratio = float(_max(np.abs(err) / scale))
 
@@ -516,13 +515,13 @@ def _integrate_canonical(
             t_recs.append(rec_count * cfg.record_every)
             rec_count += 1
         if t_recs:
-            block = _rk_dense(values, dt_try, ks, [(t_rec - t) / dt_try for t_rec in t_recs])
+            block = _rk_dense(values, dt_try, K, [(t_rec - t) / dt_try for t_rec in t_recs])
             if t_recs[-1] == t_new:
                 block[-1] = new  # a record on the step's end is the step's state
             keep(t_recs, block)
 
-        dissipated += dt_try * _combine(_RK_A[-1], ds)
-        t, values, rates, diss, margin = t_new, new, ks[-1], ds[-1], margin_new
+        dissipated += dt_try * float(_sum_rows(_RK_A_COLS[-1] * D[:6])[0])
+        t, values, rates, diss, margin = t_new, new, K[6], D[6], margin_new
 
         if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
             stationary_streak += 1

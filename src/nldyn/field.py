@@ -61,7 +61,10 @@ class AtomField:
             raise FieldError("atom values must be finite")
         if not np.all(weights > 0.0):
             raise FieldError("atom weights must be positive")
-        total = math.fsum(weights.tolist())
+        try:
+            total = math.fsum(weights.tolist())
+        except OverflowError:
+            raise FieldError("atom weights sum past the float range") from None
         rel = abs(total - domain_measure) / domain_measure
         if rel > _RENORM_GATE:
             raise FieldError(

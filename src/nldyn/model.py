@@ -107,12 +107,25 @@ def _logistic_identity() -> NonlinearityPair:
     )
 
 
+def _float64_scalars(fn: ScalarFn) -> ScalarFn:
+    """fn taking a scalar as a float64 and giving back a float: a power then
+    overflows to inf, as on an array, where a Python float's raises."""
+
+    def wrapped(u):
+        if np.ndim(u):
+            return fn(u)
+        with np.errstate(over="ignore"):
+            return float(fn(np.float64(u)))
+
+    return wrapped
+
+
 def _logistic_cubic() -> NonlinearityPair:
     return NonlinearityPair(
         g=lambda u: u * (1.0 - u),
-        p=lambda u: u ** 3 + u,
+        p=_float64_scalars(lambda u: u ** 3 + u),
         p_prime=lambda u: 3.0 * u * u + 1.0,
-        antideriv_P=lambda s: 0.25 * s ** 4 + 0.5 * s * s,
+        antideriv_P=_float64_scalars(lambda s: 0.25 * s ** 4 + 0.5 * s * s),
         closed_form_P=True,
         label="logistic-cubic",
     )
@@ -137,6 +150,20 @@ def builtin_model(name: str) -> NonlinearityPair:
 
 # --------------------------------------------------------------- validation
 
+def _shown(x: float) -> str:
+    """x for a message; a nan, which the input did not type but an overflow
+    or a 0 * inf made, as words."""
+    return "not a number" if math.isnan(x) else repr(x)
+
+
+def finite_linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n), taken over the halved range and doubled back
+    (exactly) when hi - lo overflows, where linspace would give nan."""
+    if math.isfinite(hi - lo):
+        return np.linspace(lo, hi, n)
+    return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
+
+
 def validate_pair(
     pair: NonlinearityPair,
     s_range: tuple[float, float] = (-2.0, 2.0),
@@ -156,13 +183,15 @@ def validate_pair(
         value = float(pair.g(point))
         if not abs(value) <= 1e-12:  # a NaN fails too
             raise ModelValidationError(
-                f"g({point:g}) = 0", point, f"got {value!r}"
+                f"g({point:g}) = 0", point, f"got {_shown(value)}"
             )
 
     def _grid(a: float, b: float) -> np.ndarray:
         # midpoint-style grid: stays strictly inside the open interval
         k = np.arange(n, dtype=float)
-        return a + (b - a) * (k + 0.5) / n
+        if math.isfinite((b - a) * n):
+            return a + (b - a) * (k + 0.5) / n
+        return a + (b - a) * ((k + 0.5) / n)  # (b - a) * k would overflow
 
     for a, b, sign in ((0.0, 1.0, 1.0), (lo, 0.0, -1.0), (1.0, hi, -1.0)):
         grid = _grid(a, b)
@@ -172,33 +201,34 @@ def validate_pair(
             raise ModelValidationError(
                 f"g {'>' if sign > 0 else '<'} 0 on ({a:g}, {b:g})",
                 float(grid[bad[0]]),
-                f"g = {float(gv[bad[0]])!r}",
+                f"g = {_shown(float(gv[bad[0]]))}",
             )
 
-    full = np.linspace(lo, hi, n)
+    full = finite_linspace(lo, hi, n)
     pv = np.asarray(pair.p_prime(full), dtype=float)
     bad = np.nonzero(~(pv > 0.0))[0]
     if bad.size:
         raise ModelValidationError(
-            "p' > 0 on the working range", float(full[bad[0]]), f"p' = {float(pv[bad[0]])!r}"
+            "p' > 0 on the working range", float(full[bad[0]]),
+            f"p' = {_shown(float(pv[bad[0]]))}",
         )
 
     p0 = float(pair.antideriv_P(0.0))
     if abs(p0) > 1e-12:
-        raise ModelValidationError("antiderivative vanishes at 0", 0.0, f"got {p0!r}")
+        raise ModelValidationError("antiderivative vanishes at 0", 0.0, f"got {_shown(p0)}")
     h = 1e-6
     eps = float(np.finfo(float).eps)
-    for s in np.linspace(lo + 2 * h, hi - 2 * h, 17):
+    for s in finite_linspace(lo + 2 * h, hi - 2 * h, 17):
         s = float(s)
         p_plus, p_minus = float(pair.antideriv_P(s + h)), float(pair.antideriv_P(s - h))
+        ps = float(pair.p(s))
         fd = (p_plus - p_minus) / (2 * h)
         # the difference quotient carries roundoff of order eps * |P| / h;
         # written so that a NaN quotient (P overflowed) fails the check
         tol = 1e-8 + 4.0 * eps * (abs(p_plus) + abs(p_minus)) / h
-        if not abs(fd - float(pair.p(s))) <= tol:
-            raise ModelValidationError(
-                "d(antiderivative)/ds = p", s, f"fd {fd!r} vs p {float(pair.p(s))!r}"
-            )
+        if not abs(fd - ps) <= tol:
+            detail = f"fd {fd!r} vs p {_shown(ps)}" if math.isfinite(fd) else "P overflows"
+            raise ModelValidationError("d(antiderivative)/ds = p", s, detail)
 
 
 # -------------------------------------------------------------- rate kernel

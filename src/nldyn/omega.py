@@ -326,8 +326,10 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
     weight-averaged value and summed measure. For H1/H3 the plateau list
     is ordered main-first and checked against the expected step-function
     shape; for H2 the decomposition is reported without any uniqueness
-    claim.
+    claim. Raises ValueError when cluster_tol is not positive.
     """
+    if not cluster_tol > 0.0:
+        raise ValueError(f"cluster_tol must be positive, got {cluster_tol!r}")
     elim = energy_limit(tr)  # raises NotConvergedError if not settled
     final = tr.values[-1]
     order = np.argsort(-final, kind="stable")

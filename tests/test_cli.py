@@ -164,6 +164,18 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert key in err and "finite" in err
 
+    @pytest.mark.parametrize("command", ["check", "simulate", "sweep"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "-0.0", "-5e-324"])
+    def test_non_positive_cluster_tol_exit_2(self, tmp_path, capsys, command, tol):
+        """A non-positive cluster_tol would read as a failed predictor audit."""
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG.replace(
+            '"1.5:0.5, 2.0:0.5"', '"2.0:0.5, 1.5:0.5"') + f"omega.cluster_tol = {tol}\n")
+        extra = ["--vary", "run.seed=0:1:2"] if command == "sweep" else []
+        capsys.readouterr()
+        assert cli.main([command, cfg, *extra]) == 2
+        assert capsys.readouterr().err == (
+            "config error: omega.cluster_tol must be positive and finite\n")
+
 
 class TestSimulate:
     def test_wide_run_keeps_the_atom_order(self, tmp_path):
@@ -252,6 +264,27 @@ class TestSimulate:
         cfg = _write(tmp_path, "big.cfg", text)
         assert cli.main(["simulate", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: model: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize("model, value", [
+        pytest.param('model.builtin = "logistic-identity"\n', "1e308", id="builtin-1e308"),
+        pytest.param('model.builtin = "logistic-identity"\n', "9e307", id="builtin-9e307"),
+        pytest.param('model.g = "u*(1-u)"\nmodel.p = "u"\n', "1e308", id="expr-1e308"),
+    ])
+    def test_atom_near_float_limit_refused_at_finite_witness(
+        self, tmp_path, capsys, command, model, value
+    ):
+        """The working range +-(1e308 + 1) spans past the float range: the
+        model is refused where P overflows, at a finite witness, never nan."""
+        text = H1_CONFIG.replace('model.builtin = "logistic-identity"\n', model).replace(
+            '"1.5:0.5, 2.0:0.5"', f'"{value}:0.5, 1.5:0.5"')
+        cfg = _write(tmp_path, "big.cfg", text)
+        capsys.readouterr()
+        assert cli.main([command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nan" not in err, err
+        assert "d(antiderivative)/ds = p (witness u=-" in err, err
+        assert err.endswith(": P overflows\n"), err
 
     def test_trajectory_csv_is_to_csv(self, tmp_path, monkeypatch):
         runs = []
@@ -380,6 +413,23 @@ class TestPredict:
             outs.append(capsys.readouterr().out)
         assert outs[1:] == outs[:1] * 3
         assert "hypothesis = H3" in outs[0]
+
+    @pytest.mark.parametrize("m0, energy, rc, start", [
+        ("3", "1e308", 4, "prediction infeasible: "),
+        ("1e77", "1.7e308", 3, "error: constraint residuals exceed their bounds: "),
+        ("8e76", "1e308", 3, "error: constraint residuals exceed their bounds: "),
+    ])
+    def test_target_past_every_finite_g_under_cubic(
+        self, tmp_path, capsys, m0, energy, rc, start
+    ):
+        """E / m0 above G at P's overflow (near 4e230): the bisection ends
+        where s**4 overflows, and P there is inf, not an OverflowError."""
+        cfg = _write(tmp_path, "cubic.cfg", H1_CONFIG.replace(
+            '"logistic-identity"', '"logistic-cubic"'))
+        capsys.readouterr()
+        assert cli.main(["predict", cfg, "--m0", m0, "--energy-limit", energy]) == rc
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1, err
 
     def test_negative_energy_limit_in_exponent_form(self, tmp_path, capsys):
         cfg = _write(tmp_path, "h3.cfg", H3_CONFIG)
@@ -673,6 +723,34 @@ class TestSweep:
         assert len(err) == 3
         assert err[0].startswith("sweep run 0 (initial.atoms.0.weight = -1) failed: ")
         assert "weights must be positive" in err[0]
+
+    def test_atom_near_float_limit_fails_its_run_without_nan(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        rc = cli.main(["sweep", cfg, "--vary", "initial.atoms.0.value=1e308:1e308:1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nan" not in err, err
+        assert err.startswith("sweep run 0 (initial.atoms.0.value = 1e+308) failed: model: ")
+
+    def test_grid_spanning_past_the_float_range(self, tmp_path, capsys):
+        """stop - start overflows: the grid is still finite, ends included."""
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        vary = "integrator.t_max=-1e308:1.7976931348623157e308:3"
+        assert cli.main(["sweep", cfg, "--vary", vary]) == 0
+        assert "nan" not in capsys.readouterr().err
+        lines = (tmp_path / "out" / "h1.sweep.csv").read_text().strip().splitlines()
+        grid = [float(line.split(",")[0]) for line in lines[1:]]
+        assert grid[0] == -1e308 and grid[2] == 1.7976931348623157e308
+        assert grid[0] < grid[1] < grid[2]
+
+    def test_negative_atom_index_exit_2(self, tmp_path, capsys):
+        """initial.atoms.-1 would vary the last atom, by Python's indexing."""
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        capsys.readouterr()
+        assert cli.main(["sweep", cfg, "--vary", "initial.atoms.-1.value=3:3:1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: bad atom index in 'initial.atoms.-1.value'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_grid_exit_2(self, tmp_path):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -122,6 +123,27 @@ class TestIntegrate:
         tr = integrate(u, logistic, IntegratorConfig(t_max=3.0, record_every=0.1))
         for snap in tr.snapshots:
             assert snap.values[0] == snap.values[1]
+
+    def test_ties_across_unrolled_loop_blocks_stay_bitwise_equal(self, logistic):
+        """37 atoms whose tied pairs straddle canonical positions 7|8, 15|16
+        and 31|32, the edges of numpy's 8-wide unrolled loops and of their
+        remainder: every tie stays bitwise tied at every record."""
+        rng = np.random.default_rng(37)
+        values = np.linspace(2.9, 1.1, 37)
+        pairs = [(7, 8), (15, 16), (31, 32)]
+        for i, j in pairs:
+            values[j] = values[i]
+        weights = rng.uniform(0.5, 1.5, 37)
+        weights /= weights.sum()
+        perm = rng.permutation(37)
+        u = AtomField(values[perm], weights[perm], 1.0)
+        tr = integrate(u, logistic, IntegratorConfig(t_max=5.0, record_every=0.1))
+        at = np.argsort(perm)  # canonical position -> input index
+        canonical = field_mod.canonical_order(u.values, u.weights)
+        for i, j in pairs:
+            assert {int(canonical[i]), int(canonical[j])} == {int(at[i]), int(at[j])}
+            column_i, column_j = tr.values[:, at[i]], tr.values[:, at[j]]
+            assert column_i.tobytes() == column_j.tobytes(), (i, j)
 
     def test_reaches_tmax_when_slow(self, logistic):
         u = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)
@@ -346,6 +368,21 @@ class TestTableau:
     def test_continuous_extension_ends_on_the_step(self):
         assert np.max(np.abs(dynamics._RK_P.sum(axis=1) - self.b)) <= 1e-14
 
+    @pytest.mark.parametrize("m", [1, 7, 9, 37])
+    def test_stage_sums_add_rows_in_stage_order(self, m):
+        """A step's stage sums (``_sum_rows`` of a tableau column times the
+        stage rows) equal a row-by-row loop bit for bit, for one column
+        and for rows wider than numpy's 8-wide unrolled loops: a numpy
+        whose reduction changed this order would change output bytes."""
+        rng = np.random.default_rng(m)
+        K = rng.standard_normal((7, m)) * 10.0 ** rng.integers(-8, 9, (7, m))
+        for col in (*dynamics._RK_A_COLS, dynamics._RK_E_COL):
+            rows = col * K[:col.shape[0]]
+            acc = rows[0]
+            for row in rows[1:]:
+                acc = acc + row
+            assert dynamics._sum_rows(rows).tobytes() == acc.tobytes()
+
 
 class TestCsv:
     @staticmethod
@@ -534,8 +571,10 @@ class TestColumnarTrajectory:
                                             1.0, logistic)
             assert np.array_equal(tr.values[k], new), k
             extension_differs |= not np.array_equal(_rk_dense(prev, 0.5, ks, [1.0])[0], new)
-            # each step adds dt times the 5th-order weights over its stages
-            dissipated += 0.5 * dynamics._combine(dynamics._RK_A[-1], ds)
+            # each step adds dt times the 5th-order weights over its stages,
+            # summed in stage order
+            terms = [b * d for b, d in zip(dynamics._RK_A[-1], ds[:6, 0].tolist())]
+            dissipated += 0.5 * functools.reduce(operator.add, terms)
         assert extension_differs
         assert tr.dissipated == dissipated
 

@@ -61,6 +61,13 @@ class TestAtomField:
         u = from_samples([1.5, 2.0], 1.0)
         assert u.atoms == [(2.0, 0.5), (1.5, 0.5)]
 
+    def test_weights_summing_past_the_float_range_refused(self):
+        """Five cells of the largest measure: the three merged cells weigh
+        3 * (big / 5), which rounds up, and the weights sum past big."""
+        big = 1.7976931348623157e308
+        with pytest.raises(FieldError, match="atom weights sum past the float range"):
+            from_samples([-2.5, 1e-3, 250.0, 250.0, 250.0], big)
+
     def test_merge_of_equal_samples(self):
         u = from_samples([1, 1, 1, 1], 2.0)
         assert u.atoms == [(1.0, 2.0)]

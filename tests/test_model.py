@@ -59,6 +59,23 @@ class TestBuiltinModel:
         # P = s^4/4 + s^2/2
         assert pair.antideriv_P(2.0) == pytest.approx(6.0, abs=1e-14)
 
+    @pytest.mark.parametrize("s, p_overflows", [(1.2e77, False), (-1e103, True), (1e200, True)])
+    def test_cubic_overflows_to_inf_on_a_float(self, s, p_overflows):
+        """P's s**4 and p's u**3 raise on a Python float past the float
+        range; the builtin gives inf there, as it does on an array."""
+        pair = builtin_model("logistic-cubic")
+        P, p = pair.antideriv_P(s), pair.p(s)
+        assert type(P) is float and P == math.inf
+        assert type(p) is float and (p == math.copysign(math.inf, s)) == p_overflows
+        with np.errstate(over="ignore"):
+            assert pair.antideriv_P(np.array([s])).tolist() == [P]
+
+    def test_cubic_on_a_float_matches_the_float_power(self):
+        pair = builtin_model("logistic-cubic")
+        for s in np.random.default_rng(3).uniform(-3.0, 3.0, 200).tolist():
+            assert pair.p(s) == s ** 3 + s
+            assert pair.antideriv_P(s) == 0.25 * s ** 4 + 0.5 * s * s
+
 
 class TestAntiderivativeQuadrature:
     def test_identity_p_half(self):
@@ -124,6 +141,30 @@ class TestValidatePair:
         with pytest.raises(ModelValidationError) as info:
             validate_pair(logistic, (-1e200, 1e200))
         assert info.value.check.startswith("d(antiderivative)")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("name, radius", [
+        ("logistic-identity", 1e308), ("logistic-identity", 1.7976931348623157e308),
+        ("logistic-cubic", 1e308),
+    ])
+    def test_range_past_the_float_limit_overflows_at_finite_witness(self, name, radius):
+        """hi - lo overflows: the grids stay finite, and a P that overflows
+        (a Python float power raises there) is named at a finite witness."""
+        with pytest.raises(ModelValidationError) as info:
+            validate_pair(builtin_model(name), (-radius, radius))
+        assert math.isfinite(info.value.witness)
+        assert str(info.value).endswith(": P overflows") and "nan" not in str(info.value)
+
+    @pytest.mark.parametrize("g, p, message", [
+        ("u*(1-u)", "u + 0.1*(exp(1e308) - exp(1e308))*u", "p' = not a number"),
+        ("u*(1-u)/(1+4*u^2)", "u", "g = not a number"),
+    ])
+    def test_nan_value_named_in_words(self, g, p, message):
+        """A nan the input did not type (inf - inf, inf / inf) is named as
+        what it is, not printed."""
+        with pytest.raises(ModelValidationError) as info:
+            build_model(g, p, (-1e308, 1e308))
+        assert str(info.value).endswith(message) and "nan" not in str(info.value)
 
     def test_g_sign_violation_carries_witness(self, logistic):
         bad = type(logistic)(

@@ -258,6 +258,14 @@ class TestPredictorMessages:
             predict_h3(-1e308, 1e308, 1.0, logistic)
         _assert_infeasible_message(str(info.value), 5e307)
 
+    def test_far_bracket_end_overflowing_a_float_power(self):
+        """P = s^4/4 + s^2/2 raises OverflowError on a Python float at the
+        far end; G there is inf, as under p = id."""
+        cubic = builtin_model("logistic-cubic")
+        with pytest.raises(NoRootError) as info:
+            predict_h1(1.7976931348623157e308, -1.0, 1.0, cubic)
+        assert info.value.value_range[1] == math.inf
+
     def test_bisection_runs_to_bracket_exhaustion(self, logistic):
         # G(v) = (v + 1)/2 = 10 at v = 19, so a1 = (1e307 - 1)/18; 200
         # halvings of the bracket [1, 2e307] stopped near 6e246
@@ -364,6 +372,11 @@ class TestExtractLimit:
         pred = extract_limit(tr)
         assert pred.plateau_values == (0.5,)
         assert pred.plateau_measures == (2.0,)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+    def test_non_positive_cluster_tol_raises(self, h1_run, tol):
+        with pytest.raises(ValueError, match="cluster_tol must be positive"):
+            extract_limit(h1_run, tol)
 
     def test_h1_run_matches_prediction(self, h1_run, logistic):
         emp = extract_limit(h1_run)

@@ -121,8 +121,8 @@ class RunConfig:
             raise ConfigError(f"initial.expr: {exc}") from None
 
     def build_pair(self, u0: field_mod.AtomField | None) -> model.NonlinearityPair:
-        """The model's pair, validated on a working range that covers u0's
-        values; without initial data (u0 None) the range is +-2."""
+        """The model's pair, validated once on a working range that covers
+        u0's values; without initial data (u0 None) the range is +-2."""
         has_builtin = self.model_builtin is not None
         has_expr = self.model_g is not None or self.model_p is not None
         if has_builtin == has_expr:
@@ -130,17 +130,13 @@ class RunConfig:
                 "exactly one of model.builtin and (model.g, model.p) must be given"
             )
         s_range = 2.0 if u0 is None else max(2.0, float(np.max(np.abs(u0.values))) + 1.0)
+        working_range = (-s_range, s_range)
         try:
             if has_builtin:
-                pair = model.builtin_model(self.model_builtin)
-                if s_range > 2.0:
-                    model.validate_pair(pair, (-s_range, s_range))
-                return pair
+                return model.builtin_model(self.model_builtin, working_range)
             if self.model_g is None or self.model_p is None:
                 raise ConfigError("both model.g and model.p are required")
-            return exprparse.build_model(
-                self.model_g, self.model_p, (-s_range, s_range)
-            )
+            return exprparse.build_model(self.model_g, self.model_p, working_range)
         except NldynError as exc:
             if isinstance(exc, ConfigError):
                 raise

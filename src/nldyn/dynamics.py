@@ -384,7 +384,7 @@ def _integrate_canonical(
         dissipation), and summed row by row.
         """
         atoms = block[:, :n]
-        wp = (weights * field_mod.atomwise(pair.antideriv_P, atoms)).tolist()
+        wp = (weights * pair.antideriv_P(atoms)).tolist()
         gs, ps, lams, energies = [], [], [], []
         for t, vals, wp_row in zip(ts, atoms, wp):
             gv, pv, lam, _ = multiplier(t, vals, weights, pair)

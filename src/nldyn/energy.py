@@ -62,7 +62,7 @@ def dissipation_constant(
             f"degenerate interval [{lo:g}, {hi:g}]"
         )
     grid = np.linspace(lo, hi, n_samples)
-    gmin = float(np.min(np.asarray(pair.g(grid), dtype=float)))
+    gmin = float(np.min(pair.g(grid)))
     if gmin >= 0.0:
         raise DissipationUnavailableError(
             f"g does not drop below zero on [{lo:g}, {hi:g}]"

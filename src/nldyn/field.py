@@ -203,24 +203,13 @@ def mass(u: AtomField) -> float:
     return math.fsum((u.weights * u.values).tolist())
 
 
-def atomwise(h: Callable, values: np.ndarray) -> np.ndarray:
-    """h at every atom value, for values of any shape.
-
-    One array call when h accepts arrays, one scalar call per value when
-    it does not (or returns the wrong shape).
-    """
-    try:
-        hv = np.asarray(h(values), dtype=float)
-        if hv.shape != values.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        hv = np.array([float(h(float(s))) for s in values.flat]).reshape(values.shape)
-    return hv
-
-
 def integral_of(u: AtomField, h: Callable) -> float:
-    """Exact integral of h(u) over the domain: sum of m_i h(s_i)."""
-    return math.fsum((u.weights * atomwise(h, u.values)).tolist())
+    """Exact integral of h(u) over the domain: sum of m_i h(s_i).
+
+    h is called once, on the whole array of atom values, and must return
+    a float array of its shape (the ``model.NonlinearityPair`` contract).
+    """
+    return math.fsum((u.weights * h(u.values)).tolist())
 
 
 def distribution(u: AtomField, s: float) -> float:
@@ -294,7 +283,6 @@ __all__ = [
     "from_samples",
     "canonical_order",
     "mass",
-    "atomwise",
     "integral_of",
     "distribution",
     "rearrange",

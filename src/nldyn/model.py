@@ -39,13 +39,13 @@ ScalarFn = Callable[[float], float]
 class NonlinearityPair:
     """The model functions g and p, the derivative of p and its antiderivative.
 
-    All callables accept scalars and numpy arrays of any shape and return
-    that shape, so no caller needs ``field.atomwise``'s per-value
-    fallback. ``antideriv_P`` is normalized to vanish at 0;
-    ``closed_form_P`` records whether it is analytic (the builtins, and
-    expression models whose p is a linear combination of polynomial terms
-    and of exp, sin, cos, tanh of an affine argument) or a cumulative
-    adaptive Simpson quadrature (``exprparse.build_model``).
+    Each callable maps a scalar to a float and a float array of any shape
+    to a float array of that shape: callers pass whole arrays of atom
+    values and use the result as it comes. ``antideriv_P`` is normalized
+    to vanish at 0; ``closed_form_P`` records whether it is analytic (the
+    builtins, and expression models whose p is a linear combination of
+    polynomial terms and of exp, sin, cos, tanh of an affine argument) or
+    a cumulative adaptive Simpson quadrature (``exprparse.build_model``).
     """
 
     g: ScalarFn
@@ -137,14 +137,20 @@ _CATALOGUE: dict[str, Callable[[], NonlinearityPair]] = {
 }
 
 
-def builtin_model(name: str) -> NonlinearityPair:
-    """Return a catalogued nonlinearity pair (validated on construction)."""
+def builtin_model(
+    name: str, working_range: tuple[float, float] = (-2.0, 2.0)
+) -> NonlinearityPair:
+    """Return a catalogued nonlinearity pair, validated once on working_range.
+
+    The caller passes the range it will run on (``validate_pair``); the
+    command line's reaches 1 past the initial data's largest |value|.
+    """
     try:
         factory = _CATALOGUE[name]
     except KeyError:
         raise UnknownModelError(name, tuple(sorted(_CATALOGUE))) from None
     pair = factory()
-    validate_pair(pair)
+    validate_pair(pair, working_range)
     return pair
 
 
@@ -261,8 +267,8 @@ def multiplier(t: float, values: np.ndarray, weights: np.ndarray, pair: Nonlinea
     value, or a sum that overflows, raises NumericalFailureError at time
     t: nothing computed from it could be trusted.
     """
-    gv = np.asarray(pair.g(values), dtype=float)
-    pv = np.asarray(pair.p(values), dtype=float)
+    gv = pair.g(values)
+    pv = pair.p(values)
     wg = weights * gv
     wgp = wg * pv
     # a non-finite g or p at any atom makes its term inf or nan; checked
@@ -309,7 +315,7 @@ def atom_rates(t, values, weights, omega, pair):
     diss = float(_sum(weights * rates * gap))
     if values.size > n:
         s = values[n:]
-        carried = np.asarray(pair.g(s), dtype=float) * (np.asarray(pair.p(s), dtype=float) - lam)
+        carried = pair.g(s) * (pair.p(s) - lam)
         rates = np.concatenate([rates, carried])
     return rates, margin, diss
 
@@ -357,7 +363,7 @@ def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClas
     a = float(np.min(u0.values))
     b = float(np.max(u0.values))
     _, values, weights = canonical_atoms(u0)
-    integral_g = float(_sum(weights * np.asarray(pair.g(values), dtype=float)))
+    integral_g = float(_sum(weights * pair.g(values)))
     tag = None
     if a >= 1.0 and b > 1.0:
         tag = "H1"

@@ -133,7 +133,7 @@ def sample_g_monotone(
         raise ValueError("far_end must differ from the reference point")
     k = np.arange(1, n + 1, dtype=float)
     grid = ref + (far - ref) * k / n  # excludes ref, includes far_end
-    p_rel = np.asarray(pair.antideriv_P(grid), dtype=float) - float(pair.antideriv_P(ref))
+    p_rel = pair.antideriv_P(grid) - float(pair.antideriv_P(ref))
     g_vals = p_rel / (grid - ref)
     order = np.argsort(grid)
     g_sorted = g_vals[order]

@@ -79,6 +79,17 @@ output.dir = "{out}"
 output.base = "tiny"
 """
 
+# atoms up to 28,000 under an oscillating p with a closed-form P
+WIDE_RANGE_CONFIG = """\
+model.g = "u*(1-u)"
+model.p = "u + 0.1*sin(u)"
+domain.measure = 0.001
+initial.expr = "1/x"
+initial.samples = 14
+output.dir = "{out}"
+output.base = "range"
+"""
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -667,6 +678,32 @@ class TestPredictorLookup:
         assert calls == {"predict_h1": 3, "predict_h3": 2}
 
 
+class TestModelValidation:
+    def test_builtin_validated_once_on_the_run_range(self, tmp_path, monkeypatch):
+        """Each command, and each sweep point, validates the pair once, on a
+        range reaching 1 past its largest |value|."""
+        from nldyn import model
+
+        ranges = []
+        validate = model.validate_pair
+
+        def counted(pair, s_range, *args):
+            ranges.append(tuple(s_range))
+            return validate(pair, s_range, *args)
+
+        monkeypatch.setattr(model, "validate_pair", counted)
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        for argv, want in (
+            (["check", cfg], [(-3.0, 3.0)]),
+            (["predict", cfg, "--m0", "2.0", "--energy-limit", "2.5"], [(-3.0, 3.0)]),
+            (["simulate", cfg], [(-3.0, 3.0)]),
+            (["sweep", cfg, "--vary", "initial.atoms.1.value=2.0:3.0:2"], [(-3.0, 3.0), (-4.0, 4.0)]),
+        ):
+            ranges.clear()
+            assert cli.main(argv) == 0
+            assert ranges == want, argv[0]
+
+
 class TestSweep:
     def test_upper_value_sweep_mu_increasing(self, tmp_path):
         """Varying the pinned-plus-moving pair's top value: mu tracks it."""
@@ -777,6 +814,14 @@ class TestBoundedRuns:
         rc, _, err = run_cli_bounded(["check", cfg], tmp_path)
         assert rc == 3 and err.count("\n") == 1, err
         assert "record grid too fine" in err
+
+    def test_oscillating_p_on_a_wide_range_exit_0(self, tmp_path):
+        """The closed form's check against quadrature costs the same on any
+        range: at the range's ends it took millions of evaluations of p."""
+        cfg = _write(tmp_path, "range.cfg", WIDE_RANGE_CONFIG)
+        rc, out, err = run_cli_bounded(["simulate", cfg], tmp_path, timeout=10.0)
+        assert rc == 0 and err == "", err
+        assert out.startswith("termination Stationary")
 
     def test_unallocatable_sample_count_exit_3(self, tmp_path):
         text = (

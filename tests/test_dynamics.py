@@ -817,6 +817,37 @@ class TestQuadratureRecordPath:
             assert count <= 1200 + 12 * distinct
 
 
+class TestRecordPathCalls:
+    """The record path calls antideriv_P once per record block, on the
+    whole block, and takes what it returns or raises as it comes."""
+
+    def test_one_call_per_block_on_the_whole_block(self, logistic):
+        shapes = []
+
+        def P(s):
+            shapes.append(np.shape(s))
+            return logistic.antideriv_P(s)
+
+        u0 = AtomField([2.0, 1.5], [0.5, 0.5], 1.0)
+        cfg = IntegratorConfig(t_max=5.0, record_every=0.01)
+        tr = integrate(u0, dataclasses.replace(logistic, antideriv_P=P), cfg)
+        assert all(len(shape) == 2 and shape[1] == 2 for shape in shapes)
+        assert sum(rows for rows, _ in shapes) == tr.times.size
+        assert len(shapes) < tr.times.size
+
+    def test_value_error_raised_after_one_call(self, logistic):
+        calls = []
+
+        def P(s):
+            calls.append(np.shape(s))
+            raise ValueError("P refuses")
+
+        u0 = AtomField([2.0, 1.5], [0.5, 0.5], 1.0)
+        with pytest.raises(ValueError, match="P refuses"):
+            integrate(u0, dataclasses.replace(logistic, antideriv_P=P), IntegratorConfig())
+        assert calls == [(1, 2)]
+
+
 class TestRearrangementAlongFlow:
     def test_commutation_exact(self, logistic):
         """Integrating the rearranged state and rearranging the integrated

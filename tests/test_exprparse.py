@@ -23,7 +23,6 @@ from nldyn import (
 )
 from nldyn import exprparse
 from nldyn.exprparse import Binary, Const, Unary, Var, antiderivative, to_callable
-from nldyn.field import atomwise
 from nldyn.quad import adaptive_simpson
 
 RNG = np.random.default_rng(2024)
@@ -434,19 +433,12 @@ class TestAntiderivative:
 
     @pytest.mark.parametrize("text", _CLOSED_FORM_TABLE)
     def test_block_keeps_its_shape(self, text):
+        # the record path takes P of a whole record block as it comes
         P = antiderivative(parse(text))
         block = _GRID.reshape(3, 11)
-        calls = []
-
-        def counted(s):
-            calls.append(np.shape(s))
-            return P(s)
-
-        out = atomwise(counted, block)
-        # one array call: atomwise never falls back to one call per value
-        assert calls == [block.shape]
-        assert out.shape == block.shape
-        np.testing.assert_array_equal(out, P(block))
+        out = P(block)
+        assert out.shape == block.shape and out.dtype == np.float64
+        np.testing.assert_array_equal(out, P(_GRID).reshape(block.shape))
 
     @pytest.mark.parametrize("text", _POLYNOMIAL_TABLE)
     def test_polynomial_block_equals_scalar_calls(self, text):
@@ -526,6 +518,29 @@ class TestBuildModel:
         got = pair.antideriv_P(block)
         assert got.shape == block.shape
         np.testing.assert_allclose(got.ravel(), per_value, rtol=1e-12, atol=0.0)
+
+    def test_cross_check_cost_does_not_grow_with_the_range(self, monkeypatch):
+        """The closed form meets quadrature at fixed points: at the ends of
+        +-28,000 the check took millions of evaluations of an oscillating p."""
+        from nldyn import quad
+
+        simpson = quad.adaptive_simpson
+        evals = [0]
+
+        def counted(f, *args, **kwargs):
+            def counted_f(t):
+                evals[0] += 1
+                return f(t)
+
+            return simpson(counted_f, *args, **kwargs)
+
+        monkeypatch.setattr(quad, "adaptive_simpson", counted)
+        counts = []
+        for r in (4.0, 28_000.0):
+            before = evals[0]
+            assert build_model("u*(1-u)", "u + 0.1*sin(u)", (-r, r)).closed_form_P
+            counts.append(evals[0] - before)
+        assert counts[0] == counts[1] > 0
 
     def test_wrong_closed_form_rejected(self, monkeypatch):
         # a jump at 1.1 keeps P(0) = 0 and the derivative at validate_pair's

@@ -133,13 +133,17 @@ class TestIntegralOf:
         """P(2) = 2 for p = id, on a unit domain."""
         assert integral_of(AtomField([2.0], [1.0], 1.0), logistic.antideriv_P) == 2.0
 
-    def test_scalar_only_callable(self):
+    def test_calls_h_once_on_the_whole_array(self):
         u = AtomField([1.0, 2.0], [0.5, 0.5], 1.0)
+        calls = []
+
         def h(s):
-            if not isinstance(s, float):
-                raise TypeError("scalar only")
+            calls.append(s)
             return s * s
+
         assert integral_of(u, h) == 2.5
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], u.values)
 
 
 class TestDistribution:

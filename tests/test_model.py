@@ -54,6 +54,13 @@ class TestBuiltinModel:
             builtin_model("nope")
         assert "logistic-identity" in str(info.value)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_validated_on_the_range_it_is_given(self):
+        builtin_model("logistic-cubic", (-1e70, 1e70))
+        with pytest.raises(ModelValidationError) as info:
+            builtin_model("logistic-cubic", (-1e200, 1e200))
+        assert str(info.value).endswith("P overflows")
+
     def test_second_catalogue_entry(self):
         pair = builtin_model("logistic-cubic")
         # P = s^4/4 + s^2/2

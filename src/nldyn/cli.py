@@ -393,7 +393,8 @@ def cmd_predict(config_path: str, m0: float, energy_limit_value: float) -> int:
         return 2
 
     print(pred.to_summary(), end="")
-    _write_staircase(_out_path(cfg, ".predicted.dat"), pred.to_profile(), "predicted limit profile")
+    _write_staircase(_out_path(cfg, ".predicted.dat"), field_mod.rearrange(pred.limit),
+                     "predicted limit profile")
     return 0
 
 
@@ -481,7 +482,7 @@ def _sweep_one(cfg: RunConfig, key: str, value: float, index: int):
             pred = predict(float(tr.mass_series[0]), elim.value, u0.domain_measure, pair)
         else:
             pred = omega.extract_limit(tr, run_cfg.cluster_tol)
-        mu, a1 = pred.plateau_values[0], pred.plateau_measures[0]
+        mu, a1 = pred.main_plateau()
     except NldynError:
         pass
     return value, mu, a1, elim_v, tr.termination.value

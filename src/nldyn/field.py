@@ -79,6 +79,12 @@ class AtomField:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "domain_measure", domain_measure)
 
+    def __eq__(self, other) -> bool:  # the generated one takes an array's truth value
+        """Same atoms in the same order on the same domain."""
+        return (isinstance(other, AtomField) and self.domain_measure == other.domain_measure
+                and np.array_equal(self.values, other.values)
+                and np.array_equal(self.weights, other.weights))
+
     @property
     def atoms(self) -> list[tuple[float, float]]:
         return list(zip(self.values.tolist(), self.weights.tolist()))
@@ -125,12 +131,6 @@ class StepProfile:
     @property
     def domain_measure(self) -> float:
         return float(self.breakpoints[-1])
-
-    def value_at(self, y: float) -> float:
-        """Value at y in (0, |Omega|); right-continuous at breakpoints."""
-        idx = int(np.searchsorted(self.breakpoints, y, side="right")) - 1
-        idx = min(max(idx, 0), self.plateau_values.size - 1)
-        return float(self.plateau_values[idx])
 
     def to_field(self) -> AtomField:
         """Atom field with one atom per plateau (round-trip of rearrange)."""
@@ -258,7 +258,8 @@ def profile_l1_distance(a: StepProfile, b: StepProfile) -> float:
             f"profiles live on domains of measure {da!r} and {db!r}"
         )
     # each piece reads a profile on its last interval starting at or before
-    # it, so a domain short by roundoff keeps its last value (``value_at``)
+    # it, so a profile whose domain is short by roundoff keeps its last value
+    # out to the longer domain's end
     bps_a, bps_b = a.breakpoints, b.breakpoints
     # np.unique's sort and adjacent-inequality mask, without the numpy.ma
     # import that np.unique makes

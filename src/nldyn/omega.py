@@ -13,7 +13,9 @@ the plateau measure follows from mass conservation. Under H2 the limit
 is determined too: order preservation fixes its shape as
 chi{u0 > theta} + v chi{u0 = theta}, and mass conservation fixes theta
 and v. That predictor is not implemented yet, so under H2 only empirical
-extraction from a settled trajectory is offered.
+extraction from a settled trajectory is offered. Every limit, predicted
+or extracted, is one canonical ``AtomField``: an atom per plateau, values
+decreasing.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     NoRootError,
     PredictionResidualError,
 )
-from .field import StepProfile
+from .field import AtomField
 from .model import NonlinearityPair
 from .quad import adaptive_simpson
 
@@ -45,39 +47,38 @@ _BRACKET_LIMIT = 1e6
 class OmegaPrediction:
     """Predicted or extracted limit step function.
 
-    ``plateau_values[0]`` is the main plateau (mu under H1, xi under H3);
-    the background plateau (value 1 or 0) follows when it has positive
-    measure. Empirical H2 results list plateaus in decreasing value
-    order. Residuals measure how well the plateaus reproduce the mass
-    and energy constraints.
+    ``limit`` holds the plateaus in canonical form: one atom per plateau,
+    values strictly decreasing. The main plateau (mu under H1, xi under
+    H3) is read off the regime by ``main_plateau``; the background plateau
+    (value 1 or 0) is there when it has positive measure. Residuals
+    measure how well the plateaus reproduce the mass and energy
+    constraints.
     """
 
     hypothesis: str | None
-    plateau_values: tuple[float, ...]
-    plateau_measures: tuple[float, ...]
+    limit: AtomField
     mass_residual: float
     energy_residual: float
     source: str  # "Analytic" or "Empirical"
-    domain_measure: float
     shape_deviation: float | None = None
 
-    def to_profile(self) -> StepProfile:
-        """Decreasing staircase of the prediction on (0, |Omega|)."""
-        f = field_mod.AtomField(
-            np.asarray(self.plateau_values),
-            np.asarray(self.plateau_measures),
-            self.domain_measure,
-        )
-        return field_mod.rearrange(f)
+    def _atoms_main_first(self) -> list[tuple[float, float]]:
+        return self.limit.atoms[::_REGIMES.get(self.hypothesis, (None, +1))[1]]
+
+    def main_plateau(self) -> tuple[float, float]:
+        """(value, measure) of the main plateau: the top atom under H1, the
+        bottom atom under H3, and the top atom where no regime root applies."""
+        return self._atoms_main_first()[0]
 
     def to_summary(self) -> str:
+        atoms = self._atoms_main_first()
         lines = [
             f"hypothesis = {self.hypothesis}",
             f"source = {self.source}",
-            f"domain_measure = {self.domain_measure:.17g}",
-            f"plateau_count = {len(self.plateau_values)}",
+            f"domain_measure = {self.limit.domain_measure:.17g}",
+            f"plateau_count = {len(atoms)}",
         ]
-        for k, (v, m) in enumerate(zip(self.plateau_values, self.plateau_measures), 1):
+        for k, (v, m) in enumerate(atoms, 1):
             lines.append(f"plateau_{k}_value = {v:.17g}")
             lines.append(f"plateau_{k}_measure = {m:.17g}")
         lines.append(f"mass_residual = {self.mass_residual:.17g}")
@@ -258,12 +259,10 @@ def _predict(
         values, measures = (v,), (omega,)
     pred = OmegaPrediction(
         hypothesis=tag,
-        plateau_values=values,
-        plateau_measures=measures,
+        limit=AtomField(values[::side], measures[::side], omega),  # decreasing
         mass_residual=mass_res,
         energy_residual=energy_res,
         source="Analytic",
-        domain_measure=omega,
         shape_deviation=0.0,
     )
     row = residual_check(pred, m0, e_inf, pair)
@@ -282,7 +281,7 @@ def residual_check(
     ``_predict`` raises when the row fails, with its detail (each residual
     and bound). Its worst is the larger residual over its size, tol _RESIDUAL_TOL.
     """
-    ref, omega = _REGIMES[pred.hypothesis][0], pred.domain_measure
+    ref, omega = _REGIMES[pred.hypothesis][0], pred.limit.domain_measure
     p_ref = float(pair.antideriv_P(ref))
     rows = (
         ("mass", pred.mass_residual, max(1.0, abs(m0), abs(ref) * omega)),
@@ -323,10 +322,10 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
 
     Single-linkage clustering of the final atom values with gap
     threshold ``cluster_tol``; each cluster becomes a plateau with its
-    weight-averaged value and summed measure. For H1/H3 the plateau list
-    is ordered main-first and checked against the expected step-function
-    shape; for H2 the decomposition is reported without any uniqueness
-    claim. Raises ValueError when cluster_tol is not positive.
+    weight-averaged value and summed measure. For H1/H3 the plateaus are
+    checked against the expected step-function shape (``shape_deviation``);
+    for H2 the decomposition is reported without any uniqueness claim.
+    Raises ValueError when cluster_tol is not positive.
     """
     if not cluster_tol > 0.0:
         raise ValueError(f"cluster_tol must be positive, got {cluster_tol!r}")
@@ -347,22 +346,20 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
             clusters.append((value, weight))
             start = i
 
-    tag = tr.hypothesis.tag
-    if tag in _REGIMES:
-        ref, side = _REGIMES[tag]
-        clusters.sort(key=lambda c: -side * c[0])  # main plateau first
-
-    values = tuple(c[0] for c in clusters)
-    measures = tuple(c[1] for c in clusters)
     sign = tr.hypothesis.energy_sign
     mass_res = math.fsum(v * m for v, m in clusters) - float(tr.mass_series[0])
     energy_res = (
         sign * math.fsum(float(tr.pair.antideriv_P(v)) * m for v, m in clusters)
         - elim.value
     )
+    # the clusters come out value-decreasing; normalize merges any that round together
+    limit = AtomField(*zip(*clusters), tr.domain_measure).normalize()
 
+    tag = tr.hypothesis.tag
     deviation: float | None = None
     if tag in _REGIMES:
+        ref, side = _REGIMES[tag]
+        values = limit.values[::side].tolist()  # main plateau first
         if len(values) > 2 or not side * (values[0] - ref) > 0.0:
             deviation = math.inf
         else:
@@ -370,12 +367,10 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
 
     return OmegaPrediction(
         hypothesis=tag,
-        plateau_values=values,
-        plateau_measures=measures,
+        limit=limit,
         mass_residual=mass_res,
         energy_residual=energy_res,
         source="Empirical",
-        domain_measure=tr.domain_measure,
         shape_deviation=deviation,
     )
 
@@ -387,9 +382,9 @@ def consistency_check(
 ) -> CheckResult:
     """Compare an analytic prediction against an extracted limit.
 
-    The row passes when the main plateau's value gap, its measure gap and
-    the L1 distance of the two staircases are all within ``tol``; its
-    worst is the largest of the three.
+    The row passes when the L1 distance of the two staircases is within
+    ``tol`` and, under H1/H3, so are the main plateau's value gap and
+    measure gap; its worst is the largest of these.
     """
     if analytic.hypothesis != empirical.hypothesis:
         raise ComparisonError(
@@ -400,11 +395,11 @@ def consistency_check(
             f"expected (Analytic, Empirical) sources, got "
             f"({analytic.source}, {empirical.source})"
         )
-    gaps = (
-        abs(analytic.plateau_values[0] - empirical.plateau_values[0]),
-        abs(analytic.plateau_measures[0] - empirical.plateau_measures[0]),
-        field_mod.profile_l1_distance(analytic.to_profile(), empirical.to_profile()),
-    )
+    gaps = [field_mod.profile_l1_distance(field_mod.rearrange(analytic.limit),
+                                          field_mod.rearrange(empirical.limit))]
+    if analytic.hypothesis in _REGIMES:
+        (av, am), (ev, em) = analytic.main_plateau(), empirical.main_plateau()
+        gaps += [abs(av - ev), abs(am - em)]
     return CheckResult(
         "predictor-consistency", all(g <= tol for g in gaps), max(gaps), tol
     )

@@ -127,9 +127,9 @@ def test_criterion_08_omega_closure_h1(h1_run, logistic):
     and extraction must agree on it."""
     emp = extract_limit(h1_run)
     shape_ok = (
-        len(emp.plateau_values) in (1, 2)
-        and emp.plateau_values[0] > 1.0
-        and (len(emp.plateau_values) == 1 or abs(emp.plateau_values[1] - 1.0) <= 1e-6)
+        len(emp.limit) in (1, 2)
+        and emp.main_plateau()[0] > 1.0
+        and (len(emp.limit) == 1 or abs(emp.limit.values[1] - 1.0) <= 1e-6)
     )
     elim = energy_limit(h1_run)
     pred = predict_h1(float(h1_run.mass_series[0]), elim.value, 1.0, logistic)
@@ -143,9 +143,9 @@ def test_criterion_08_omega_closure_h1(h1_run, logistic):
 def test_criterion_09_omega_closure_h3(h3_run, logistic):
     emp = extract_limit(h3_run)
     shape_ok = (
-        len(emp.plateau_values) in (1, 2)
-        and emp.plateau_values[0] < 0.0
-        and (len(emp.plateau_values) == 1 or abs(emp.plateau_values[1]) <= 1e-6)
+        len(emp.limit) in (1, 2)
+        and emp.main_plateau()[0] < 0.0
+        and (len(emp.limit) == 1 or abs(emp.limit.values[0]) <= 1e-6)
     )
     elim = energy_limit(h3_run)
     pred = predict_h3(float(h3_run.mass_series[0]), elim.value, 1.0, logistic)
@@ -171,11 +171,11 @@ def test_criterion_11_predictor_analytics(logistic):
     for _ in range(100):
         R = float(rng.uniform(1.5, 1000.0))
         pred = predict_h1(2.0, R * 1.0 + 0.5, 1.0, logistic)
-        worst = max(worst, abs(pred.plateau_values[0] - (2.0 * R - 1.0)))
+        worst = max(worst, abs(pred.main_plateau()[0] - (2.0 * R - 1.0)))
     for _ in range(100):
         Rp = float(rng.uniform(-1000.0, -0.5))
         pred = predict_h3(-1.0, -Rp, 1.0, logistic)
-        worst = max(worst, abs(pred.plateau_values[0] - 2.0 * Rp))
+        worst = max(worst, abs(pred.main_plateau()[0] - 2.0 * Rp))
     _criterion(11, "bisection reproduces the p = id closed forms on 100 random inputs",
                worst <= 1e-10, f"worst root gap {worst:.2e}")
 

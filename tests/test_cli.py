@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import run_cli_bounded
-from nldyn import IntegratorConfig, cli
+from nldyn import IntegratorConfig, cli, dynamics, extract_limit
 from nldyn.errors import ConfigError
 
 H1_CONFIG = """\
@@ -415,6 +415,18 @@ class TestPredict:
         fields = dict(l.split(" = ") for l in out.strip().splitlines() if " = " in l)
         assert float(fields["plateau_1_value"]) == pytest.approx(-2.0, abs=1e-10)
 
+    def test_h3_main_measure_is_mass_over_xi(self, tmp_path, capsys):
+        # a1 = m0 / xi exactly; read back from breakpoints as
+        # |Omega| - (|Omega| - a1) it would lose its last bit
+        cfg = _write(tmp_path, "h3.cfg", H3_CONFIG)
+        assert cli.main(["predict", cfg, "--m0", "-0.3", "--energy-limit", "0.7"]) == 0
+        out = capsys.readouterr().out
+        fields = dict(l.split(" = ") for l in out.strip().splitlines() if " = " in l)
+        a1 = -0.3 / float(fields["plateau_1_value"])
+        assert fields["plateau_1_measure"] == f"{a1:.17g}"
+        assert 1.0 - (1.0 - a1) != a1
+        assert fields["plateau_2_value"] == "0"
+
     def test_negative_values_in_exponent_form(self, tmp_path, capsys):
         # an H3 mass is negative; argparse's own matcher takes only -12 and -1.5
         cfg = _write(tmp_path, "h3.cfg", H3_CONFIG)
@@ -735,6 +747,34 @@ class TestSweep:
         for _, mu, a1, _, _ in rows:
             assert float(mu) == pytest.approx(1.0, abs=1e-9)
             assert float(a1) == 0.4
+
+    def test_h3_rows_read_the_main_plateau(self, tmp_path):
+        # a pinned atom at 0 and a pair merging at -0.6: the row reads xi,
+        # not the background plateau 0
+        text = H3_CONFIG.replace('"-1.0:0.5, -0.2:0.5"', '"0.0:0.5, -1.0:0.25, -0.2:0.25"')
+        text = text.replace("t_max = 200.0", "t_max = 300.0").replace(
+            "record_every = 0.01", "record_every = 0.1"
+        )
+        cfg = _write(tmp_path, "h3.cfg", text)
+        assert cli.main(["sweep", cfg, "--vary", "integrator.t_max=300:300:1"]) == 0
+        lines = (tmp_path / "out" / "h3.sweep.csv").read_text().strip().splitlines()
+        _, xi, a1, _, _ = lines[1].split(",")
+        assert float(xi) == pytest.approx(-0.6, abs=1e-6)
+        assert float(a1) == pytest.approx(0.5, abs=1e-6)
+
+    def test_h2_rows_read_the_top_plateau(self, tmp_path):
+        text = H1_CONFIG.replace(
+            '"1.5:0.5, 2.0:0.5"', '"0.9:0.2, 0.7:0.2, 0.5:0.2, 0.3:0.2, 0.2:0.2"'
+        ).replace("t_max = 200.0", "t_max = 400.0")
+        cfg = _write(tmp_path, "h2.cfg", text)
+        assert cli.main(["sweep", cfg, "--vary", "integrator.t_max=400:400:1"]) == 0
+        lines = (tmp_path / "out" / "h1.sweep.csv").read_text().strip().splitlines()
+        run_cfg = cli.load_config(cfg)
+        u0 = run_cfg.build_initial()
+        tr = dynamics.integrate(u0, run_cfg.build_pair(u0), run_cfg.integrator_config())
+        top, measure = extract_limit(tr, run_cfg.cluster_tol).limit.atoms[0]
+        assert lines[1].split(",")[1:3] == [f"{top:.17g}", f"{measure:.17g}"]
+        assert (top, measure) == (pytest.approx(1.0, abs=1e-6), 0.4)
 
     def test_count_one_degenerates_to_single_run(self, tmp_path):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)

@@ -106,6 +106,13 @@ class TestAtomField:
         assert not u.is_canonical
         assert u.normalize().is_canonical
 
+    def test_equality_compares_atoms_in_order(self):
+        u = AtomField([2.0, 1.0], [0.5, 0.5], 1.0)
+        assert u == AtomField([2.0, 1.0], [0.5, 0.5], 1.0)
+        assert u != AtomField([1.0, 2.0], [0.5, 0.5], 1.0)
+        assert u != AtomField([2.0, 1.0], [0.25, 0.75], 1.0)
+        assert u != AtomField([2.0, 1.0], [1.0, 1.0], 2.0)
+
 
 class TestMass:
     def test_weighted_sum(self):
@@ -211,10 +218,6 @@ class TestRearrange:
         profile = rearrange(u)
         assert profile.breakpoints.tolist() == [0.0, 1.0, 2.0]
         assert profile.plateau_values.tolist() == [2.0, 1.2]
-
-    def test_value_at_is_right_continuous(self):
-        profile = rearrange(AtomField([3.0, 1.0], [0.5, 0.5], 1.0))
-        assert profile.value_at(0.5) == 1.0
 
 
 class TestL1Distance:

@@ -24,6 +24,7 @@ from nldyn import (
     integrate,
     predict_h1,
     predict_h3,
+    rearrange,
     sample_g_monotone,
 )
 from nldyn import omega
@@ -64,8 +65,9 @@ class TestGFunction:
         # the H1 limit 1.75 on 0.6 and 1 on 0.4, from its mass and energy
         m0, energy = 1.75 * 0.6 + 0.4, 0.6 * P(1.75) + 0.4 * P(1.0)
         pred = predict_h1(m0, energy, 1.0, pair)
-        assert pred.plateau_values[0] == pytest.approx(1.75, abs=1e-9)
-        assert pred.plateau_measures[0] == pytest.approx(0.6, abs=1e-9)
+        mu, a1 = pred.main_plateau()
+        assert mu == pytest.approx(1.75, abs=1e-9)
+        assert a1 == pytest.approx(0.6, abs=1e-9)
 
     def test_monotone_audit_logistic(self, logistic):
         report = sample_g_monotone(logistic, 1.0, 1.0e4)
@@ -103,16 +105,16 @@ class TestPredictH1:
         """G(mu) = 2 with G(s) = (s+1)/2 gives mu = 3; inputs chosen so the
         right side is exactly 2: m0 = 2, E = 2 * (m0 - 1) + P(1) = 2.5."""
         pred = predict_h1(2.0, 2.5, 1.0, logistic)
-        assert pred.plateau_values[0] == pytest.approx(3.0, abs=1e-10)
-        assert pred.plateau_measures[0] == pytest.approx(0.5, abs=1e-10)
-        assert pred.plateau_values[1] == 1.0
+        mu, a1 = pred.main_plateau()
+        assert mu == pytest.approx(3.0, abs=1e-10)
+        assert a1 == pytest.approx(0.5, abs=1e-10)
+        assert pred.limit.values[1] == 1.0
 
     def test_constant_limit_consistency(self, logistic):
         """Substituting the constant state: m0 = 1.75, E = P(1.75) = 1.53125
         forces mu = 1.75 with the plateau filling the whole domain."""
         pred = predict_h1(1.75, 1.53125, 1.0, logistic)
-        assert pred.plateau_values == (1.75,)
-        assert pred.plateau_measures == (1.0,)
+        assert pred.limit.atoms == [(1.75, 1.0)]
 
     def test_defining_equation_residual(self, logistic):
         pred = predict_h1(2.0, 2.5, 1.0, logistic)
@@ -141,22 +143,22 @@ class TestPredictH1:
             m0, om = 2.0, 1.0
             E1 = R * (m0 - om) + 0.5 * om
             pred = predict_h1(m0, E1, om, logistic)
-            assert pred.plateau_values[0] == pytest.approx(2.0 * R - 1.0, abs=1e-10, rel=1e-10)
+            assert pred.main_plateau()[0] == pytest.approx(2.0 * R - 1.0, abs=1e-10, rel=1e-10)
 
 
 class TestPredictH3:
     def test_closed_form(self, logistic):
         """P(xi)/xi = xi/2 = -1 gives xi = -2, a1 = m0/xi = 0.5."""
         pred = predict_h3(-1.0, 1.0, 1.0, logistic)
-        assert pred.plateau_values[0] == pytest.approx(-2.0, abs=1e-10)
-        assert pred.plateau_measures[0] == pytest.approx(0.5, abs=1e-10)
-        assert pred.plateau_values[1] == 0.0
+        xi, a1 = pred.main_plateau()
+        assert xi == pytest.approx(-2.0, abs=1e-10)
+        assert a1 == pytest.approx(0.5, abs=1e-10)
+        assert pred.limit.values[0] == 0.0
 
     def test_constant_limit_consistency(self, logistic):
         """m0 = -0.5, E = P(-0.5) = 0.125: xi = -0.5 fills the domain."""
         pred = predict_h3(-0.5, 0.125, 1.0, logistic)
-        assert pred.plateau_values == (-0.5,)
-        assert pred.plateau_measures == (1.0,)
+        assert pred.limit.atoms == [(-0.5, 1.0)]
 
     def test_residuals(self, logistic):
         pred = predict_h3(-1.0, 1.0, 1.0, logistic)
@@ -179,7 +181,7 @@ class TestPredictH3:
             m0 = -1.0
             E3 = Rp * m0
             pred = predict_h3(m0, E3, 1.0, logistic)
-            assert pred.plateau_values[0] == pytest.approx(2.0 * Rp, abs=1e-10, rel=1e-10)
+            assert pred.main_plateau()[0] == pytest.approx(2.0 * Rp, abs=1e-10, rel=1e-10)
 
 
 def _assert_infeasible_message(message, a1):
@@ -298,8 +300,9 @@ class TestPredictorMessages:
     def test_background_plateau_is_the_regime_root(self, logistic):
         h1 = predict_h1(2.0, 2.5, 1.0, logistic)
         h3 = predict_h3(-1.0, 1.0, 1.0, logistic)
-        assert (h1.hypothesis, h1.plateau_values[1]) == ("H1", 1.0)
-        assert (h3.hypothesis, h3.plateau_values[1]) == ("H3", 0.0)
+        # the background is the bottom atom under H1 and the top atom under H3
+        assert (h1.hypothesis, h1.limit.values[1]) == ("H1", 1.0)
+        assert (h3.hypothesis, h3.limit.values[0]) == ("H3", 0.0)
 
 
     @pytest.mark.parametrize("measure", [0.0, -1.0, float("nan"), float("inf")])
@@ -340,7 +343,9 @@ class TestResidualGate:
 class TestAuditRows:
     def test_consistency_row(self, logistic):
         a = predict_h1(2.0, 2.5, 1.0, logistic)
-        b = dataclasses.replace(a, source="Empirical", plateau_measures=(0.75, 0.25))
+        b = dataclasses.replace(
+            a, source="Empirical", limit=AtomField(a.limit.values, [0.75, 0.25], 1.0)
+        )
         row = consistency_check(a, b, tol=1e-3)
         assert isinstance(row, CheckResult)
         assert (row.name, row.passed, row.tol) == ("predictor-consistency", False, 1e-3)
@@ -363,15 +368,13 @@ class TestExtractLimit:
         u = AtomField([1.0, 2.0], [0.5, 0.5], 1.0)
         tr = integrate(u, logistic, IntegratorConfig(t_max=10.0))
         pred = extract_limit(tr)
-        assert pred.plateau_values == (2.0, 1.0)
-        assert pred.plateau_measures == (0.5, 0.5)
+        assert pred.limit.atoms == [(2.0, 0.5), (1.0, 0.5)]
         assert pred.source == "Empirical"
 
     def test_constant_trajectory_single_plateau(self, logistic):
         tr = integrate(AtomField([0.5], [2.0], 2.0), logistic, IntegratorConfig(t_max=1.0))
         pred = extract_limit(tr)
-        assert pred.plateau_values == (0.5,)
-        assert pred.plateau_measures == (2.0,)
+        assert pred.limit.atoms == [(0.5, 2.0)]
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
     def test_non_positive_cluster_tol_raises(self, h1_run, tol):
@@ -393,25 +396,36 @@ class TestExtractLimit:
         u = AtomField([1.0, 1.5, 2.0], [0.5, 0.25, 0.25], 1.0)
         tr = integrate(u, logistic, IntegratorConfig(t_max=400.0, record_every=0.1))
         emp = extract_limit(tr)
-        assert len(emp.plateau_values) == 2
-        assert emp.plateau_values[0] == pytest.approx(1.75, abs=1e-6)
-        assert emp.plateau_values[1] == pytest.approx(1.0, abs=1e-9)
+        assert len(emp.limit) == 2
+        assert emp.limit.values[0] == pytest.approx(1.75, abs=1e-6)
+        assert emp.limit.values[1] == pytest.approx(1.0, abs=1e-9)
         pred = predict_h1(
             float(tr.mass_series[0]), energy_limit(tr).value, 1.0, logistic
         )
         rep = consistency_check(pred, emp, tol=1e-3)
         assert rep.passed
-        assert pred.plateau_measures[0] == pytest.approx(0.5, abs=1e-6)
+        assert pred.main_plateau()[1] == pytest.approx(0.5, abs=1e-6)
 
     def test_h3_ordering_main_first(self, logistic):
         """Genuine two-plateau H3 limit: pinned 0-atom plus merging pair."""
         u = AtomField([0.0, -1.0, -0.2], [0.5, 0.25, 0.25], 1.0)
         tr = integrate(u, logistic, IntegratorConfig(t_max=300.0, record_every=0.1))
         pred = extract_limit(tr)
-        assert len(pred.plateau_values) == 2
-        assert pred.plateau_values[0] == pytest.approx(-0.6, abs=1e-6)
-        assert abs(pred.plateau_values[1]) <= 1e-6
+        assert len(pred.limit) == 2
+        assert pred.main_plateau()[0] == pytest.approx(-0.6, abs=1e-6)
+        assert abs(pred.limit.values[0]) <= 1e-6
         assert pred.shape_deviation <= 1e-6
+        # the summary lists the main plateau first
+        fields = dict(line.split(" = ") for line in pred.to_summary().splitlines())
+        assert float(fields["plateau_1_value"]) == pred.main_plateau()[0]
+
+    def test_clusters_rounding_to_one_value_merge(self, logistic):
+        # two adjacent floats, each its own cluster at this gap threshold,
+        # whose weight averages round to one value: the limit keeps one atom
+        u = AtomField([0.3798271343224309, 0.37982713432243087],
+                      [0.26907488847906336, 0.7309251115209366], 1.0)
+        pred = extract_limit(integrate(u, logistic, IntegratorConfig(t_max=10.0)), 1e-300)
+        assert pred.limit.atoms == [(0.3798271343224309, 1.0)]
 
     def test_not_converged(self, logistic):
         u = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)
@@ -424,7 +438,7 @@ class TestExtractLimit:
         u = AtomField([0.3, 0.7, 1.0], [0.25, 0.25, 0.5], 1.0)
         tr = integrate(u, logistic, IntegratorConfig(t_max=300.0, record_every=0.1))
         pred = extract_limit(tr)
-        vals = pred.plateau_values
+        vals = pred.limit.values
         assert vals[0] == pytest.approx(1.0, abs=1e-6)
         assert vals[-1] == pytest.approx(0.0, abs=1e-6)
 
@@ -434,15 +448,16 @@ class TestExtractLimit:
         u = AtomField([1.0, 0.5, 0.0], [0.4, 0.2, 0.4], 1.0)
         tr = integrate(u, logistic, IntegratorConfig(t_max=10.0, record_every=0.1))
         pred = extract_limit(tr)
-        assert pred.plateau_values == (1.0, 0.5, 0.0)
-        assert pred.plateau_measures == (0.4, 0.2, 0.4)
-        assert 0.0 < pred.plateau_values[1] < 1.0
+        assert pred.limit.atoms == [(1.0, 0.4), (0.5, 0.2), (0.0, 0.4)]
+        assert 0.0 < pred.limit.values[1] < 1.0
 
 
 class TestConsistencyCheck:
     def test_identical_predictions(self, logistic):
         a = predict_h1(2.0, 2.5, 1.0, logistic)
+        assert a == predict_h1(2.0, 2.5, 1.0, logistic)
         b = dataclasses.replace(a, source="Empirical")
+        assert b.limit == a.limit and b != a
         rep = consistency_check(a, b)
         assert rep.passed
         assert rep.worst == 0.0
@@ -452,7 +467,7 @@ class TestConsistencyCheck:
         b = dataclasses.replace(
             a,
             source="Empirical",
-            plateau_values=(a.plateau_values[0] + 0.1, a.plateau_values[1]),
+            limit=AtomField(a.limit.values + [0.1, 0.0], a.limit.weights, 1.0),
         )
         rep = consistency_check(a, b, tol=1e-3)
         assert not rep.passed
@@ -469,6 +484,25 @@ class TestConsistencyCheck:
         with pytest.raises(ComparisonError):
             consistency_check(a, a)
 
+    def test_h2_limit_compared_by_l1_distance(self, logistic):
+        """Five equal H2 atoms of mass 0.52: the top two blocks go to 1, the
+        middle block takes the remaining 0.12 at 0.6, the rest goes to 0."""
+        u = AtomField([0.9, 0.7, 0.5, 0.3, 0.2], [0.2] * 5, 1.0)
+        emp = extract_limit(integrate(u, logistic, IntegratorConfig(t_max=400.0)))
+
+        def analytic(values):
+            limit = AtomField(values, [0.4, 0.2, 0.4], 1.0)
+            return omega.OmegaPrediction("H2", limit, 0.0, 0.0, "Analytic")
+
+        row = consistency_check(analytic([1.0, 0.6, 0.0]), emp)
+        assert row.passed and row.worst <= 1e-9
+        # a middle plateau off by 0.1 on a set of measure 0.2
+        row = consistency_check(analytic([1.0, 0.5, 0.0]), emp)
+        assert not row.passed
+        assert row.worst == pytest.approx(0.02, abs=1e-9)
+        with pytest.raises(ComparisonError):
+            consistency_check(predict_h1(2.0, 2.5, 1.0, logistic), emp)
+
 
 class TestPredictionSerialization:
     def test_summary_block(self, logistic):
@@ -481,6 +515,6 @@ class TestPredictionSerialization:
         assert fields["source"] == "Analytic"
 
     def test_profile_is_decreasing_staircase(self, logistic):
-        profile = predict_h3(-1.0, 1.0, 1.0, logistic).to_profile()
+        profile = rearrange(predict_h3(-1.0, 1.0, 1.0, logistic).limit)
         np.testing.assert_allclose(profile.plateau_values, [0.0, -2.0], atol=1e-10)
         np.testing.assert_allclose(profile.breakpoints, [0.0, 0.5, 1.0], atol=1e-10)

@@ -22,27 +22,18 @@ from .energy import (
     lyapunov,
 )
 from .errors import (
-    ComparisonError,
     ConfigError,
     DenominatorVanishingError,
-    DissipationUnavailableError,
-    DomainMismatchError,
     EvalDomainError,
-    ExprSyntaxError,
     FieldError,
     InfeasibleMeasureError,
-    ModelValidationError,
     NldynError,
     NoRootError,
     NotConvergedError,
     NumericalFailureError,
-    PairingError,
-    PredictionResidualError,
     QuadratureError,
-    UnknownIdentifierError,
-    UnknownModelError,
 )
-from .exprparse import antiderivative, build_model, differentiate, evaluate, parse, unparse
+from .exprparse import antiderivative, build_model, differentiate, evaluate, parse
 from .field import (
     AtomField,
     StepProfile,
@@ -77,33 +68,24 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomField",
-    "ComparisonError",
     "ConfigError",
     "DenominatorVanishingError",
-    "DissipationUnavailableError",
-    "DomainMismatchError",
     "EnergyLimit",
     "EvalDomainError",
-    "ExprSyntaxError",
     "FieldError",
     "HypothesisClass",
     "InfeasibleMeasureError",
     "IntegratorConfig",
-    "ModelValidationError",
     "NldynError",
     "NoRootError",
     "NonlinearityPair",
     "NotConvergedError",
     "NumericalFailureError",
     "OmegaPrediction",
-    "PairingError",
-    "PredictionResidualError",
     "QuadratureError",
     "StepProfile",
     "Termination",
     "Trajectory",
-    "UnknownIdentifierError",
-    "UnknownModelError",
     "antiderivative",
     "build_model",
     "builtin_model",
@@ -132,7 +114,6 @@ __all__ = [
     "rearrange",
     "rhs",
     "sample_g_monotone",
-    "unparse",
     "validate_pair",
     "verify_trajectory",
 ]

@@ -129,17 +129,15 @@ class RunConfig:
             raise ConfigError(
                 "exactly one of model.builtin and (model.g, model.p) must be given"
             )
+        if has_expr and (self.model_g is None or self.model_p is None):
+            raise ConfigError("both model.g and model.p are required")
         s_range = 2.0 if u0 is None else max(2.0, float(np.max(np.abs(u0.values))) + 1.0)
         working_range = (-s_range, s_range)
         try:
             if has_builtin:
                 return model.builtin_model(self.model_builtin, working_range)
-            if self.model_g is None or self.model_p is None:
-                raise ConfigError("both model.g and model.p are required")
             return exprparse.build_model(self.model_g, self.model_p, working_range)
         except NldynError as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"model: {exc}") from None
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import field as field_mod
 from .dynamics import Termination, Trajectory
-from .errors import DissipationUnavailableError, NotConvergedError
+from .errors import NldynError, NotConvergedError
 from .field import AtomField
 from .model import HypothesisClass, NonlinearityPair, canonical_atoms, dissipation_sum
 from .model import guarded_multiplier, input_order
@@ -51,20 +51,20 @@ def dissipation_constant(
     endpoints, and for degenerate intervals (b = 1 or a = 0).
     """
     if hyp.tag == "H2":
-        raise DissipationUnavailableError(
+        raise NldynError(
             "no dissipation constant under H2: g vanishes at both region endpoints"
         )
     if hyp.region is None:
-        raise DissipationUnavailableError("no hypothesis holds")
+        raise NldynError("no hypothesis holds")
     lo, hi = hyp.region
     if hi <= lo:
-        raise DissipationUnavailableError(
+        raise NldynError(
             f"degenerate interval [{lo:g}, {hi:g}]"
         )
     grid = np.linspace(lo, hi, n_samples)
     gmin = float(np.min(pair.g(grid)))
     if gmin >= 0.0:
-        raise DissipationUnavailableError(
+        raise NldynError(
             f"g does not drop below zero on [{lo:g}, {hi:g}]"
         )
     return -1.0 / gmin

@@ -7,31 +7,8 @@ class NldynError(Exception):
     """Base class for every error raised by this package."""
 
 
-class UnknownModelError(NldynError):
-    """Requested builtin model name is not in the catalogue."""
-
-    def __init__(self, name: str, available: tuple[str, ...]):
-        self.name = name
-        self.available = available
-        super().__init__(
-            f"unknown model {name!r}; available: {', '.join(available)}"
-        )
-
-
 class QuadratureError(NldynError):
     """Adaptive quadrature failed to converge within the depth budget."""
-
-
-class ModelValidationError(NldynError):
-    """A nonlinearity pair violates one of its structural requirements."""
-
-    def __init__(self, check: str, witness: float, detail: str = ""):
-        self.check = check
-        self.witness = witness
-        msg = f"model validation failed: {check} (witness u={witness!r})"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
 
 
 class DenominatorVanishingError(NldynError):
@@ -46,15 +23,8 @@ class DenominatorVanishingError(NldynError):
 
 
 class FieldError(NldynError):
-    """Invalid atom field construction or ingestion input."""
-
-
-class PairingError(NldynError):
-    """Two fields do not share the weight structure required to compare them."""
-
-
-class DomainMismatchError(NldynError):
-    """Two step profiles live on domains of different measure."""
+    """Invalid atom field or step profile input, or two fields or profiles
+    that cannot be compared (different weights, domains of different measure)."""
 
 
 class NumericalFailureError(NldynError):
@@ -80,46 +50,8 @@ class NoRootError(NldynError):
         super().__init__(message)
 
 
-class PredictionResidualError(NldynError):
-    """A computed root does not satisfy its defining equation tightly enough."""
-
-
 class InfeasibleMeasureError(NldynError):
     """A predicted plateau measure exceeds the domain measure."""
-
-
-class ComparisonError(NldynError):
-    """Predictions cannot be compared (mismatched hypotheses or sources)."""
-
-
-class DissipationUnavailableError(NldynError):
-    """No positive dissipation constant exists for this configuration."""
-
-
-class ExprSyntaxError(NldynError):
-    """Malformed expression text."""
-
-    def __init__(self, offset: int, expected: set[str], found: str):
-        self.offset = offset
-        self.expected = frozenset(expected)
-        self.found = found
-        exp = ", ".join(sorted(expected))
-        super().__init__(
-            f"syntax error at offset {offset}: expected {exp}, found {found!r}"
-        )
-
-
-class UnknownIdentifierError(NldynError):
-    """Expression references a name that is neither the variable nor a function."""
-
-    def __init__(self, name: str, offset: int, known: tuple[str, ...]):
-        self.name = name
-        self.offset = offset
-        self.known = known
-        super().__init__(
-            f"unknown identifier {name!r} at offset {offset}; "
-            f"known names: {', '.join(known)}"
-        )
 
 
 class EvalDomainError(NldynError):
@@ -131,4 +63,6 @@ class EvalDomainError(NldynError):
 
 
 class ConfigError(NldynError):
-    """Invalid run configuration file or override."""
+    """Invalid input: a run configuration file or override, an expression
+    (its syntax error or unknown name, with the offset), a builtin model
+    name, or a model that fails validation (with its witness point)."""

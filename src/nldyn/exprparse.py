@@ -21,14 +21,22 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (
-    EvalDomainError,
-    ExprSyntaxError,
-    ModelValidationError,
-    UnknownIdentifierError,
-)
+from .errors import ConfigError, EvalDomainError
 
 FUNCTIONS = ("exp", "log", "tanh", "sin", "cos")
+
+
+def _syntax_error(offset: int, expected: set[str], found: str) -> ConfigError:
+    return ConfigError(
+        f"syntax error at offset {offset}: expected {', '.join(sorted(expected))}, "
+        f"found {found!r}"
+    )
+
+
+def _unknown_identifier(name: str, offset: int, known: tuple[str, ...]) -> ConfigError:
+    return ConfigError(
+        f"unknown identifier {name!r} at offset {offset}; known names: {', '.join(known)}"
+    )
 
 
 # ---------------------------------------------------------------- AST nodes
@@ -84,7 +92,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if not stripped:
                 break
             at = pos + (len(rest) - len(stripped))
-            raise ExprSyntaxError(at, {"number", "identifier", "operator"}, stripped[0])
+            raise _syntax_error(at, {"number", "identifier", "operator"}, stripped[0])
         if m.group("num") is not None:
             tokens.append(("num", m.group("num"), m.start("num")))
         elif m.group("ident") is not None:
@@ -116,7 +124,7 @@ class _Parser:
     def fail(self, expected: set[str]):
         kind, value, offset = self.peek()
         found = value if kind != "end" else "end of input"
-        raise ExprSyntaxError(offset, expected, found)
+        raise _syntax_error(offset, expected, found)
 
     def parse(self) -> ExprAst:
         node = self.expr()
@@ -154,7 +162,7 @@ class _Parser:
             except EvalDomainError:
                 folded = exponent
             if not isinstance(folded, Const) or not math.isfinite(folded.value):
-                raise ExprSyntaxError(
+                raise _syntax_error(
                     exponent.offset,
                     {"finite constant exponent"},
                     "non-constant expression",
@@ -171,7 +179,7 @@ class _Parser:
             self.advance()
             if self.peek()[:2] == ("op", "("):
                 if value not in FUNCTIONS:
-                    raise UnknownIdentifierError(value, offset, FUNCTIONS)
+                    raise _unknown_identifier(value, offset, FUNCTIONS)
                 self.advance()
                 arg = self.expr()
                 if self.peek()[:2] != ("op", ")"):
@@ -179,7 +187,7 @@ class _Parser:
                 self.advance()
                 return Unary(value, arg, offset)
             if value != self.var:
-                raise UnknownIdentifierError(value, offset, (self.var,) + FUNCTIONS)
+                raise _unknown_identifier(value, offset, (self.var,) + FUNCTIONS)
             return Var(value, offset)
         if (kind, value) == ("op", "("):
             self.advance()
@@ -194,6 +202,7 @@ class _Parser:
 def parse(text: str, var: str = "u") -> ExprAst:
     """Parse expression text into an AST over the single variable ``var``.
 
+    Malformed text or an unknown name raises ConfigError with its offset.
     Every all-constant subtree is folded once, here (``_fold``): a constant
     fault that ``evaluate`` refuses, such as ``(1/0)^0``, raises
     EvalDomainError at its node's offset.
@@ -303,9 +312,9 @@ def _codegen(ast: ExprAst, var: str, consts: list[float]) -> str:
 def differentiate(ast: ExprAst) -> ExprAst:
     """Exact symbolic derivative: the unsimplified product- and chain-rule tree.
 
-    Nothing is folded or cancelled, so the printed form carries every
-    factor of the rules: ``unparse(differentiate(parse("u^2")))`` is
-    ``2.0*u^1.0*1.0``. The derivative of a constant power ``a^0`` is
+    Nothing is folded or cancelled, so the tree carries every factor of
+    the rules: ``differentiate(parse("u^2"))`` is the tree of
+    ``(2.0 * u^1.0) * 1.0``. The derivative of a constant power ``a^0`` is
     exactly 0.
     """
     if isinstance(ast, Const):
@@ -538,56 +547,6 @@ def _poly_product(a: list[float], b: list[float]) -> list[float]:
     return out
 
 
-# ---------------------------------------------------------------- unparse
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-_ATOM_PREC = 5
-
-
-def _prec(node: ExprAst) -> int:
-    if isinstance(node, Const):
-        # a folded negative constant prints with its sign, like a 'neg' node
-        return _PREC["neg"] if math.copysign(1.0, node.value) < 0.0 else _ATOM_PREC
-    if isinstance(node, Var):
-        return _ATOM_PREC
-    if isinstance(node, Unary):
-        return _ATOM_PREC if node.op != "neg" else _PREC["neg"]
-    return _PREC[node.op]
-
-
-def unparse(ast: ExprAst) -> str:
-    """Render the AST so that re-parsing yields a structurally equal tree."""
-    if isinstance(ast, Const):
-        # the grammar has no inf, but an overflowing literal reads as inf;
-        # parse leaves a non-finite subtree unfolded, so -inf is neg of it
-        return "1e999" if ast.value == math.inf else repr(ast.value)
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Unary):
-        if ast.op == "neg":
-            inner = unparse(ast.arg)
-            if _prec(ast.arg) < _PREC["neg"]:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{ast.op}({unparse(ast.arg)})"
-    assert isinstance(ast, Binary)
-    left = unparse(ast.left)
-    right = unparse(ast.right)
-    if ast.op == "^":
-        # base is parsed as an atom, exponent as a unary
-        if _prec(ast.left) < _ATOM_PREC:
-            left = f"({left})"
-        if _prec(ast.right) < _PREC["neg"]:
-            right = f"({right})"
-        return f"{left}^{right}"
-    p = _PREC[ast.op]
-    if _prec(ast.left) < p:
-        left = f"({left})"
-    if _prec(ast.right) <= p:  # left-associative: parenthesize equal-prec right child
-        right = f"({right})"
-    return f"{left} {ast.op} {right}" if ast.op in "+-" else f"{left}{ast.op}{right}"
-
-
 def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (-2.0, 2.0)):
     """Assemble a validated nonlinearity pair from expression texts.
 
@@ -603,7 +562,7 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
     from 0, as a Python float for a scalar (the one gap [0, s] to 1e-12).
     Violations of the structural requirements (roots of g, sign
     pattern, strict monotonicity of p, a closed form that disagrees with
-    quadrature) raise ModelValidationError with a witness point.
+    quadrature) raise ConfigError with a witness point.
     """
     from . import model as _model
     from .quad import adaptive_simpson
@@ -642,7 +601,7 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
             exact, quad = closed(s), quadrature(s)
             # a wrong closed form is off by O(1); both sides are good to ~1e-12
             if not abs(exact - quad) <= 1e-9 * max(1.0, abs(quad)):
-                raise ModelValidationError(
+                raise _model.validation_error(
                     "closed-form antiderivative agrees with quadrature",
                     s,
                     f"closed form {exact!r} vs quadrature {quad!r}",

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatchError, FieldError, PairingError
+from .errors import FieldError
 
 # ingestion renormalizes weight-sum mismatches up to this relative size
 _RENORM_GATE = 1e-9
@@ -30,7 +30,7 @@ _RENORM_GATE = 1e-9
 _WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomField:
     """Immutable weighted-atom field.
 
@@ -79,8 +79,9 @@ class AtomField:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "domain_measure", domain_measure)
 
-    def __eq__(self, other) -> bool:  # the generated one takes an array's truth value
-        """Same atoms in the same order on the same domain."""
+    def __eq__(self, other) -> bool:  # dataclass eq would take an array's truth value
+        """Same atoms in the same order on the same domain. Like its arrays,
+        a field is unhashable."""
         return (isinstance(other, AtomField) and self.domain_measure == other.domain_measure
                 and np.array_equal(self.values, other.values)
                 and np.array_equal(self.weights, other.weights))
@@ -243,7 +244,7 @@ def rearrange(u: AtomField) -> StepProfile:
 def l1_distance(u: AtomField, v: AtomField) -> float:
     """L1 distance between co-evolved fields (same weights, same atom order)."""
     if len(u) != len(v) or not np.array_equal(u.weights, v.weights):
-        raise PairingError(
+        raise FieldError(
             "fields are not co-evolved: weight vectors differ in length, "
             "order or values"
         )
@@ -254,7 +255,7 @@ def profile_l1_distance(a: StepProfile, b: StepProfile) -> float:
     """Exact L1 distance between two step profiles via common refinement."""
     da, db = a.domain_measure, b.domain_measure
     if abs(da - db) > _WEIGHT_TOL * max(da, db):
-        raise DomainMismatchError(
+        raise FieldError(
             f"profiles live on domains of measure {da!r} and {db!r}"
         )
     # each piece reads a profile on its last interval starting at or before

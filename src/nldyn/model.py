@@ -24,12 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DenominatorVanishingError,
-    ModelValidationError,
-    NumericalFailureError,
-    UnknownModelError,
-)
+from .errors import ConfigError, DenominatorVanishingError, NumericalFailureError
 from .field import AtomField, canonical_order
 
 ScalarFn = Callable[[float], float]
@@ -148,13 +143,20 @@ def builtin_model(
     try:
         factory = _CATALOGUE[name]
     except KeyError:
-        raise UnknownModelError(name, tuple(sorted(_CATALOGUE))) from None
+        raise ConfigError(
+            f"unknown model {name!r}; available: {', '.join(sorted(_CATALOGUE))}"
+        ) from None
     pair = factory()
     validate_pair(pair, working_range)
     return pair
 
 
 # --------------------------------------------------------------- validation
+
+def validation_error(check: str, witness: float, detail: str) -> ConfigError:
+    """The error for a pair that fails ``check`` at the point ``witness``."""
+    return ConfigError(f"model validation failed: {check} (witness u={witness!r}): {detail}")
+
 
 def _shown(x: float) -> str:
     """x for a message; a nan, which the input did not type but an overflow
@@ -179,7 +181,7 @@ def validate_pair(
 
     Checks g(0) = g(1) = 0, the sign pattern of g, strict monotonicity of
     p, and that the stored antiderivative matches p by finite differences.
-    Raises ModelValidationError with a witness point on the first failure.
+    Raises ConfigError (``validation_error``) on the first failure.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     if not lo < 0.0 < 1.0 < hi:
@@ -188,7 +190,7 @@ def validate_pair(
     for point in (0.0, 1.0):
         value = float(pair.g(point))
         if not abs(value) <= 1e-12:  # a NaN fails too
-            raise ModelValidationError(
+            raise validation_error(
                 f"g({point:g}) = 0", point, f"got {_shown(value)}"
             )
 
@@ -204,7 +206,7 @@ def validate_pair(
         gv = np.asarray(pair.g(grid), dtype=float)
         bad = np.nonzero(~(sign * gv > 0.0))[0]
         if bad.size:
-            raise ModelValidationError(
+            raise validation_error(
                 f"g {'>' if sign > 0 else '<'} 0 on ({a:g}, {b:g})",
                 float(grid[bad[0]]),
                 f"g = {_shown(float(gv[bad[0]]))}",
@@ -214,14 +216,14 @@ def validate_pair(
     pv = np.asarray(pair.p_prime(full), dtype=float)
     bad = np.nonzero(~(pv > 0.0))[0]
     if bad.size:
-        raise ModelValidationError(
+        raise validation_error(
             "p' > 0 on the working range", float(full[bad[0]]),
             f"p' = {_shown(float(pv[bad[0]]))}",
         )
 
     p0 = float(pair.antideriv_P(0.0))
     if abs(p0) > 1e-12:
-        raise ModelValidationError("antiderivative vanishes at 0", 0.0, f"got {_shown(p0)}")
+        raise validation_error("antiderivative vanishes at 0", 0.0, f"got {_shown(p0)}")
     h = 1e-6
     eps = float(np.finfo(float).eps)
     for s in finite_linspace(lo + 2 * h, hi - 2 * h, 17):
@@ -234,7 +236,7 @@ def validate_pair(
         tol = 1e-8 + 4.0 * eps * (abs(p_plus) + abs(p_minus)) / h
         if not abs(fd - ps) <= tol:
             detail = f"fd {fd!r} vs p {_shown(ps)}" if math.isfinite(fd) else "P overflows"
-            raise ModelValidationError("d(antiderivative)/ds = p", s, detail)
+            raise validation_error("d(antiderivative)/ds = p", s, detail)
 
 
 # -------------------------------------------------------------- rate kernel

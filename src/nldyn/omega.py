@@ -29,12 +29,7 @@ import numpy as np
 from . import field as field_mod
 from .dynamics import CheckResult, Trajectory
 from .energy import energy_limit
-from .errors import (
-    ComparisonError,
-    InfeasibleMeasureError,
-    NoRootError,
-    PredictionResidualError,
-)
+from .errors import InfeasibleMeasureError, NldynError, NoRootError
 from .field import AtomField
 from .model import NonlinearityPair
 from .quad import adaptive_simpson
@@ -267,7 +262,7 @@ def _predict(
     )
     row = residual_check(pred, m0, e_inf, pair)
     if not row.passed:
-        raise PredictionResidualError(f"constraint residuals exceed their bounds: {row.detail}")
+        raise NldynError(f"constraint residuals exceed their bounds: {row.detail}")
     return pred
 
 
@@ -387,11 +382,11 @@ def consistency_check(
     measure gap; its worst is the largest of these.
     """
     if analytic.hypothesis != empirical.hypothesis:
-        raise ComparisonError(
+        raise NldynError(
             f"hypothesis mismatch: {analytic.hypothesis} vs {empirical.hypothesis}"
         )
     if analytic.source != "Analytic" or empirical.source != "Empirical":
-        raise ComparisonError(
+        raise NldynError(
             f"expected (Analytic, Empirical) sources, got "
             f"({analytic.source}, {empirical.source})"
         )

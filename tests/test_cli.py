@@ -244,10 +244,10 @@ class TestSimulate:
         assert cli.main(["simulate", cfg]) == 0
 
     def test_other_library_error_exit_3(self, tmp_path, capsys, monkeypatch):
-        from nldyn.errors import PairingError
+        from nldyn.errors import FieldError
 
         def refuse(u0, pair, cfg):
-            raise PairingError("synthetic pairing fault")
+            raise FieldError("synthetic pairing fault")
 
         monkeypatch.setattr(cli.dynamics, "integrate", refuse)
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
@@ -714,6 +714,90 @@ class TestModelValidation:
             ranges.clear()
             assert cli.main(argv) == 0
             assert ranges == want, argv[0]
+
+
+_ATOMS = 'initial.atoms = "1.5:0.5, 2.0:0.5"\n'
+_G = 'model.g = "u*(1-u)"\n'
+_VALIDATION = "model: model validation failed: "
+
+# config lines and the message each config error prints, one case per way a
+# bad expression, model name or model reaches the command line
+_CONFIG_ERRORS = {
+    "unknown-builtin": ('model.builtin = "nope"\n' + _ATOMS,
+                        "model: unknown model 'nope'; "
+                        "available: logistic-cubic, logistic-identity"),
+    "g-syntax": ('model.g = "u*(1-"\nmodel.p = "u"\n' + _ATOMS,
+                 "model: syntax error at offset 5: expected (, -, identifier, number, "
+                 "found 'end of input'"),
+    "p-unknown-variable": (_G + 'model.p = "u + v"\n' + _ATOMS,
+                           "model: unknown identifier 'v' at offset 4; "
+                           "known names: u, exp, log, tanh, sin, cos"),
+    "p-unknown-function": (_G + 'model.p = "sinh(u)"\n' + _ATOMS,
+                           "model: unknown identifier 'sinh' at offset 0; "
+                           "known names: exp, log, tanh, sin, cos"),
+    "p-variable-exponent": (_G + 'model.p = "u^u"\n' + _ATOMS,
+                            "model: syntax error at offset 2: expected finite constant exponent, "
+                            "found 'non-constant expression'"),
+    "p-bad-character": (_G + 'model.p = "u $ 1"\n' + _ATOMS,
+                        "model: syntax error at offset 2: expected identifier, number, operator, "
+                        "found '$'"),
+    "initial-syntax": ('model.builtin = "logistic-identity"\n'
+                       'initial.expr = "1 +"\ninitial.samples = 4\n',
+                       "initial.expr: syntax error at offset 3: expected (, -, identifier, number, "
+                       "found 'end of input'"),
+    "initial-unknown": ('model.builtin = "logistic-identity"\n'
+                        'initial.expr = "1 + y"\ninitial.samples = 4\n',
+                        "initial.expr: unknown identifier 'y' at offset 4; "
+                        "known names: x, exp, log, tanh, sin, cos"),
+    "g-at-0": ('model.g = "u*(1-u)+1"\nmodel.p = "u"\n' + _ATOMS,
+               _VALIDATION + "g(0) = 0 (witness u=0.0): got 1.0"),
+    "g-at-1": ('model.g = "u"\nmodel.p = "u"\n' + _ATOMS,
+               _VALIDATION + "g(1) = 0 (witness u=1.0): got 1.0"),
+    "p-decreasing": (_G + 'model.p = "-u"\n' + _ATOMS,
+                     _VALIDATION + "p' > 0 on the working range (witness u=-3.0): p' = -1.0"),
+    "g-nan": ('model.g = "u*(1-u)/0"\nmodel.p = "u"\n' + _ATOMS,
+              _VALIDATION + "g(0) = 0 (witness u=0.0): got not a number"),
+    "cubic-overflow": ('model.builtin = "logistic-cubic"\ninitial.atoms = "1e200:1.0"\n',
+                       _VALIDATION + "d(antiderivative)/ds = p (witness u=-1e+200): P overflows"),
+    "g-without-p": (_G + _ATOMS, "both model.g and model.p are required"),
+}
+
+
+_PREDICT = ["predict", "--m0", "2.0", "--energy-limit", "2.5"]
+_SWEEP = ["sweep", "--vary", "integrator.rtol=1e-8:1e-7:2"]
+
+
+def _error_line_params():
+    for case, (lines, message) in _CONFIG_ERRORS.items():
+        line = f"config error: {message}\n"
+        yield pytest.param(lines, ["simulate"], 2, line, id=f"{case}-simulate")
+        # predict runs without initial data it cannot build
+        predicted = (0, "") if case.startswith("initial-") else (2, line)
+        yield pytest.param(lines, _PREDICT, *predicted, id=f"{case}-predict")
+        yield pytest.param(lines, _SWEEP, 3, "error:ConfigError", id=f"{case}-sweep")
+    yield pytest.param(
+        'model.builtin = "logistic-cubic"\n' + _ATOMS,
+        ["predict", "--m0", "1e77", "--energy-limit", "1.7e308"], 3,
+        "error: constraint residuals exceed their bounds: mass 0.000e+00 (bound 1.000e+67), "
+        "energy inf (bound 1.700e+298)\n", id="cubic-residual-predict")
+
+
+class TestErrorLines:
+    @pytest.mark.parametrize("lines, command, rc, want", _error_line_params())
+    def test_error_line_and_exit_code(self, tmp_path, capsys, lines, command, rc, want):
+        """The whole stderr line and exit code of simulate and predict; the
+        error cell of each sweep row."""
+        cfg = _write(tmp_path, "e.cfg", lines + (
+            'domain.measure = 1.0\nintegrator.t_max = 5.0\n'
+            'output.dir = "{out}"\noutput.base = "e"\n'))
+        capsys.readouterr()
+        assert cli.main([command[0], cfg, *command[1:]]) == rc
+        err = capsys.readouterr().err
+        if command[0] != "sweep":
+            assert err == want
+            return
+        rows = (tmp_path / "out" / "e.sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == [want, want]
 
 
 class TestSweep:

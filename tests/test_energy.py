@@ -1,13 +1,15 @@
 """Tests for nldyn.energy: Lyapunov values, dissipation, energy limit."""
 
+import re
+
 import numpy as np
 import pytest
 
 from helpers import random_h1_atoms
 from nldyn import (
     AtomField,
-    DissipationUnavailableError,
     IntegratorConfig,
+    NldynError,
     NotConvergedError,
     NumericalFailureError,
     builtin_model,
@@ -90,13 +92,15 @@ class TestDissipationConstant:
         from nldyn.model import HypothesisClass
 
         degenerate = HypothesisClass(tag="H1", essinf_a=1.0, esssup_b=1.0, integral_g_u0=0.0)
-        with pytest.raises(DissipationUnavailableError):
+        with pytest.raises(NldynError, match=re.escape("degenerate interval [1, 1]")) as info:
             dissipation_constant(degenerate, logistic)
+        assert type(info.value) is NldynError
 
     def test_h2_unavailable(self, logistic):
         hyp = classify_hypothesis(AtomField([0.3, 0.7], [0.5, 0.5], 1.0), logistic)
-        with pytest.raises(DissipationUnavailableError):
+        with pytest.raises(NldynError, match="^no dissipation constant under H2: ") as info:
             dissipation_constant(hyp, logistic)
+        assert type(info.value) is NldynError
 
     def test_dissipation_bounded_by_constant_times_rate_norm(self, h1_run, logistic):
         """dE/dt <= -C * sum of m r^2 pointwise along the H1 orbit."""
@@ -122,8 +126,9 @@ class TestEnergyOfAField:
         u = AtomField([0.7, 0.3], [0.5, 0.5], 1.0)
         hyp = classify_hypothesis(u, logistic)
         assert hyp.energy_index == 2
-        with pytest.raises(DissipationUnavailableError):
+        with pytest.raises(NldynError, match="^no dissipation constant under H2: ") as info:
             dissipation_constant(hyp, logistic)
+        assert type(info.value) is NldynError
         assert dissipation_rate(u, logistic, 2) <= 1e-12
 
 

@@ -2,6 +2,7 @@
 and integration."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,16 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nldyn import (
+    ConfigError,
     EvalDomainError,
-    ExprSyntaxError,
-    ModelValidationError,
-    UnknownIdentifierError,
     build_model,
     builtin_model,
     differentiate,
     evaluate,
     parse,
-    unparse,
 )
 from nldyn import exprparse
 from nldyn.exprparse import Binary, Const, Unary, Var, antiderivative, to_callable
@@ -51,26 +49,23 @@ class TestParse:
         assert evaluate(parse("-u*u"), 3.0) == -9.0
 
     def test_syntax_error_offset(self):
-        with pytest.raises(ExprSyntaxError) as info:
+        with pytest.raises(ConfigError, match="^syntax error at offset 5: "):
             parse("u*(1-")
-        assert info.value.offset == 5
 
     def test_unbalanced_paren(self):
-        with pytest.raises(ExprSyntaxError):
+        with pytest.raises(ConfigError, match="^syntax error at offset 6: "):
             parse("u*(1-u")
 
     def test_unknown_identifier(self):
-        with pytest.raises(UnknownIdentifierError) as info:
+        with pytest.raises(ConfigError, match="^unknown identifier 'v' at offset 4; "):
             parse("u + v")
-        assert info.value.name == "v"
-        assert info.value.offset == 4
 
     def test_unknown_function(self):
-        with pytest.raises(UnknownIdentifierError):
+        with pytest.raises(ConfigError, match="^unknown identifier 'sinh' at offset 0; "):
             parse("sinh(u)")
 
     def test_nonconstant_exponent_rejected(self):
-        with pytest.raises(ExprSyntaxError):
+        with pytest.raises(ConfigError, match="^syntax error at offset 2: "):
             parse("u^u")
 
     def test_custom_variable_name(self):
@@ -83,21 +78,22 @@ class TestParse:
         assert ast.right.value == to_callable(Unary("exp", Const(1.0)))(0.0)
 
     def test_folding_keeps_compiled_bits(self):
-        """A tree and its parsed, folded text compile to the same values, on
-        a scalar and an array, non-finite constants (left in place) included."""
+        """A tree and its folded form (the fold ``parse`` applies) compile to
+        the same values, on a scalar and an array, non-finite constants (left
+        in place) included."""
         rng = np.random.default_rng(8)
         xs = np.linspace(-2.0, 2.0, 9)
         folded = 0
         for _ in range(300):
             ast = _random_ast(depth=4, rng=rng, extremes=(1e308,))
             try:
-                ast2 = parse(unparse(ast))
+                ast2 = exprparse._fold(ast)[0]
             except EvalDomainError:
                 continue
             folded += ast2 != ast
             want, got = to_callable(ast)(xs), to_callable(ast2)(xs)
-            assert all(map(_same_float, want.tolist(), got.tolist())), unparse(ast)
-            assert _same_float(to_callable(ast2)(0.5), to_callable(ast)(0.5)), unparse(ast)
+            assert all(map(_same_float, want.tolist(), got.tolist())), ast
+            assert _same_float(to_callable(ast2)(0.5), to_callable(ast)(0.5)), ast
         assert folded > 50
 
     @pytest.mark.parametrize(
@@ -124,7 +120,7 @@ class TestParse:
 
     def test_constant_fault_in_exponent_is_syntax_error(self):
         for text in ("u^(1/0)", "u^log(0)", "u^(1e308*10)"):
-            with pytest.raises(ExprSyntaxError):
+            with pytest.raises(ConfigError, match=r"^syntax error at offset \d+: expected finite "):
                 parse(text)
 
     @given(st.text(max_size=40))
@@ -134,7 +130,7 @@ class TestParse:
         fault such as 1/0 is refused at parse with EvalDomainError."""
         try:
             parse(text)
-        except (ExprSyntaxError, UnknownIdentifierError, EvalDomainError):
+        except (ConfigError, EvalDomainError):
             pass
 
 
@@ -168,7 +164,7 @@ class TestEvaluate:
             with pytest.raises(EvalDomainError):
                 evaluate(parse(text), 0.0)
         # so constant folding leaves them in place: no constant exponent
-        with pytest.raises(ExprSyntaxError):
+        with pytest.raises(ConfigError, match="^syntax error at offset 2: expected finite "):
             parse("u^sin(1e999)")
 
     def test_callable_matches_scalar_eval(self):
@@ -193,8 +189,8 @@ class TestEvaluate:
             for x, entry in zip(xs.tolist(), block.tolist()):
                 for arg in (x, np.float64(x), np.array(x)):
                     got = fn(arg)
-                    assert type(got) is float and _same_float(got, entry), (unparse(ast), x)
-                assert _same_float(_compiled_nodewise(ast, x), entry), (unparse(ast), x)
+                    assert type(got) is float and _same_float(got, entry), (ast, x)
+                assert _same_float(_compiled_nodewise(ast, x), entry), (ast, x)
 
     def test_no_floating_point_warning(self):
         """Overflow, zero division and invalid values give inf or nan under
@@ -257,10 +253,10 @@ def _compiled_nodewise(ast, x):
     try:
         want = evaluate(ast, x)
     except EvalDomainError:
-        assert not math.isfinite(got), (unparse(ast), got)
+        assert not math.isfinite(got), (ast, got)
     else:
         if math.isfinite(want):
-            assert got == pytest.approx(want, rel=1e-15), unparse(ast)
+            assert got == pytest.approx(want, rel=1e-15), ast
     return got
 
 
@@ -281,7 +277,8 @@ class TestDifferentiate:
 
     def test_unsimplified_tree(self):
         # every factor of the power and chain rules, nothing folded
-        assert unparse(differentiate(parse("u^2"))) == "2.0*u^1.0*1.0"
+        assert differentiate(parse("u^2")) == Binary(
+            "*", Binary("*", Const(2.0), Binary("^", Var("u"), Const(1.0))), Const(1.0))
 
     def test_constant_power_derivative_is_zero(self):
         # 0 * (u - 1)^-1 would be nan at u = 1
@@ -343,43 +340,34 @@ class TestDifferentiate:
         assert checked_expressions == 100
 
 
-class TestUnparseRoundTrip:
+class TestParseTrees:
     @pytest.mark.parametrize(
-        "text",
+        "text, tree",
         [
-            "u*(1-u)",
-            "-u^2",
-            "u - (1 - u)",
-            "u - 1 - u",
-            "u/(1+u^2)",
-            "u^2^3",
-            "tanh(u) + 2*u",
-            "-(u + 1)",
-            "exp(0*u) - cos(u)*sin(u)",
+            ("u*(1-u)", Binary("*", Var("u"), Binary("-", Const(1.0), Var("u")))),
+            ("-u^2", Unary("neg", Binary("^", Var("u"), Const(2.0)))),
+            ("u - (1 - u)", Binary("-", Var("u"), Binary("-", Const(1.0), Var("u")))),
+            ("u - 1 - u", Binary("-", Binary("-", Var("u"), Const(1.0)), Var("u"))),
+            ("u/2/u", Binary("/", Binary("/", Var("u"), Const(2.0)), Var("u"))),
+            ("u/(1+u^2)",
+             Binary("/", Var("u"), Binary("+", Const(1.0), Binary("^", Var("u"), Const(2.0))))),
+            ("u^2^3", Binary("^", Var("u"), Const(8.0))),
+            ("tanh(u) + 2*u",
+             Binary("+", Unary("tanh", Var("u")), Binary("*", Const(2.0), Var("u")))),
+            ("-(u + 1)", Unary("neg", Binary("+", Var("u"), Const(1.0)))),
+            ("exp(0*u) - cos(u)*sin(u)",
+             Binary("-", Unary("exp", Binary("*", Const(0.0), Var("u"))),
+                    Binary("*", Unary("cos", Var("u")), Unary("sin", Var("u"))))),
             # folds to a negative constant base under a power left unfolded
-            "(-1e200)^2 + u",
+            ("(-1e200)^2 + u", Binary("+", Binary("^", Const(-1e200), Const(2.0)), Var("u"))),
             # an infinite constant, and the negation of one, left unfolded
-            "u + 1e999",
-            "-1e999*u",
+            ("u + 1e999", Binary("+", Var("u"), Const(math.inf))),
+            ("-1e999*u", Binary("*", Unary("neg", Const(math.inf)), Var("u"))),
         ],
     )
-    def test_specific_texts(self, text):
-        t1 = parse(text)
-        assert parse(unparse(t1)) == t1
-
-    def test_random_trees(self):
-        for _ in range(300):
-            t1 = _random_ast(depth=4)
-            text = unparse(t1)
-            try:
-                t2 = parse(text)
-            except EvalDomainError:
-                # a constant fault such as 1.0/0.0 is refused at parse, as
-                # ``evaluate`` refuses the whole tree
-                with pytest.raises(EvalDomainError):
-                    evaluate(t1, 0.5)
-                continue
-            assert parse(unparse(t2)) == t2
+    def test_specific_texts(self, text, tree):
+        """Left-associative - and /, ^ above a negation, and the folds."""
+        assert parse(text) == tree
 
 
 _CLOSED_FORM_TABLE = [
@@ -414,10 +402,10 @@ def _random_polynomial(depth):
 
 def _assert_matches_quadrature(ast):
     P, p = antiderivative(ast), to_callable(ast)
-    assert P is not None, unparse(ast)
+    assert P is not None, ast
     for s in _GRID.tolist():
         quad = adaptive_simpson(lambda t: float(p(t)), 0.0, s)
-        assert abs(P(s) - quad) <= 1e-11 * max(1.0, abs(quad)), (unparse(ast), s)
+        assert abs(P(s) - quad) <= 1e-11 * max(1.0, abs(quad)), (ast, s)
 
 
 class TestAntiderivative:
@@ -552,25 +540,23 @@ class TestBuildModel:
             return lambda s: P(s) + 1e-3 * (np.asarray(s) >= 1.1)
 
         monkeypatch.setattr(exprparse, "antiderivative", jumping)
-        with pytest.raises(ModelValidationError) as info:
+        with pytest.raises(ConfigError, match=re.escape(
+                "failed: closed-form antiderivative agrees with quadrature (")):
             build_model("u*(1-u)", "u^3 + u")
-        assert "quadrature" in info.value.check
 
     def test_decreasing_p_rejected_with_witness(self):
-        with pytest.raises(ModelValidationError) as info:
+        check = re.escape("failed: p' > 0 on the working range (")
+        with pytest.raises(ConfigError, match=check) as info:
             build_model("u*(1-u)", "-u")
-        assert "p'" in info.value.check
         # the witness value prints as a float, not as a numpy repr
         assert str(info.value).endswith("p' = -1.0")
 
     def test_wrong_g_root_rejected(self):
-        with pytest.raises(ModelValidationError) as info:
+        with pytest.raises(ConfigError, match=re.escape("failed: g(1) = 0 (")):
             build_model("u", "u")
-        assert "g(1)" in info.value.check
 
     @pytest.mark.parametrize("g", ["u*(1-u)/0", "u*(1-u)*1e999"])
     def test_constant_fault_in_g_rejected(self, g):
         # g(0) = 0 * inf is nan, and g = inf keeps the sign pattern
-        with pytest.raises(ModelValidationError) as info:
+        with pytest.raises(ConfigError, match=re.escape("failed: g(0) = 0 (")):
             build_model(g, "u")
-        assert info.value.check == "g(0) = 0"

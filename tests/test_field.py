@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from helpers import group_by_value_reference, prefix_sums_reference, rearrange_reference
 from nldyn import (
     AtomField,
-    DomainMismatchError,
     FieldError,
-    PairingError,
+    OmegaPrediction,
     StepProfile,
     distribution,
     from_samples,
@@ -112,6 +111,15 @@ class TestAtomField:
         assert u != AtomField([1.0, 2.0], [0.5, 0.5], 1.0)
         assert u != AtomField([2.0, 1.0], [0.25, 0.75], 1.0)
         assert u != AtomField([2.0, 1.0], [1.0, 1.0], 2.0)
+
+    def test_unhashable(self):
+        """A field compares by its arrays, so it has no hash, and neither
+        has a prediction that holds one."""
+        u = AtomField([1.0], [1.0], 1.0)
+        pred = OmegaPrediction("H1", u, 0.0, 0.0, "Analytic")
+        for obj in (u, pred):
+            with pytest.raises(TypeError, match="unhashable type: 'AtomField'"):
+                hash(obj)
 
 
 class TestMass:
@@ -233,7 +241,7 @@ class TestL1Distance:
     def test_mismatched_weights_rejected(self):
         u = AtomField([2.0, 1.0], [0.5, 0.5], 1.0)
         v = AtomField([2.0, 1.0], [0.25, 0.75], 1.0)
-        with pytest.raises(PairingError):
+        with pytest.raises(FieldError, match="^fields are not co-evolved: "):
             l1_distance(u, v)
 
     def test_symmetry_and_triangle_inequality(self):
@@ -273,7 +281,7 @@ class TestProfileL1Distance:
     def test_domain_mismatch(self):
         a = StepProfile([0.0, 1.0], [1.0])
         b = StepProfile([0.0, 2.0], [1.0])
-        with pytest.raises(DomainMismatchError):
+        with pytest.raises(FieldError, match="^profiles live on domains of measure 1.0 and 2.0$"):
             profile_l1_distance(a, b)
 
 

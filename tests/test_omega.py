@@ -9,12 +9,11 @@ import pytest
 
 from nldyn import (
     AtomField,
-    ComparisonError,
     InfeasibleMeasureError,
     IntegratorConfig,
+    NldynError,
     NoRootError,
     NotConvergedError,
-    PredictionResidualError,
     build_model,
     builtin_model,
     consistency_check,
@@ -324,8 +323,9 @@ class TestResidualGate:
     def test_root_off_by_1e_6_is_refused(self, logistic, monkeypatch, predict, m0, energy):
         bisect = omega._bisect_increasing
         monkeypatch.setattr(omega, "_bisect_increasing", lambda h, lo, hi: bisect(h, lo, hi) + 1e-6)
-        with pytest.raises(PredictionResidualError, match="^constraint residuals exceed"):
+        with pytest.raises(NldynError, match="^constraint residuals exceed") as info:
             predict(m0, energy, 1.0, logistic)
+        assert type(info.value) is NldynError
 
 
     def test_row_passes_exactly_when_the_predictor_gate_does(self, logistic):
@@ -476,13 +476,16 @@ class TestConsistencyCheck:
     def test_mismatched_hypotheses(self, logistic):
         a = predict_h1(2.0, 2.5, 1.0, logistic)
         b = dataclasses.replace(predict_h3(-1.0, 1.0, 1.0, logistic), source="Empirical")
-        with pytest.raises(ComparisonError):
+        with pytest.raises(NldynError, match="^hypothesis mismatch: H1 vs H3$") as info:
             consistency_check(a, b)
+        assert type(info.value) is NldynError
 
     def test_source_validation(self, logistic):
         a = predict_h1(2.0, 2.5, 1.0, logistic)
-        with pytest.raises(ComparisonError):
+        with pytest.raises(NldynError, match=re.escape(
+                "expected (Analytic, Empirical) sources, got (Analytic, Analytic)")) as info:
             consistency_check(a, a)
+        assert type(info.value) is NldynError
 
     def test_h2_limit_compared_by_l1_distance(self, logistic):
         """Five equal H2 atoms of mass 0.52: the top two blocks go to 1, the
@@ -500,8 +503,9 @@ class TestConsistencyCheck:
         row = consistency_check(analytic([1.0, 0.5, 0.0]), emp)
         assert not row.passed
         assert row.worst == pytest.approx(0.02, abs=1e-9)
-        with pytest.raises(ComparisonError):
+        with pytest.raises(NldynError, match="^hypothesis mismatch: H1 vs H2$") as info:
             consistency_check(predict_h1(2.0, 2.5, 1.0, logistic), emp)
+        assert type(info.value) is NldynError
 
 
 class TestPredictionSerialization:

@@ -36,7 +36,6 @@ from .errors import (
 from .exprparse import antiderivative, build_model, differentiate, evaluate, parse
 from .field import (
     AtomField,
-    StepProfile,
     distribution,
     from_samples,
     integral_of,
@@ -44,6 +43,7 @@ from .field import (
     mass,
     profile_l1_distance,
     rearrange,
+    staircase,
 )
 from .model import (
     HypothesisClass,
@@ -83,7 +83,6 @@ __all__ = [
     "NumericalFailureError",
     "OmegaPrediction",
     "QuadratureError",
-    "StepProfile",
     "Termination",
     "Trajectory",
     "antiderivative",
@@ -114,6 +113,7 @@ __all__ = [
     "rearrange",
     "rhs",
     "sample_g_monotone",
+    "staircase",
     "validate_pair",
     "verify_trajectory",
 ]

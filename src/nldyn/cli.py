@@ -246,23 +246,23 @@ def _out_path(cfg: RunConfig, suffix: str) -> Path:
     return directory / f"{cfg.output_base}{suffix}"
 
 
-def _write_staircase(path: Path, profile: field_mod.StepProfile, title: str):
+def _write_staircase(path: Path, u: field_mod.AtomField, title: str):
     header = f"# {title}\n# columns: y value\n"
-    path.write_text(header + field_mod.staircase_lines(profile))
+    path.write_text(header + field_mod.staircase_lines(u))
 
 
-def _distribution_table(u: field_mod.AtomField) -> str:
+def _distribution_table(breakpoints: np.ndarray, values: np.ndarray) -> str:
     """Staircase of the distribution function s -> measure of {w > s}.
 
-    The rearranged profile already carries the jump structure: the
-    measure strictly above plateau value i is breakpoint i, and the
+    The staircase of the rearrangement already carries the jump structure:
+    the measure strictly above plateau value i is breakpoint i, and the
     left limit at that value is breakpoint i + 1.
     """
-    profile = field_mod.rearrange(u)
+    ys = breakpoints.tolist()
     lines = ["# columns: s measure_above_s"]
-    for i, v in enumerate(profile.plateau_values.tolist()):
-        lines.append(f"{v:.17g} {profile.breakpoints[i]:.17g}")
-        lines.append(f"{v:.17g} {profile.breakpoints[i + 1]:.17g}")
+    for i, v in enumerate(values.tolist()):
+        lines.append(f"{v:.17g} {ys[i]:.17g}")
+        lines.append(f"{v:.17g} {ys[i + 1]:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -313,9 +313,7 @@ def cmd_simulate(config_path: str) -> int:
     with _out_path(cfg, ".trajectory.csv").open("w") as fh:
         tr.to_csv(fh)
     _write_staircase(
-        _out_path(cfg, ".profile.dat"),
-        field_mod.rearrange(tr.snapshots[-1]),
-        "final decreasing rearrangement",
+        _out_path(cfg, ".profile.dat"), tr.snapshots[-1], "final decreasing rearrangement"
     )
     _out_path(cfg, ".summary.txt").write_text("\n".join(_summary_lines(tr, report)) + "\n")
     print(f"termination {tr.termination.value} at t = {tr.times[-1]:g}")
@@ -357,22 +355,20 @@ def cmd_rearrange(
             output_dir="." if out_dir is None else out_dir,
             output_base="rearrange" if out_base is None else out_base,
         )
-    profile = field_mod.rearrange(u)
-    _write_staircase(_out_path(cfg, ".staircase.dat"), profile, "decreasing rearrangement")
-    _out_path(cfg, ".distribution.dat").write_text(_distribution_table(u))
-    print(f"wrote staircase with {len(profile.plateau_values)} plateaus")
+    _write_staircase(_out_path(cfg, ".staircase.dat"), u, "decreasing rearrangement")
+    breakpoints, values = field_mod.staircase(u)
+    _out_path(cfg, ".distribution.dat").write_text(_distribution_table(breakpoints, values))
+    print(f"wrote staircase with {values.size} plateaus")
     return 0
 
 
 def cmd_predict(config_path: str, m0: float, energy_limit_value: float) -> int:
     """The H1 or H3 limit in the regime of the mass m0 (``omega.regime``)."""
     cfg = load_config(config_path)
-    # working range for model validation comes from the initial data when present
-    try:
-        u0 = cfg.build_initial()
-    except ConfigError:
-        u0 = None
-    pair = cfg.build_pair(u0)
+    # working range for model validation comes from the initial data when
+    # the config gives any; initial data that do not build are refused
+    has_initial = cfg.initial_atoms is not None or cfg.initial_expr is not None
+    pair = cfg.build_pair(cfg.build_initial() if has_initial else None)
     predict = omega.predictor(omega.regime(m0, cfg.domain_measure))
     if predict is None:
         print(
@@ -391,8 +387,7 @@ def cmd_predict(config_path: str, m0: float, energy_limit_value: float) -> int:
         return 2
 
     print(pred.to_summary(), end="")
-    _write_staircase(_out_path(cfg, ".predicted.dat"), field_mod.rearrange(pred.limit),
-                     "predicted limit profile")
+    _write_staircase(_out_path(cfg, ".predicted.dat"), pred.limit, "predicted limit profile")
     return 0
 
 
@@ -435,7 +430,7 @@ def cmd_check(config_path: str) -> int:
             i, j = rng.randrange(n), rng.randrange(n)
             si, sj = tr.snapshots[i], tr.snapshots[j]
             d1 = field_mod.l1_distance(si, sj)
-            d2 = field_mod.profile_l1_distance(field_mod.rearrange(si), field_mod.rearrange(sj))
+            d2 = field_mod.profile_l1_distance(si, sj)
             worst_iso = max(worst_iso, abs(d1 - d2))
     add("rearrangement-isometry", worst_iso <= 1e-12, worst_iso, 1e-12)
 

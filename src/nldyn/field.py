@@ -37,7 +37,7 @@ class AtomField:
     ``values[i]`` is the common value of a set of measure ``weights[i]``.
     Weights are positive and sum to ``domain_measure``. Values need not be
     sorted: integration keeps atoms in their initial order, and
-    ``normalize`` produces the canonical (strictly decreasing, merged)
+    ``rearrange`` produces the canonical (strictly decreasing, merged)
     form.
     """
 
@@ -93,58 +93,9 @@ class AtomField:
     def __len__(self) -> int:
         return self.values.size
 
-    def normalize(self) -> "AtomField":
-        """Canonical form: values strictly decreasing, equal values merged."""
-        return AtomField(*_group_by_value(self.values, self.weights), self.domain_measure)
-
     @property
     def is_canonical(self) -> bool:
         return bool(np.all(np.diff(self.values) < 0.0))
-
-
-@dataclass(frozen=True)
-class StepProfile:
-    """Nonincreasing step function on (0, |Omega|).
-
-    ``breakpoints`` runs 0 = y_0 < ... < y_k = |Omega|; ``plateau_values``
-    holds the strictly decreasing value on each interval.
-    """
-
-    breakpoints: np.ndarray
-    plateau_values: np.ndarray
-
-    def __init__(self, breakpoints, plateau_values):
-        breakpoints = np.asarray(breakpoints, dtype=float).copy()
-        plateau_values = np.asarray(plateau_values, dtype=float).copy()
-        if breakpoints.size != plateau_values.size + 1:
-            raise FieldError("profile needs one more breakpoint than plateau")
-        if breakpoints[0] != 0.0:
-            raise FieldError("profile breakpoints must start at 0")
-        if not np.all(np.diff(breakpoints) > 0.0):
-            raise FieldError("profile breakpoints must be strictly increasing")
-        if not np.all(np.diff(plateau_values) < 0.0):
-            raise FieldError("plateau values must be strictly decreasing")
-        breakpoints.flags.writeable = False
-        plateau_values.flags.writeable = False
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "plateau_values", plateau_values)
-
-    @property
-    def domain_measure(self) -> float:
-        return float(self.breakpoints[-1])
-
-    def to_field(self) -> AtomField:
-        """Atom field with one atom per plateau (round-trip of rearrange)."""
-        widths = np.diff(self.breakpoints)
-        return AtomField(self.plateau_values, widths, self.domain_measure)
-
-    def staircase(self) -> list[tuple[float, float]]:
-        """(y, value) plot points with each breakpoint repeated."""
-        pts: list[tuple[float, float]] = []
-        for i, v in enumerate(self.plateau_values.tolist()):
-            pts.append((float(self.breakpoints[i]), v))
-            pts.append((float(self.breakpoints[i + 1]), v))
-        return pts
 
 
 def _group_by_value(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -184,7 +135,7 @@ def from_samples(values: Sequence[float] | Iterable[float], domain_measure: floa
         raise FieldError("cannot build a field from an empty sample list")
     n = len(values)
     w = float(domain_measure) / n
-    return AtomField(values, [w] * n, domain_measure).normalize()
+    return rearrange(AtomField(values, [w] * n, domain_measure))
 
 
 # ---------------------------------------------------------------- integrals
@@ -221,22 +172,31 @@ def distribution(u: AtomField, s: float) -> float:
 
 # ------------------------------------------------------------- rearrangement
 
-def rearrange(u: AtomField) -> StepProfile:
-    """Decreasing rearrangement of the field.
+def rearrange(u: AtomField) -> AtomField:
+    """Decreasing rearrangement of the field, as its canonical form.
 
-    Sorts atoms by value descending and lays them out on (0, |Omega|);
-    equal values merge into one plateau, which starts at the exact prefix
-    sum of the plateaus before it. The result is equimeasurable with the
-    input (identical distribution functions), up to the plateaus it omits:
-    one whose exact prefix sum does not advance past its start, since its
-    measure is below the ulp of its position, and those that the rounded
-    prefix sums push to or past |Omega| (each start is clipped at |Omega|).
-    Linear in the number of atoms after the sort.
+    One atom per distinct value, values strictly decreasing; equal values
+    merge into one atom of their exact (fsum) total weight. The result is
+    equimeasurable with the input: the distribution functions are equal.
+    """
+    return AtomField(*_group_by_value(u.values, u.weights), u.domain_measure)
+
+
+def staircase(u: AtomField) -> tuple[np.ndarray, np.ndarray]:
+    """The decreasing rearrangement laid out on (0, |Omega|): breakpoints
+    0 = y_0 < ... < y_k = |Omega| and the strictly decreasing value on each
+    interval.
+
+    Each plateau starts at the exact prefix sum of the plateaus before it.
+    Left out are a plateau whose exact prefix sum does not advance past its
+    start, since its measure is below the ulp of its position, and those
+    that the rounded prefix sums push to or past |Omega| (each start is
+    clipped at |Omega|). Linear in the number of atoms after the sort.
     """
     values, weights = _group_by_value(u.values, u.weights)
     starts = np.minimum(_prefix_sums(weights[:-1]), u.domain_measure)
     kept = np.diff(np.append(starts, u.domain_measure)) > 0.0
-    return StepProfile(np.append(starts[kept], u.domain_measure), values[kept])
+    return np.append(starts[kept], u.domain_measure), values[kept]
 
 
 # ----------------------------------------------------------------- distances
@@ -251,43 +211,47 @@ def l1_distance(u: AtomField, v: AtomField) -> float:
     return math.fsum((u.weights * np.abs(u.values - v.values)).tolist())
 
 
-def profile_l1_distance(a: StepProfile, b: StepProfile) -> float:
-    """Exact L1 distance between two step profiles via common refinement."""
+def profile_l1_distance(a: AtomField, b: AtomField) -> float:
+    """Exact L1 distance between the decreasing rearrangements of two
+    fields: their staircases compared on a common refinement."""
     da, db = a.domain_measure, b.domain_measure
     if abs(da - db) > _WEIGHT_TOL * max(da, db):
         raise FieldError(
             f"profiles live on domains of measure {da!r} and {db!r}"
         )
-    # each piece reads a profile on its last interval starting at or before
-    # it, so a profile whose domain is short by roundoff keeps its last value
-    # out to the longer domain's end
-    bps_a, bps_b = a.breakpoints, b.breakpoints
+    # each piece reads a staircase on its last interval starting at or before
+    # it, so a staircase whose domain is short by roundoff keeps its last
+    # value out to the longer domain's end
+    (bps_a, vals_a), (bps_b, vals_b) = staircase(a), staircase(b)
     # np.unique's sort and adjacent-inequality mask, without the numpy.ma
     # import that np.unique makes
     cuts = np.sort(np.concatenate([bps_a, bps_b]))
     cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
     ia = np.searchsorted(bps_a[:-1], cuts[:-1], side="right") - 1
     ib = np.searchsorted(bps_b[:-1], cuts[:-1], side="right") - 1
-    return math.fsum((np.diff(cuts) * np.abs(a.plateau_values[ia] - b.plateau_values[ib])).tolist())
+    return math.fsum((np.diff(cuts) * np.abs(vals_a[ia] - vals_b[ib])).tolist())
 
 
 # -------------------------------------------------------------- serialization
 
-def staircase_lines(profile: StepProfile) -> str:
-    """Two-column staircase text block (gnuplot-ready)."""
-    rows = [f"{y:.17g} {v:.17g}" for y, v in profile.staircase()]
-    return "\n".join(rows) + "\n"
+def staircase_lines(u: AtomField) -> str:
+    """Two-column text block of the staircase (gnuplot-ready), each
+    breakpoint repeated."""
+    bps, vals = staircase(u)
+    ys = bps.tolist()
+    return "".join(f"{ys[i]:.17g} {v:.17g}\n{ys[i + 1]:.17g} {v:.17g}\n"
+                   for i, v in enumerate(vals.tolist()))
 
 
 __all__ = [
     "AtomField",
-    "StepProfile",
     "from_samples",
     "canonical_order",
     "mass",
     "integral_of",
     "distribution",
     "rearrange",
+    "staircase",
     "l1_distance",
     "profile_l1_distance",
     "staircase_lines",

@@ -347,8 +347,8 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
         sign * math.fsum(float(tr.pair.antideriv_P(v)) * m for v, m in clusters)
         - elim.value
     )
-    # the clusters come out value-decreasing; normalize merges any that round together
-    limit = AtomField(*zip(*clusters), tr.domain_measure).normalize()
+    # the clusters come out value-decreasing; rearrange merges any that round together
+    limit = field_mod.rearrange(AtomField(*zip(*clusters), tr.domain_measure))
 
     tag = tr.hypothesis.tag
     deviation: float | None = None
@@ -390,8 +390,7 @@ def consistency_check(
             f"expected (Analytic, Empirical) sources, got "
             f"({analytic.source}, {empirical.source})"
         )
-    gaps = [field_mod.profile_l1_distance(field_mod.rearrange(analytic.limit),
-                                          field_mod.rearrange(empirical.limit))]
+    gaps = [field_mod.profile_l1_distance(analytic.limit, empirical.limit)]
     if analytic.hypothesis in _REGIMES:
         (av, am), (ev, em) = analytic.main_plateau(), empirical.main_plateau()
         gaps += [abs(av - ev), abs(am - em)]

@@ -387,6 +387,49 @@ class TestRearrange:
         assert capsys.readouterr().err.startswith("config error: ")
 
 
+class TestStaircaseBytes:
+    """Every byte of the staircase files and of rearrange's stdout."""
+
+    def test_sub_ulp_plateau_left_out(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "tiny.cfg", TINY_WEIGHT_CONFIG)
+        assert cli.main(["rearrange", cfg]) == 0
+        assert capsys.readouterr().out == "wrote staircase with 2 plateaus\n"
+        out = tmp_path / "out"
+        assert (out / "tiny.staircase.dat").read_text() == (
+            "# decreasing rearrangement\n# columns: y value\n"
+            "0 2\n1 2\n1 1.2\n2 1.2\n"
+        )
+        assert (out / "tiny.distribution.dat").read_text() == (
+            "# columns: s measure_above_s\n2 0\n2 1\n1.2 1\n1.2 2\n"
+        )
+
+    def test_ties_tiny_value_and_signed_zero(self, tmp_path, capsys):
+        argv = ["rearrange", "--values", "3,1,2,2,3,1e-300,-0",
+                "--out-dir", str(tmp_path), "--base", "v"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "wrote staircase with 5 plateaus\n"
+        ys = ["0", "0.2857142857142857", "0.5714285714285714",
+              "0.71428571428571419", "0.8571428571428571", "1"]
+        plateaus = ["3", "2", "1", "1e-300", "-0"]
+        assert (tmp_path / "v.staircase.dat").read_text() == (
+            "# decreasing rearrangement\n# columns: y value\n"
+            + "".join(f"{ys[i]} {v}\n{ys[i + 1]} {v}\n" for i, v in enumerate(plateaus))
+        )
+        assert (tmp_path / "v.distribution.dat").read_text() == (
+            "# columns: s measure_above_s\n"
+            + "".join(f"{v} {ys[i]}\n{v} {ys[i + 1]}\n" for i, v in enumerate(plateaus))
+        )
+
+    def test_h1_final_profile(self, tmp_path):
+        cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
+        assert cli.main(["simulate", cfg]) == 0
+        assert (tmp_path / "out" / "h1.profile.dat").read_text() == (
+            "# final decreasing rearrangement\n# columns: y value\n"
+            "0 1.7500000000164164\n0.5 1.7500000000164164\n"
+            "0.5 1.7499999999835876\n1 1.7499999999835876\n"
+        )
+
+
 class TestPredict:
     def test_identity_p_closed_form(self, tmp_path, capsys):
         cfg = _write(tmp_path, "h1.cfg", H1_CONFIG)
@@ -490,17 +533,30 @@ class TestPredict:
     @pytest.mark.parametrize("measure", ["-1.0", "0.0"])
     @pytest.mark.parametrize("config", [H1_CONFIG, WIDE_CONFIG])
     def test_non_positive_domain_measure_exit_2(self, tmp_path, capsys, config, measure):
-        # initial data by atoms and by expression: either way the measure
-        # reaches the predictor, and simulate refuses the config
+        # initial data by atoms and by expression: predict refuses the config
+        # with the line that simulate prints
         text = config.replace("domain.measure = 1.0\n", "") + f"domain.measure = {measure}\n"
         cfg = _write(tmp_path, "c.cfg", text)
+        assert cli.main(["simulate", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial.") and err.count("\n") == 1
+        assert cli.main(["predict", cfg, "--m0", "2.0", "--energy-limit", "2.5"]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("measure", ["-1.0", "0.0"])
+    def test_non_positive_domain_measure_without_initial_data_exit_2(
+        self, tmp_path, capsys, measure
+    ):
+        # no initial data to build: the measure reaches the predictor
+        cfg = _write(tmp_path, "bare.cfg", (
+            'model.builtin = "logistic-identity"\n'
+            f"domain.measure = {measure}\n"
+            'output.dir = "{out}"\n'
+        ))
         assert cli.main(["predict", cfg, "--m0", "2.0", "--energy-limit", "2.5"]) == 2
         assert capsys.readouterr().err == (
             f"bad predictor input: domain measure must be positive and finite, got {measure}\n"
         )
-        assert cli.main(["simulate", cfg]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: initial.") and err.count("\n") == 1
 
     def test_config_without_initial_data(self, tmp_path, capsys):
         """The model is validated on +-2 and the measure read from the config."""
@@ -749,6 +805,10 @@ _CONFIG_ERRORS = {
                         'initial.expr = "1 + y"\ninitial.samples = 4\n',
                         "initial.expr: unknown identifier 'y' at offset 4; "
                         "known names: x, exp, log, tanh, sin, cos"),
+    "initial-weights": ('model.builtin = "logistic-identity"\n'
+                        'initial.atoms = "2.0:0.5, 1.5:0.4"\n',
+                        "initial.atoms: weights sum to 0.9, domain measure is 1.0 "
+                        "(relative mismatch 1.000e-01 beyond 1e-09)"),
     "g-at-0": ('model.g = "u*(1-u)+1"\nmodel.p = "u"\n' + _ATOMS,
                _VALIDATION + "g(0) = 0 (witness u=0.0): got 1.0"),
     "g-at-1": ('model.g = "u"\nmodel.p = "u"\n' + _ATOMS,
@@ -771,9 +831,7 @@ def _error_line_params():
     for case, (lines, message) in _CONFIG_ERRORS.items():
         line = f"config error: {message}\n"
         yield pytest.param(lines, ["simulate"], 2, line, id=f"{case}-simulate")
-        # predict runs without initial data it cannot build
-        predicted = (0, "") if case.startswith("initial-") else (2, line)
-        yield pytest.param(lines, _PREDICT, *predicted, id=f"{case}-predict")
+        yield pytest.param(lines, _PREDICT, 2, line, id=f"{case}-predict")
         yield pytest.param(lines, _SWEEP, 3, "error:ConfigError", id=f"{case}-sweep")
     yield pytest.param(
         'model.builtin = "logistic-cubic"\n' + _ATOMS,

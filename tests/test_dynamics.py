@@ -855,13 +855,11 @@ class TestRearrangementAlongFlow:
         u0 = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)  # deliberately unsorted
         cfg = IntegratorConfig(t_max=5.0, record_every=0.1)
         tr_orig = integrate(u0, logistic, cfg)
-        tr_sorted = integrate(rearrange(u0).to_field(), logistic, cfg)
+        tr_sorted = integrate(rearrange(u0), logistic, cfg)
         k = min(tr_orig.times.size, tr_sorted.times.size)
         assert np.array_equal(tr_orig.times[:k], tr_sorted.times[:k])
         for i in range(0, k, max(1, k // 10)):
-            d = profile_l1_distance(
-                rearrange(tr_orig.snapshots[i]), rearrange(tr_sorted.snapshots[i])
-            )
+            d = profile_l1_distance(tr_orig.snapshots[i], tr_sorted.snapshots[i])
             assert d <= 1e-12
 
     def test_isometry_along_orbit(self, h1_run):
@@ -869,9 +867,7 @@ class TestRearrangementAlongFlow:
         for _ in range(20):
             i, j = rng.integers(0, h1_run.times.size, size=2)
             d_atoms = l1_distance(h1_run.snapshots[i], h1_run.snapshots[j])
-            d_prof = profile_l1_distance(
-                rearrange(h1_run.snapshots[i]), rearrange(h1_run.snapshots[j])
-            )
+            d_prof = profile_l1_distance(h1_run.snapshots[i], h1_run.snapshots[j])
             assert abs(d_atoms - d_prof) <= 1e-12
 
 
@@ -924,7 +920,7 @@ class TestRearrangementOnContinuumData:
             runs = [integrate(from_samples(v.tolist(), measure), logistic, cfg) for v in samples]
             assert [r.times.tolist() for r in runs] == [[0.0, 1.0, 2.0]] * 2
             dist.append([
-                profile_l1_distance(*(rearrange(r.snapshots[k]) for r in runs)) for k in range(3)
+                profile_l1_distance(*(r.snapshots[k] for r in runs)) for k in range(3)
             ])
         dist = np.array(dist)  # one row per grid size, one column per record
         assert np.all(dist[1:] < dist[:-1])

@@ -12,7 +12,6 @@ from nldyn import (
     AtomField,
     FieldError,
     OmegaPrediction,
-    StepProfile,
     distribution,
     from_samples,
     integral_of,
@@ -20,6 +19,7 @@ from nldyn import (
     mass,
     profile_l1_distance,
     rearrange,
+    staircase,
 )
 from nldyn import field as field_mod
 from nldyn.field import staircase_lines
@@ -103,7 +103,7 @@ class TestAtomField:
     def test_non_canonical_order_permitted(self):
         u = AtomField([1.0, 3.0, 2.0], [0.25, 0.25, 0.5], 1.0)
         assert not u.is_canonical
-        assert u.normalize().is_canonical
+        assert rearrange(u).is_canonical
 
     def test_equality_compares_atoms_in_order(self):
         u = AtomField([2.0, 1.0], [0.5, 0.5], 1.0)
@@ -131,7 +131,7 @@ class TestMass:
 
     def test_invariant_under_rearrangement(self):
         u = AtomField([1.0, 3.0, 2.0], [0.25, 0.25, 0.5], 1.0)
-        v = rearrange(u).to_field()
+        v = rearrange(u)
         assert mass(v) == mass(u)
 
 
@@ -180,7 +180,7 @@ class TestDistribution:
         """Distribution functions of the field and its rearrangement agree
         exactly at every atom value and between them."""
         u = _random_field(values, weights)
-        v = rearrange(u).to_field()
+        v = rearrange(u)
         probes = list(u.values.tolist())
         probes += [x - 0.5 for x in probes] + [min(probes) - 1.0, max(probes) + 1.0]
         for s in probes:
@@ -190,42 +190,95 @@ class TestDistribution:
 class TestRearrange:
     def test_three_atom_example(self):
         u = AtomField([1.0, 3.0, 2.0], [0.5, 0.2, 0.3], 1.0)
-        profile = rearrange(u)
-        np.testing.assert_allclose(profile.plateau_values, [3.0, 2.0, 1.0])
-        np.testing.assert_allclose(profile.breakpoints, [0.0, 0.2, 0.5, 1.0])
+        assert rearrange(u).atoms == [(3.0, 0.2), (2.0, 0.3), (1.0, 0.5)]
+        breakpoints, values = staircase(u)
+        np.testing.assert_allclose(values, [3.0, 2.0, 1.0])
+        np.testing.assert_allclose(breakpoints, [0.0, 0.2, 0.5, 1.0])
 
     def test_fixed_point_on_sorted_field(self):
         u = AtomField([3.0, 2.0, 1.0], [0.2, 0.3, 0.5], 1.0)
-        profile = rearrange(u)
-        assert rearrange(profile.to_field()).to_field().atoms == u.atoms
+        assert rearrange(u) == u
 
     def test_constant_field_single_plateau(self):
-        profile = rearrange(AtomField([2.0], [3.0], 3.0))
-        assert profile.plateau_values.tolist() == [2.0]
+        breakpoints, values = staircase(AtomField([2.0], [3.0], 3.0))
+        assert (breakpoints.tolist(), values.tolist()) == ([0.0, 3.0], [2.0])
 
     @given(values=_values, weights=_dyadic_weights)
     @settings(max_examples=60, deadline=None)
     def test_range_preserved(self, values, weights):
         u = _random_field(values, weights)
-        profile = rearrange(u)
-        assert float(np.min(profile.plateau_values)) >= float(np.min(u.values))
-        assert float(np.max(profile.plateau_values)) <= float(np.max(u.values))
+        _, plateaus = staircase(u)
+        assert float(np.min(plateaus)) >= float(np.min(u.values))
+        assert float(np.max(plateaus)) <= float(np.max(u.values))
 
     @given(values=_values, weights=_dyadic_weights)
     @settings(max_examples=60, deadline=None)
     def test_mass_equals_profile_integral(self, values, weights):
         u = _random_field(values, weights)
-        profile = rearrange(u)
-        widths = np.diff(profile.breakpoints)
-        integral = math.fsum((widths * profile.plateau_values).tolist())
+        breakpoints, plateaus = staircase(u)
+        integral = math.fsum((np.diff(breakpoints) * plateaus).tolist())
         assert integral == pytest.approx(mass(u), abs=1e-12)
 
     def test_plateau_below_the_ulp_of_its_position_omitted(self):
-        # 1 + 1e-20 rounds to 1: the middle plateau has no interval
+        # 1 + 1e-20 rounds to 1: the middle plateau has no interval in the
+        # staircase, and keeps its atom in the rearrangement
         u = AtomField([2.0, 1.5, 1.2], [1.0, 1e-20, 1.0], 2.0)
-        profile = rearrange(u)
-        assert profile.breakpoints.tolist() == [0.0, 1.0, 2.0]
-        assert profile.plateau_values.tolist() == [2.0, 1.2]
+        assert rearrange(u).atoms == u.atoms
+        breakpoints, plateaus = staircase(u)
+        assert breakpoints.tolist() == [0.0, 1.0, 2.0]
+        assert plateaus.tolist() == [2.0, 1.2]
+
+
+class TestOneType:
+    """The rearrangement is the canonical field: the staircase, the profile
+    distance and the distribution read it as they read the field, bit for
+    bit, sub-ulp plateaus included."""
+
+    @staticmethod
+    def _pair(values, weights, other_values, other_weights):
+        u = _random_field(values, weights)
+        # the second field on u's domain: its weights scaled to sum there
+        scale = u.domain_measure / math.fsum(other_weights)
+        return u, _random_field(other_values, [w * scale for w in other_weights])
+
+    @given(values=_tied_values, weights=_wide_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_and_idempotent(self, values, weights):
+        u = _random_field(values, weights)
+        r = rearrange(u)
+        assert r.is_canonical
+        assert rearrange(r) == r
+
+    @given(values=_tied_values, weights=_wide_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_staircase_reads_the_rearrangement_as_the_field(self, values, weights):
+        u = _random_field(values, weights)
+        (bps_u, vals_u), (bps_r, vals_r) = staircase(u), staircase(rearrange(u))
+        assert bps_r.tobytes() == bps_u.tobytes()
+        assert vals_r.tobytes() == vals_u.tobytes()
+
+    @given(values=_tied_values, weights=_wide_weights,
+           other_values=_tied_values, other_weights=_wide_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_profile_distance_of_the_rearrangements_and_symmetric(
+        self, values, weights, other_values, other_weights
+    ):
+        u, v = self._pair(values, weights, other_values, other_weights)
+        d = profile_l1_distance(u, v)
+        assert math.isfinite(d)
+        assert profile_l1_distance(rearrange(u), rearrange(v)).hex() == d.hex()
+        assert profile_l1_distance(v, u).hex() == d.hex()
+
+    @given(values=_tied_values, weights=_wide_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_distribution_equal_at_and_between_atom_values(self, values, weights):
+        u = _random_field(values, weights)
+        r = rearrange(u)
+        levels = sorted(set(u.values.tolist()))
+        probes = levels + [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+        probes += [levels[0] - 1.0, levels[-1] + 1.0]
+        for s in probes:
+            assert distribution(r, s) == distribution(u, s)
 
 
 class TestL1Distance:
@@ -256,31 +309,32 @@ class TestL1Distance:
 
 class TestProfileL1Distance:
     def test_identical(self):
-        p = rearrange(AtomField([2.0, 1.0], [0.5, 0.5], 1.0))
-        assert profile_l1_distance(p, p) == 0.0
+        u = AtomField([1.0, 2.0], [0.5, 0.5], 1.0)
+        assert profile_l1_distance(u, u) == 0.0
 
     def test_constant_offset(self):
-        a = StepProfile([0.0, 1.0], [1.0])
-        b = StepProfile([0.0, 1.0], [2.0])
+        a = AtomField([1.0], [1.0], 1.0)
+        b = AtomField([2.0], [1.0], 1.0)
         assert profile_l1_distance(a, b) == 1.0
 
     def test_common_refinement_example(self):
         """3 on (0,.2), 1 on (.2,1) vs 2 on (0,.5), 1 on (.5,1): distance .5."""
-        a = StepProfile([0.0, 0.2, 1.0], [3.0, 1.0])
-        b = StepProfile([0.0, 0.5, 1.0], [2.0, 1.0])
+        a = AtomField([3.0, 1.0], [0.2, 0.8], 1.0)
+        b = AtomField([2.0, 1.0], [0.5, 0.5], 1.0)
         assert profile_l1_distance(a, b) == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_domains_within_roundoff(self, swap):
         # past the shorter domain's end its last plateau continues
-        a = StepProfile([0.0, 0.5, 1.0], [2.0, 1.0])
-        b = StepProfile([0.0, 0.5, 1.0 - 1e-13], [2.0, 0.5])
-        expected = math.fsum([(1.0 - 1e-13 - 0.5) * 0.5, (1.0 - (1.0 - 1e-13)) * 0.5])
+        short = 1.0 - 1e-13
+        a = AtomField([2.0, 1.0], [0.5, 0.5], 1.0)
+        b = AtomField([2.0, 0.5], [0.5, short - 0.5], short)
+        expected = math.fsum([(short - 0.5) * 0.5, (1.0 - short) * 0.5])
         assert profile_l1_distance(*((b, a) if swap else (a, b))) == expected
 
     def test_domain_mismatch(self):
-        a = StepProfile([0.0, 1.0], [1.0])
-        b = StepProfile([0.0, 2.0], [1.0])
+        a = AtomField([1.0], [1.0], 1.0)
+        b = AtomField([1.0], [2.0], 2.0)
         with pytest.raises(FieldError, match="^profiles live on domains of measure 1.0 and 2.0$"):
             profile_l1_distance(a, b)
 
@@ -295,10 +349,10 @@ class TestExactPrefixSums:
         ref = group_by_value_reference(u.values, u.weights)
         assert values.tobytes() == np.array([v for v, _ in ref]).tobytes()
         assert np.array(weights).tobytes() == np.array([w for _, w in ref]).tobytes()
-        bps, plateaus = rearrange_reference(u)
-        profile = rearrange(u)
-        assert profile.breakpoints.tobytes() == np.array(bps).tobytes()
-        assert profile.plateau_values.tobytes() == np.array(plateaus).tobytes()
+        ref_bps, ref_plateaus = rearrange_reference(u)
+        bps, plateaus = staircase(u)
+        assert bps.tobytes() == np.array(ref_bps).tobytes()
+        assert plateaus.tobytes() == np.array(ref_plateaus).tobytes()
 
     @given(values=_tied_values, weights=_wide_weights)
     @settings(max_examples=200, deadline=None)
@@ -326,9 +380,9 @@ class TestExactPrefixSums:
         weights = [1e-4, 1.0, 1e-5, 1e-5, 0.3, 6e11, 0.3]
         u = AtomField([0.0, 1.0, 0.0, -1.0, 1.0, 1.0, 2.5], weights, math.fsum(weights))
         self._assert_matches_reference(u)
-        profile = rearrange(u)
-        assert profile.plateau_values.tolist() == [2.5, 1.0]
-        assert profile.breakpoints.tolist() == [0.0, 0.3, u.domain_measure]
+        bps, plateaus = staircase(u)
+        assert plateaus.tolist() == [2.5, 1.0]
+        assert bps.tolist() == [0.0, 0.3, u.domain_measure]
 
     def test_fsum_values_per_atom_do_not_grow_with_atoms(self, monkeypatch):
         # an fsum per prefix would take about n/2 values per atom
@@ -344,7 +398,7 @@ class TestExactPrefixSums:
             u = from_samples(np.linspace(1.0, 2.0, n).tolist(), 1.0)
             received = []
             monkeypatch.setattr(math, "fsum", counting)
-            rearrange(u)
+            staircase(u)
             monkeypatch.setattr(math, "fsum", fsum)
             per_atom.append(sum(received) / n)
         assert per_atom[0] == per_atom[1]
@@ -352,21 +406,12 @@ class TestExactPrefixSums:
 
 class TestStaircaseSerialization:
     def test_repeated_breakpoints(self):
-        profile = rearrange(AtomField([1.0, 3.0, 2.0], [0.5, 0.2, 0.3], 1.0))
+        u = AtomField([1.0, 3.0, 2.0], [0.5, 0.2, 0.3], 1.0)
         rows = [
             tuple(float(x) for x in line.split())
-            for line in staircase_lines(profile).strip().splitlines()
+            for line in staircase_lines(u).strip().splitlines()
         ]
         assert rows == [
             (0.0, 3.0), (0.2, 3.0), (0.2, 2.0), (0.5, 2.0), (0.5, 1.0), (1.0, 1.0)
         ]
 
-
-class TestStepProfileValidation:
-    def test_breakpoints_must_increase(self):
-        with pytest.raises(FieldError):
-            StepProfile([0.0, 0.5, 0.5, 1.0], [3.0, 2.0, 1.0])
-
-    def test_values_must_decrease(self):
-        with pytest.raises(FieldError):
-            StepProfile([0.0, 0.5, 1.0], [1.0, 2.0])

@@ -23,8 +23,8 @@ from nldyn import (
     integrate,
     predict_h1,
     predict_h3,
-    rearrange,
     sample_g_monotone,
+    staircase,
 )
 from nldyn import omega
 from nldyn.dynamics import CheckResult
@@ -519,6 +519,6 @@ class TestPredictionSerialization:
         assert fields["source"] == "Analytic"
 
     def test_profile_is_decreasing_staircase(self, logistic):
-        profile = rearrange(predict_h3(-1.0, 1.0, 1.0, logistic).limit)
-        np.testing.assert_allclose(profile.plateau_values, [0.0, -2.0], atol=1e-10)
-        np.testing.assert_allclose(profile.breakpoints, [0.0, 0.5, 1.0], atol=1e-10)
+        breakpoints, values = staircase(predict_h3(-1.0, 1.0, 1.0, logistic).limit)
+        np.testing.assert_allclose(values, [0.0, -2.0], atol=1e-10)
+        np.testing.assert_allclose(breakpoints, [0.0, 0.5, 1.0], atol=1e-10)

@@ -57,6 +57,9 @@ _ORDER_BLOCK_VALUES = 1 << 16
 # values the records may hold, a record being its state and five series
 # values: 7.5 times the 4.5 million of 4,435 records of 1,000 atoms
 _MAX_RECORD_VALUES = 1 << 25
+# grid times listed and recorded at once, so a step's records are held as
+# arrays however fine the grid
+_RECORD_CHUNK = 1024
 
 # the step loop's reductions, as the rate kernel takes them (model.py)
 _all = np.logical_and.reduce
@@ -124,8 +127,11 @@ class Trajectory:
     the last accepted state. It is the energy rate integrated alongside
     the atoms, on their own stages and steps, so it carries the step error
     rather than the record grid's. It is no record, and no output file
-    holds it. The termination tag DenominatorVanishing realizes the
-    blow-up alternative (the g-integral reached the guard in finite time).
+    holds it. ``steps`` is a read-only (S, 10) array, one row per accepted
+    step: its start t, size dt and end time, and the multiplier at each of
+    its seven stages (``characteristic_flow`` replays them). The
+    termination tag DenominatorVanishing realizes the blow-up alternative
+    (the g-integral reached the guard in finite time).
     """
 
     times: np.ndarray
@@ -137,6 +143,7 @@ class Trajectory:
     energy_series: np.ndarray
     dissipation_series: np.ndarray
     dissipated: float
+    steps: np.ndarray
     termination: Termination
     hypothesis: HypothesisClass
     final_max_rhs: float
@@ -150,8 +157,9 @@ class Trajectory:
                 f"values of shape {values.shape} do not match {self.times.size} "
                 f"records of {self.weights.size} atoms"
             )
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        for name, a in (("values", values), ("steps", np.asarray(self.steps, dtype=float).view())):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def snapshots(self) -> SnapshotView:
@@ -215,36 +223,35 @@ _RK_A_COLS = tuple(np.array(row)[:, None] for row in _RK_A)
 _RK_E_COL = np.array(_RK_E)[:, None]
 
 
-def _rk_attempt(t, values, k1, d1, dt, weights, omega, pair):
-    """One Runge-Kutta attempt from (t, values) with first stage rates k1
-    and dissipation sum d1.
+def _rk_attempt(t, values, k1, d1, lam1, dt, weights, omega, pair):
+    """One Runge-Kutta attempt from (t, values) with first stage rates k1,
+    dissipation sum d1 and multiplier lam1.
 
     Returns the 5th-order values, the seven stage rates as the rows of a
-    (7, m) array and the seven stage dissipation sums as a (7, 1) column
-    (the last rows are those at the new values), the g-integral's margin
+    (7, n) array and the seven stage dissipation sums as a (7, 1) column
+    (the last rows are those at the new values), the seven stage
+    multipliers as a list, the g-integral's margin
     (``model.guarded_multiplier``) at the new values and an estimate of the
     Jacobian's largest eigenvalue. A stage that trips the guard or fails
     raises, as ``model.atom_rates`` does.
-    Entries of ``values`` past the atoms are passive tracers
-    (``model.atom_rates``); they stay out of the eigenvalue estimate.
 
     Every sum over stages (here, in the caller and in ``_rk_dense``) adds
     weighted stage rows in stage order, so every atom sees the same
     roundings: ties stay bitwise tied, a permuted input gives a permuted step.
     """
-    K, D = np.empty((7, values.size)), np.empty((7, 1))
+    K, D, lams = np.empty((7, values.size)), np.empty((7, 1)), [lam1]
     K[0], D[0] = k1, d1
     v = values
     for i, (c, a) in enumerate(zip(_RK_C, _RK_A_COLS), 1):
         v6, v = v, values + dt * _sum_rows(a * K[:i])
-        K[i], margin, D[i] = atom_rates(t + c * dt, v, weights, omega, pair)
+        K[i], margin, D[i], lam = atom_rates(t + c * dt, v, weights, omega, pair)
+        lams.append(lam)
     # stages 6 and 7 share the time t + dt: their rate difference over
     # their state difference estimates the Jacobian's largest eigenvalue
     # (Hairer & Wanner, Solving ODEs II, IV.2)
-    n = weights.size
-    dv = float(_max(np.abs(v[:n] - v6[:n])))
-    rho = float(_max(np.abs(K[6, :n] - K[5, :n]))) / dv if dv > 0.0 else 0.0
-    return v, K, D, margin, rho
+    dv = float(_max(np.abs(v - v6)))
+    rho = float(_max(np.abs(K[6] - K[5]))) / dv if dv > 0.0 else 0.0
+    return v, K, D, lams, margin, rho
 
 
 def _rk_dense(values, dt, K, thetas: list[float]) -> np.ndarray:
@@ -269,6 +276,21 @@ def _rk_dense(values, dt, K, thetas: list[float]) -> np.ndarray:
     return values + dt * acc
 
 
+def _step_records(k: int, every: float, t, dt, t_new, values, new, K):
+    """The records of the step dt from (t, values) to (t_new, new) with stage
+    rates K at the grid times k * every, (k + 1) * every, ... up to t_new, as
+    blocks of rows of its continuous extension; a time on t_new takes new."""
+    while k * every <= t_new:
+        ts = []
+        while k * every <= t_new and len(ts) < _RECORD_CHUNK:
+            ts.append(k * every)
+            k += 1
+        block = _rk_dense(values, dt, K, [(t_rec - t) / dt for t_rec in ts])
+        if ts[-1] == t_new:
+            block[-1] = new
+        yield ts, block
+
+
 # ----------------------------------------------------------------- integrate
 
 def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> Trajectory:
@@ -282,7 +304,7 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     largest eigenvalue stays well inside the method's stability
     interval. Steps are cut only at t_max. States are recorded on the
     uniform grid k*record_every, plus the final state: the grid times
-    inside an accepted step form one block of rows of its 4th-order
+    inside an accepted step form blocks of rows of its 4th-order
     continuous extension (a grid time on the step's end takes the step's
     own state). Every state the run keeps, accepted or recorded, passes
     one gate: its atoms must be finite and inside the hypothesis's
@@ -304,30 +326,22 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     """
     order = field_mod.canonical_order(u0.values, u0.weights)
     with input_order(order):
-        return _integrate_canonical(u0, order, pair, cfg)[0]
+        return _integrate_canonical(u0, order, pair, cfg)
 
 
 def _integrate_canonical(
-    u0: AtomField, order: np.ndarray, pair: NonlinearityPair, cfg: IntegratorConfig, tracers=()
-) -> tuple[Trajectory, np.ndarray]:
-    """``integrate`` on u0's atoms permuted by ``order``, and the tracers' records.
+    u0: AtomField, order: np.ndarray, pair: NonlinearityPair, cfg: IntegratorConfig
+) -> Trajectory:
+    """``integrate`` on u0's atoms permuted by ``order``.
 
     Each recorded block goes back to u0's atom order as it is stored; the
-    permutation is skipped when ``order`` is the identity. The tracers,
-    atoms of weight zero (``model.atom_rates``), follow the atoms in the
-    state through every stage, step and record, but stay out of all that
-    decides the run, so the trajectory is the same with or without them.
-    They stay out of the order projection too: a tracer started on an
-    atom's value equals that atom bit for bit only while the projection
-    leaves the atoms as they are.
+    permutation is skipped when ``order`` is the identity.
     """
     hyp = classify_hypothesis(u0, pair)
     weights = u0.weights[order]
     omega = u0.domain_measure
     n = order.size
     permuted = not np.array_equal(order, np.arange(n))
-    # tracers keep their place when a block goes back to the input order
-    state_order = np.append(order, np.arange(n, n + len(tracers)))
     sign = hyp.energy_sign
 
     region = None
@@ -335,35 +349,34 @@ def _integrate_canonical(
         lo, hi = hyp.region
         region = (lo - _REGION_ABORT_TOL, hi + _REGION_ABORT_TOL)
 
-    times: list[float] = []
+    times: list[np.ndarray] = []
     blocks: list[np.ndarray] = []
-    lam_series: list[float] = []
-    mass_series: list[float] = []
-    energy_series: list[float] = []
-    diss_series: list[float] = []
+    lam_series: list[np.ndarray] = []
+    mass_series: list[np.ndarray] = []
+    energy_series: list[np.ndarray] = []
+    diss_series: list[np.ndarray] = []
+    steps: list[list[float]] = []
+    recorded = 0
 
     def admitted(block: np.ndarray) -> int:
         """How many leading states (rows) of block pass the gate.
 
         The gate is the one test every state the run keeps passes, as its
         current state or as a record: finite atoms, inside the region of
-        the hypothesis widened by _REGION_ABORT_TOL. The atoms of the
-        states it passes are projected in place onto the ordered cone: in
-        canonical order, by their running minimum.
+        the hypothesis widened by _REGION_ABORT_TOL. The states it passes
+        are projected in place onto the ordered cone: in canonical order,
+        by their running minimum.
         """
-        atoms = block[:, :n]
-        ok = _all(np.isfinite(atoms), axis=1)
+        ok = _all(np.isfinite(block), axis=1)
         if region is not None:
-            ok &= (_min(atoms, axis=1) >= region[0]) & (_max(atoms, axis=1) <= region[1])
+            ok &= (_min(block, axis=1) >= region[0]) & (_max(block, axis=1) <= region[1])
         bad = np.flatnonzero(~ok)
         k = int(bad[0]) if bad.size else ok.size
-        kept = block[:k]
-        kept[:, :n] = _cummin(kept[:, :n], axis=1)
+        block[:k] = _cummin(block[:k], axis=1)
         return k
 
     def refusal(t: float, vals: np.ndarray) -> NumericalFailureError:
         """The failure of the state vals at time t, which the gate refused."""
-        vals = vals[:n]
         if not _all(np.isfinite(vals)):
             return NumericalFailureError("non-finite atom value", t, vals)
         vmin, vmax = float(_min(vals)), float(_max(vals))
@@ -383,10 +396,10 @@ def _integrate_canonical(
         single record's roundings (``model.dissipation_sum`` for the
         dissipation), and summed row by row.
         """
-        atoms = block[:, :n]
-        wp = (weights * pair.antideriv_P(atoms)).tolist()
+        nonlocal recorded
+        wp = (weights * pair.antideriv_P(block)).tolist()
         gs, ps, lams, energies = [], [], [], []
-        for t, vals, wp_row in zip(ts, atoms, wp):
+        for t, vals, wp_row in zip(ts, block, wp):
             gv, pv, lam, _ = multiplier(t, vals, weights, pair)
             energy = sign * math.fsum(wp_row)
             if not math.isfinite(energy):
@@ -395,13 +408,15 @@ def _integrate_canonical(
             ps.append(pv)
             lams.append(lam)
             energies.append(energy)
-        diss = weights * np.array(gs) * (np.array(ps) - np.array(lams)[:, None]) ** 2
-        lam_series.extend(lams)
-        mass_series.extend(math.fsum(row) for row in (weights * atoms).tolist())
-        energy_series.extend(energies)
-        diss_series.extend(sign * math.fsum(row) for row in diss.tolist())
-        times.extend(ts)
-        blocks.append(unpermute(block, state_order) if permuted else block)
+        lams = np.array(lams)
+        diss = weights * np.array(gs) * (np.array(ps) - lams[:, None]) ** 2
+        times.append(np.array(ts))
+        lam_series.append(lams)
+        mass_series.append(np.array([math.fsum(row) for row in (weights * block).tolist()]))
+        energy_series.append(np.array(energies))
+        diss_series.append(np.array([sign * math.fsum(row) for row in diss.tolist()]))
+        blocks.append(unpermute(block, order) if permuted else block)
+        recorded += len(ts)
 
     def keep(ts: list[float], block: np.ndarray):
         """Record the states of block at the times ts, up to the first the
@@ -412,40 +427,40 @@ def _integrate_canonical(
         if k < len(ts):
             raise refusal(ts[k], block[k])
 
-    def finish(term: Termination, final_rates, t_end, state) -> tuple[Trajectory, np.ndarray]:
+    def finish(term: Termination, final_rates, t_end, state) -> Trajectory:
         """The run, closed by its last accepted state (t_end, state), which
         the gate has passed and where the dissipation integral stops; it is
         recorded when it comes after the last record."""
-        if t_end > times[-1]:
+        if t_end > times[-1][-1]:
             record([t_end], state[None])
-        final_max = float(_max(np.abs(final_rates[:n]))) if final_rates is not None else math.inf
-        states = np.concatenate(blocks)
+        final_max = float(_max(np.abs(final_rates))) if final_rates is not None else math.inf
         return Trajectory(
-            times=np.asarray(times),
-            values=states[:, :n],
+            times=np.concatenate(times),
+            values=np.concatenate(blocks),
             weights=u0.weights,
             domain_measure=omega,
-            lambda_series=np.asarray(lam_series),
-            mass_series=np.asarray(mass_series),
-            energy_series=np.asarray(energy_series),
-            dissipation_series=np.asarray(diss_series),
+            lambda_series=np.concatenate(lam_series),
+            mass_series=np.concatenate(mass_series),
+            energy_series=np.concatenate(energy_series),
+            dissipation_series=np.concatenate(diss_series),
             dissipated=sign * dissipated,
+            steps=np.array(steps).reshape(-1, 10),
             termination=term,
             hypothesis=hyp,
             final_max_rhs=final_max,
             config=cfg,
             pair=pair,
-        ), states[:, n:]
+        )
 
-    values = np.append(u0.values[order], tracers)
+    values = u0.values[order]
     t = 0.0
     dissipated = 0.0  # the unsigned dissipation integral up to t
     keep([t], values[None])
     try:
-        rates, margin, diss = atom_rates(t, values, weights, omega, pair)
+        rates, margin, diss, lam = atom_rates(t, values, weights, omega, pair)
     except DenominatorVanishingError:
         return finish(Termination.DENOMINATOR_VANISHING, None, t, values)
-    if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
+    if float(_max(np.abs(rates))) < cfg.stat_tol:
         return finish(Termination.STATIONARY, rates, t, values)
 
     dt = min(cfg.dt_init, cfg.dt_max)
@@ -460,8 +475,8 @@ def _integrate_canonical(
             dt_try = cfg.t_max - t
 
         try:
-            new, K, D, margin_new, rho = _rk_attempt(
-                t, values, rates, diss, dt_try, weights, omega, pair
+            new, K, D, lams, margin_new, rho = _rk_attempt(
+                t, values, rates, diss, lam, dt_try, weights, omega, pair
             )
         except (NumericalFailureError, DenominatorVanishingError):
             # a stage left the range where g and p are finite or tripped the
@@ -469,8 +484,8 @@ def _integrate_canonical(
             # Solving ODEs I, II.4)
             err_ratio = math.inf
         else:
-            err = dt_try * _sum_rows(_RK_E_COL * K)[:n]
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(values[:n]), np.abs(new[:n]))
+            err = dt_try * _sum_rows(_RK_E_COL * K)
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(values), np.abs(new))
             err_ratio = float(_max(np.abs(err) / scale))
 
         if not math.isfinite(err_ratio):
@@ -504,26 +519,22 @@ def _integrate_canonical(
             raise refusal(t_new, new)
         # count the step's grid times before listing them: a grid much
         # finer than the step would list without bound
-        rows = len(times) + t_new / cfg.record_every - rec_count + 2
-        if rows * (values.size + 5) > _MAX_RECORD_VALUES:
+        rows = recorded + t_new / cfg.record_every - rec_count + 2
+        if rows * (n + 5) > _MAX_RECORD_VALUES:
             raise NumericalFailureError(
                 f"record grid too fine: record_every {cfg.record_every!r} makes about "
-                f"{rows:.3g} records of {values.size + 5} values, over {_MAX_RECORD_VALUES} in all",
-                t, values[:n])
-        t_recs = []
-        while rec_count * cfg.record_every <= t_new:
-            t_recs.append(rec_count * cfg.record_every)
-            rec_count += 1
-        if t_recs:
-            block = _rk_dense(values, dt_try, K, [(t_rec - t) / dt_try for t_rec in t_recs])
-            if t_recs[-1] == t_new:
-                block[-1] = new  # a record on the step's end is the step's state
+                f"{rows:.3g} records of {n + 5} values, over {_MAX_RECORD_VALUES} in all",
+                t, values)
+        for t_recs, block in _step_records(rec_count, cfg.record_every, t, dt_try, t_new,
+                                           values, new, K):
+            rec_count += len(t_recs)
             keep(t_recs, block)
 
+        steps.append([t, dt_try, t_new, *lams])
         dissipated += dt_try * float(_sum_rows(_RK_A_COLS[-1] * D[:6])[0])
-        t, values, rates, diss, margin = t_new, new, K[6], D[6], margin_new
+        t, values, rates, diss, lam, margin = t_new, new, K[6], D[6], lams[6], margin_new
 
-        if float(_max(np.abs(rates[:n]))) < cfg.stat_tol:
+        if float(_max(np.abs(rates))) < cfg.stat_tol:
             stationary_streak += 1
             if stationary_streak >= 2:
                 return finish(Termination.STATIONARY, rates, t, values)
@@ -543,47 +554,67 @@ def _integrate_canonical(
 
 # -------------------------------------------------------- characteristic flow
 
+def _replay(starts: np.ndarray, run: Trajectory) -> np.ndarray:
+    """The starts carried as atoms of weight zero on the run's steps, with
+    the atoms' arithmetic and stage multipliers: one row per record, one
+    column per start. Raises ValueError unless the steps reach the records."""
+    pair = run.pair
+    times, rows = [0.0], [starts[None]]
+    t_end, state, rec_count = 0.0, starts, 1
+    for t, dt, t_new, *lams in run.steps.tolist():
+        K = np.empty((7, state.size))
+        v = state
+        for i, lam in enumerate(lams):
+            if i:
+                v = state + dt * _sum_rows(_RK_A_COLS[i - 1] * K[:i])
+            K[i] = pair.g(v) * (pair.p(v) - lam)
+        for t_recs, block in _step_records(rec_count, run.config.record_every, t, dt, t_new,
+                                           state, v, K):
+            rec_count += len(t_recs)
+            times += t_recs
+            rows.append(block)
+        t_end, state = t_new, v
+    if t_end > times[-1]:
+        times.append(t_end)
+        rows.append(state[None])
+    if times != run.times.tolist():
+        raise ValueError("the run's steps do not reach its records")
+    return np.concatenate(rows)
+
+
 def characteristic_flow(s0, run: Trajectory) -> np.ndarray:
     """s0 carried by ds/dt = g(s)(p(s) - lam(t)), at each of the run's records.
 
     A start on an atom's initial value is that atom's recorded series.
-    Any other start is carried as a passive tracer, an atom of weight zero
-    on the atoms' own steps, through a re-run of the run's initial field
-    under its pair and config: at 0 or 1 it stays there, and elsewhere its
-    error follows the atoms' steps. A 1-D array of starts gives a
+    Any other start is carried on the run's own steps (``Trajectory.steps``)
+    as an atom of weight zero, with the atoms' arithmetic and stage
+    multipliers; nothing is integrated again. At 0 or 1 it stays there,
+    and elsewhere its error follows the atoms' steps. A 1-D array of starts gives a
     (starts, records) array whose row i equals the call on start i alone,
     bit for bit; a scalar start gives its 1-D series.
     Raises ValueError when a start is not finite or lies outside
     [min(ess inf u0, 0), max(ess sup u0, 1)], where the exact flow keeps
-    it between atoms or the roots of g, and when the re-run does not
-    reproduce the run bit for bit (a trajectory not made by
-    ``integrate``); NumericalFailureError when a tracer turns non-finite.
+    it between atoms or the roots of g, and when the run's steps do not
+    reach its records (a trajectory not made by ``integrate``);
+    NumericalFailureError when a tracer turns non-finite.
     """
     starts = np.asarray(s0, dtype=float)
     if starts.ndim > 1:
         raise ValueError(f"tracer starts must be a scalar or a 1-D array, got shape {starts.shape}")
     flat = starts.reshape(-1).tolist()
-    u0 = run.snapshots[0]
-    lo = min(float(np.min(u0.values)), 0.0)
-    hi = max(float(np.max(u0.values)), 1.0)
+    v0 = run.values[0]
+    lo = min(float(np.min(v0)), 0.0)
+    hi = max(float(np.max(v0)), 1.0)
     for start in flat:
         if not lo <= start <= hi:
             raise ValueError(f"tracer start {start!r} outside [{lo!r}, {hi!r}]")
-    atom_of = {v: j for j, v in enumerate(u0.values.tolist())}
-    others = [v for v in flat if v not in atom_of]
-    order = field_mod.canonical_order(u0.values, u0.weights)
-    # a tracer that overflows is reported below; the atoms repeat a run that
-    # has already completed
-    with input_order(order), np.errstate(over="ignore", invalid="ignore"):
-        rerun, tracers = _integrate_canonical(u0, order, run.pair, run.config, others)
-    for got, want in ((rerun.times, run.times), (rerun.values, run.values)):
-        want = np.asarray(want, dtype=float)
-        if got.shape != want.shape or got.tobytes() != want.tobytes():
-            raise ValueError("the run does not reproduce under its pair and config")
-    s = np.empty((len(flat), run.times.size))
-    carried = iter(tracers.T)
+    atom_of = {v: j for j, v in enumerate(v0.tolist())}
+    # a tracer that overflows is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.ascontiguousarray(_replay(np.array(flat), run).T)
     for i, start in enumerate(flat):
-        s[i] = run.values[:, atom_of[start]] if start in atom_of else next(carried)
+        if start in atom_of:
+            s[i] = run.values[:, atom_of[start]]
     bad = np.flatnonzero(~_all(np.isfinite(s), axis=0))
     if bad.size:
         k = int(bad[0])

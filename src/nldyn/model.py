@@ -301,25 +301,17 @@ def guarded_multiplier(t, values, weights, omega, pair):
 
 
 def atom_rates(t, values, weights, omega, pair):
-    """Per-atom rates g*(p - lam), the g-integral's margin (``guarded_multiplier``)
-    and the dissipation sum at one state (guarded).
+    """Per-atom rates g*(p - lam), the g-integral's margin (``guarded_multiplier``),
+    the dissipation sum and lam at one state (guarded).
 
     The dissipation sum is the pairwise sum of w*g*(p - lam)^2 over the
     atoms, the energy rate of E_1 that the integrator carries alongside the
-    state. Entries of ``values`` past the atoms that ``weights`` lists are
-    passive tracers, atoms of weight zero: each gets the rate g*(p - lam)
-    with the atoms' lam and enters neither lam, the guard nor the sum.
+    state.
     """
-    n = weights.size
-    gv, pv, lam, margin = guarded_multiplier(t, values[:n], weights, omega, pair)
+    gv, pv, lam, margin = guarded_multiplier(t, values, weights, omega, pair)
     gap = pv - lam
     rates = gv * gap
-    diss = float(_sum(weights * rates * gap))
-    if values.size > n:
-        s = values[n:]
-        carried = pair.g(s) * (pair.p(s) - lam)
-        rates = np.concatenate([rates, carried])
-    return rates, margin, diss
+    return rates, margin, float(_sum(weights * rates * gap)), lam
 
 
 def dissipation_sum(weights: np.ndarray, gv: np.ndarray, pv: np.ndarray, lam: float) -> float:

@@ -28,7 +28,7 @@ from nldyn import (
     verify_trajectory,
 )
 from nldyn import dynamics, field as field_mod
-from nldyn.dynamics import _rk_attempt, _rk_dense, _integrate_canonical
+from nldyn.dynamics import _rk_attempt, _rk_dense
 from nldyn.energy import lyapunov
 from nldyn.errors import DenominatorVanishingError
 from nldyn.model import atom_rates, dissipation_sum, multiplier
@@ -218,6 +218,23 @@ class TestIntegrate:
         with pytest.raises(NumericalFailureError, match="record grid too fine") as info:
             integrate(u0, logistic, fine)
         assert info.value.t == 0.0
+
+    def test_fine_grid_holds_only_its_records(self, logistic):
+        """One step of 20,000 records: the traced peak inside integrate stays
+        under 250 bytes a record. Two atoms and five series values are 56
+        bytes a record, held once as blocks and once joined (114 here);
+        series kept as lists of Python floats took 750."""
+        u0 = AtomField([2.0, 1.5], [0.5, 0.5], 1.0)
+        cfg = IntegratorConfig(t_max=1e-3, dt_init=1e-3, record_every=5e-8)
+        tracemalloc.start()
+        try:
+            tr = integrate(u0, logistic, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.times.size == 20_001
+        assert peak / tr.times.size < 250
+        assert tr.steps.shape == (1, 10)
 
     def test_csv_layout(self, h3_run):
         text = _csv_text(h3_run)
@@ -566,9 +583,9 @@ class TestColumnarTrajectory:
         dissipated = 0.0
         for k in range(1, tr.times.size):
             prev = tr.values[k - 1]
-            rates, _, diss = atom_rates(0.0, prev, tr.weights, 1.0, logistic)
-            new, ks, ds, _, _ = _rk_attempt(tr.times[k - 1], prev, rates, diss, 0.5, tr.weights,
-                                            1.0, logistic)
+            rates, _, diss, lam = atom_rates(0.0, prev, tr.weights, 1.0, logistic)
+            new, ks, ds, *_ = _rk_attempt(tr.times[k - 1], prev, rates, diss, lam, 0.5, tr.weights,
+                                          1.0, logistic)
             assert np.array_equal(tr.values[k], new), k
             extension_differs |= not np.array_equal(_rk_dense(prev, 0.5, ks, [1.0])[0], new)
             # each step adds dt times the 5th-order weights over its stages,
@@ -585,8 +602,8 @@ class TestColumnarTrajectory:
         rng = np.random.default_rng(5)
         v = rng.uniform(1.01, 3.0, size=7)
         w = np.full(7, 1.0 / 7.0)
-        rates, _, diss = atom_rates(0.0, v, w, 1.0, logistic)
-        _, ks, *_ = _rk_attempt(0.0, v, rates, diss, 0.3, w, 1.0, logistic)
+        rates, _, diss, lam = atom_rates(0.0, v, w, 1.0, logistic)
+        _, ks, *_ = _rk_attempt(0.0, v, rates, diss, lam, 0.3, w, 1.0, logistic)
         thetas = sorted(rng.random(40).tolist()) + [1.0]
         block = _rk_dense(v, 0.3, ks, thetas)
         for theta, row in zip(thetas, block):
@@ -643,13 +660,13 @@ class TestColumnarTrajectory:
         attempt = dynamics._rk_attempt
         pushed = []  # (end time, state) of each pushed attempt
 
-        def push(t, values, k1, d1, dt, *args):
-            new, ks, ds, den, rho = attempt(t, values, k1, d1, dt, *args)
+        def push(t, values, k1, d1, lam1, dt, *args):
+            new, ks, ds, lams, den, rho = attempt(t, values, k1, d1, lam1, dt, *args)
             if t > 0.0:  # from the second step on, the top atom (canonical
                 new = new.copy()  # index 0) past the region [1, 2]
                 new[0] = 2.0 + 1e-3
                 pushed.append((t + dt, new))
-            return new, ks, ds, den, rho  # the same stage rates: accepted
+            return new, ks, ds, lams, den, rho  # the same stage rates: accepted
 
         monkeypatch.setattr(dynamics, "_rk_attempt", push)
         u0 = AtomField([1.5, 2.0], [0.5, 0.5], 1.0)  # not in canonical order
@@ -948,13 +965,13 @@ def _companion(model: str, field: str, record_every: float):
 
 @functools.cache
 def _tight_tracers(model: str, field: str, starts: tuple[float, ...]):
-    """A reference field's run at rtol 1e-13, and tracers from ``starts``
-    on its steps, all in one run, as characteristic_flow carries each one."""
+    """A reference field's run at rtol 1e-13, and ``starts`` carried on its
+    steps by characteristic_flow."""
     pair = _TRACER_MODELS[model]()
     u0 = AtomField(_TRACER_FIELDS[field], [0.5, 0.5], 1.0)
     cfg = IntegratorConfig(t_max=200.0, rtol=1e-13, atol=1e-15, dt_max=0.005, record_every=0.01)
-    order = field_mod.canonical_order(u0.values, u0.weights)
-    return _integrate_canonical(u0, order, pair, cfg, starts)
+    run = integrate(u0, pair, cfg)
+    return run, characteristic_flow(np.array(starts), run)
 
 
 class TestCharacteristicFlow:
@@ -982,25 +999,23 @@ class TestCharacteristicFlow:
     @pytest.mark.parametrize("model", list(_TRACER_MODELS))
     def test_tracer_on_an_atom_retraces_it(self, model, field):
         """On the two-atom fixtures, where the order projection never moves a
-        state, a tracer started on an atom's value equals that atom bit for
-        bit: it is a weight-zero atom on the atoms' own stages and steps."""
+        state, the replay of the atoms' own initial values equals the atoms
+        bit for bit: a tracer is a weight-zero atom on the atoms' own stages
+        and steps."""
         tr = _companion(model, field, 0.01)
-        u0 = tr.snapshots[0]
-        order = field_mod.canonical_order(u0.values, u0.weights)
-        run, tracers = _integrate_canonical(u0, order, tr.pair, tr.config, u0.values)
-        assert run.values.tobytes() == tr.values.tobytes()
-        assert run.dissipated == tr.dissipated
+        tracers = dynamics._replay(tr.values[0].copy(), tr)
         assert tracers.tobytes() == tr.values.tobytes()
 
     @pytest.mark.parametrize("field", ["H1", "H2", "H3"])
     @pytest.mark.parametrize("model", list(_TRACER_MODELS))
     def test_tracer_leaves_the_run_unchanged(self, model, field):
-        """Tracers off the atoms and the roots of g, which could sway an
-        error norm or a step cap they entered, still re-run the companion
-        bit for bit (characteristic_flow raises otherwise)."""
+        """Tracers off the atoms and the roots of g stay finite on the
+        companion's steps, and the companion is as it was."""
         tr = _companion(model, field, 0.5)
+        before = [getattr(tr, name).tobytes() for name in ("times", "values", "steps")]
         for s0 in (0.5, float(np.mean(_TRACER_FIELDS[field]))):
             assert np.all(np.isfinite(characteristic_flow(s0, tr)))
+        assert [getattr(tr, name).tobytes() for name in ("times", "values", "steps")] == before
 
     @pytest.mark.parametrize("record_every", [0.01, 0.5])
     @pytest.mark.parametrize("field, starts", [("H1", (0.5, 0.9, 1.75)),
@@ -1027,12 +1042,12 @@ class TestCharacteristicFlow:
         assert common.size >= 4
         ys = characteristic_flow(np.array(starts), tr)
         for i, s0 in enumerate(starts):
-            assert float(np.max(np.abs(ys[i, k] - ref[k_ref, i]))) <= 5e-6, s0
+            assert float(np.max(np.abs(ys[i, k] - ref[i, k_ref]))) <= 5e-6, s0
 
     @pytest.mark.parametrize("model", list(_TRACER_MODELS))
     def test_several_starts_equal_single_calls(self, model):
         """Starts on the atoms, the roots of g and between them, in one
-        re-run: row i is the call on start i alone, bit for bit."""
+        replay: row i is the call on start i alone, bit for bit."""
         tr = _companion(model, "H1", 0.5)
         starts = [1.75, 0.0, 2.0, 0.5, 1.0, 1.5, 0.9, 1.2]
         ys = characteristic_flow(np.array(starts), tr)
@@ -1069,10 +1084,31 @@ class TestCharacteristicFlow:
             characteristic_flow(5.0, tr)
 
     def test_hand_built_trajectory_refused(self, h1_run):
-        values = h1_run.values.copy()
-        values[-1, 0] += 1e-12
-        with pytest.raises(ValueError, match="does not reproduce"):
-            characteristic_flow(1.75, dataclasses.replace(h1_run, values=values))
+        """Steps that stop short of the records are refused."""
+        with pytest.raises(ValueError, match="steps do not reach its records"):
+            characteristic_flow(1.75, dataclasses.replace(h1_run, steps=h1_run.steps[:-1]))
+
+    def test_integrates_nothing(self, h1_run, monkeypatch):
+        """The replay starts no integration."""
+        want = characteristic_flow([1.75, 0.5], h1_run)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(dynamics, "integrate", refuse)
+        monkeypatch.setattr(dynamics, "_integrate_canonical", refuse)
+        assert characteristic_flow([1.75, 0.5], h1_run).tobytes() == want.tobytes()
+
+    def test_steps_chain(self, h1_run):
+        """Each step starts where the one before it ended, the last ends on the
+        last record, and the H1 pair on the 0.01 grid takes 43 steps."""
+        steps = h1_run.steps
+        assert steps.shape == (43, 10) and not steps.flags.writeable
+        assert steps[0, 0] == 0.0 and steps[0, 3] == h1_run.lambda_series[0]
+        assert steps[1:, 0].tobytes() == steps[:-1, 2].tobytes()
+        assert steps[-1, 2] == h1_run.times[-1]
+        # each step's first stage multiplier is the one before it ended on
+        assert steps[1:, 3].tobytes() == steps[:-1, 9].tobytes()
 
     def test_reproduces_atoms_where_the_order_projection_acts(self, monkeypatch):
         """300 samples of 1 + x under logistic-cubic settle on one plateau,

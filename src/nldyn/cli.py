@@ -434,23 +434,25 @@ def cmd_check(config_path: str) -> int:
             worst_iso = max(worst_iso, abs(d1 - d2))
     add("rearrangement-isometry", worst_iso <= 1e-12, worst_iso, 1e-12)
 
-    # predictor consistency (H1/H3 only)
-    tag = tr.hypothesis.tag
+    # predictor consistency (H1/H3 only, with m0 in the regime's range)
+    tag, m0, tol = tr.hypothesis.tag, float(tr.mass_series[0]), omega.CONSISTENCY_TOL
     predict = omega.predictor(tag)
-    if predict is not None:
+    if predict is None:
+        add("predictor-consistency", True, 0.0, tol, f"skipped: hypothesis {tag}")
+    elif omega.regime(m0, u0.domain_measure) != tag:
+        add("predictor-consistency", True, 0.0, tol,
+            f"skipped: m0 = {m0!r} outside the {tag} range for |Omega| = {u0.domain_measure!r}")
+    else:
         try:
             elim = energy.energy_limit(tr)
             emp = omega.extract_limit(tr, cfg.cluster_tol)
-            m0 = float(tr.mass_series[0])
             pred = predict(m0, elim.value, u0.domain_measure, pair)
-            checks.append(omega.consistency_check(pred, emp, tol=1e-3))
+            checks.append(omega.consistency_check(pred, emp))
             checks.append(omega.residual_check(pred, m0, elim.value, pair))
         except NotConvergedError:
-            add("predictor-consistency", True, 0.0, 1e-3, "skipped: run not stationary")
+            add("predictor-consistency", True, 0.0, tol, "skipped: run not stationary")
         except (NoRootError, InfeasibleMeasureError) as exc:
-            add("predictor-consistency", False, math.inf, 1e-3, str(exc))
-    else:
-        add("predictor-consistency", True, 0.0, 1e-3, f"skipped: hypothesis {tag}")
+            add("predictor-consistency", False, math.inf, tol, str(exc))
 
     report = dynamics.TrajectoryReport(tuple(checks))
     print("\n".join(report.lines()))
@@ -470,9 +472,10 @@ def _sweep_one(cfg: RunConfig, key: str, value: float, index: int):
     try:
         elim = energy.energy_limit(tr)
         elim_v = elim.value
-        predict = omega.predictor(tr.hypothesis.tag)
-        if predict is not None:
-            pred = predict(float(tr.mass_series[0]), elim.value, u0.domain_measure, pair)
+        tag, m0 = tr.hypothesis.tag, float(tr.mass_series[0])
+        predict = omega.predictor(tag)
+        if predict is not None and omega.regime(m0, u0.domain_measure) == tag:
+            pred = predict(m0, elim.value, u0.domain_measure, pair)
         else:
             pred = omega.extract_limit(tr, run_cfg.cluster_tol)
         mu, a1 = pred.main_plateau()

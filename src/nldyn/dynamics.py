@@ -45,8 +45,7 @@ from . import field as field_mod
 from .errors import DenominatorVanishingError, NumericalFailureError
 from .field import AtomField
 from .model import HypothesisClass, NonlinearityPair, classify_hypothesis
-from .model import atom_rates, multiplier
-from .model import input_order, unpermute
+from .model import atom_rates, multiplier, unpermute
 
 _REGION_ABORT_TOL = 1e-6  # hard abort beyond this
 _REGION_REPORT_TOL = 1e-9  # audit threshold
@@ -231,7 +230,7 @@ def _rk_attempt(t, values, k1, d1, lam1, dt, weights, omega, pair):
     (7, n) array and the seven stage dissipation sums as a (7, 1) column
     (the last rows are those at the new values), the seven stage
     multipliers as a list, the g-integral's margin
-    (``model.guarded_multiplier``) at the new values and an estimate of the
+    (``model.atom_rates``) at the new values and an estimate of the
     Jacobian's largest eigenvalue. A stage that trips the guard or fails
     raises, as ``model.atom_rates`` does.
 
@@ -325,8 +324,11 @@ def integrate(u0: AtomField, pair: NonlinearityPair, cfg: IntegratorConfig) -> T
     a NumericalFailureError carries come back in u0's order.
     """
     order = field_mod.canonical_order(u0.values, u0.weights)
-    with input_order(order):
+    try:
         return _integrate_canonical(u0, order, pair, cfg)
+    except NumericalFailureError as exc:
+        exc.values = unpermute(exc.values, order)
+        raise
 
 
 def _integrate_canonical(

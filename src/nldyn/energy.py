@@ -19,8 +19,7 @@ from . import field as field_mod
 from .dynamics import Termination, Trajectory
 from .errors import NldynError, NotConvergedError
 from .field import AtomField
-from .model import HypothesisClass, NonlinearityPair, canonical_atoms, dissipation_sum
-from .model import guarded_multiplier, input_order
+from .model import HypothesisClass, NonlinearityPair, dissipation_sum, field_rates
 
 
 def lyapunov(u: AtomField, pair: NonlinearityPair, i: int) -> float:
@@ -35,20 +34,20 @@ def dissipation_rate(u: AtomField, pair: NonlinearityPair, i: int) -> float:
     the rate is the one the integrator records for this state.
     """
     sign = HypothesisClass.energy_sign_of(i)
-    order, values, weights = canonical_atoms(u)
-    with input_order(order):
-        gv, pv, lam, _ = guarded_multiplier(0.0, values, weights, u.domain_measure, pair)
-    return sign * dissipation_sum(weights, gv, pv, lam)
+    _, values, weights, _, lam = field_rates(u, pair)
+    return sign * dissipation_sum(weights, pair.g(values), pair.p(values), lam)
 
 
-def dissipation_constant(
-    hyp: HypothesisClass, pair: NonlinearityPair, n_samples: int = 100_000
-) -> float:
+# sample points of g in ``dissipation_constant``
+_DISSIPATION_SAMPLES = 100_000
+
+
+def dissipation_constant(hyp: HypothesisClass, pair: NonlinearityPair) -> float:
     """Constant C > 0 with dE/dt <= -C * integral of |du/dt|^2.
 
-    C = -1 / min(g) over [1, b] under H1, over [a, 0] under H3 (dense
-    sampling). Unavailable for H2, where g vanishes at both region
-    endpoints, and for degenerate intervals (b = 1 or a = 0).
+    C = -1 / min(g) over [1, b] under H1, over [a, 0] under H3 (sampled at
+    _DISSIPATION_SAMPLES points). Unavailable for H2, where g vanishes at
+    both region endpoints, and for degenerate intervals (b = 1 or a = 0).
     """
     if hyp.tag == "H2":
         raise NldynError(
@@ -61,7 +60,7 @@ def dissipation_constant(
         raise NldynError(
             f"degenerate interval [{lo:g}, {hi:g}]"
         )
-    grid = np.linspace(lo, hi, n_samples)
+    grid = np.linspace(lo, hi, _DISSIPATION_SAMPLES)
     gmin = float(np.min(pair.g(grid)))
     if gmin >= 0.0:
         raise NldynError(
@@ -76,7 +75,6 @@ class EnergyLimit:
 
     value: float
     error_bar: float
-    index: int
 
 
 def energy_limit(tr: Trajectory) -> EnergyLimit:
@@ -96,11 +94,7 @@ def energy_limit(tr: Trajectory) -> EnergyLimit:
     t_final = float(tr.times[-1])
     window = tr.energy_series[tr.times >= 0.9 * t_final]
     error_bar = float(np.max(window) - np.min(window)) if window.size else 0.0
-    return EnergyLimit(
-        value=float(tr.energy_series[-1]),
-        error_bar=error_bar,
-        index=tr.hypothesis.energy_index,
-    )
+    return EnergyLimit(value=float(tr.energy_series[-1]), error_bar=error_bar)
 
 
 __all__ = [

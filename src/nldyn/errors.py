@@ -15,8 +15,6 @@ class DenominatorVanishingError(NldynError):
     """The g-integral in the nonlocal multiplier dropped below the guard."""
 
     def __init__(self, denominator: float, threshold: float):
-        self.denominator = denominator
-        self.threshold = threshold
         super().__init__(
             f"denominator {denominator:.6e} below guard {threshold:.6e}"
         )

@@ -593,7 +593,6 @@ def build_model(g_text: str, p_text: str, working_range: tuple[float, float] = (
         p_prime=p_prime,
         antideriv_P=quadrature if closed is None else closed,
         closed_form_P=closed is not None,
-        label=f"g={g_text!r}, p={p_text!r}",
     )
     _model.validate_pair(pair, working_range)
     if closed is not None:

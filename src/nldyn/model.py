@@ -18,7 +18,6 @@ the rate kernel below takes them pairwise, over the atoms in
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +47,6 @@ class NonlinearityPair:
     p_prime: ScalarFn
     antideriv_P: ScalarFn
     closed_form_P: bool
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,6 @@ def _logistic_identity() -> NonlinearityPair:
         p_prime=lambda u: 0.0 * u + 1.0,
         antideriv_P=lambda s: 0.5 * s * s,
         closed_form_P=True,
-        label="logistic-identity",
     )
 
 
@@ -122,7 +119,6 @@ def _logistic_cubic() -> NonlinearityPair:
         p_prime=lambda u: 3.0 * u * u + 1.0,
         antideriv_P=_float64_scalars(lambda s: 0.25 * s ** 4 + 0.5 * s * s),
         closed_form_P=True,
-        label="logistic-cubic",
     )
 
 
@@ -172,15 +168,16 @@ def finite_linspace(lo: float, hi: float, n: int) -> np.ndarray:
     return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
 
 
-def validate_pair(
-    pair: NonlinearityPair,
-    s_range: tuple[float, float] = (-2.0, 2.0),
-    n: int = 10_000,
-) -> None:
+# sample points per interval of the sign and monotonicity checks
+_VALIDATION_SAMPLES = 10_000
+
+
+def validate_pair(pair: NonlinearityPair, s_range: tuple[float, float] = (-2.0, 2.0)) -> None:
     """Sample-check the structural requirements on g and p.
 
     Checks g(0) = g(1) = 0, the sign pattern of g, strict monotonicity of
-    p, and that the stored antiderivative matches p by finite differences.
+    p (each on _VALIDATION_SAMPLES points), and that the stored
+    antiderivative matches p by finite differences.
     Raises ConfigError (``validation_error``) on the first failure.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
@@ -196,10 +193,10 @@ def validate_pair(
 
     def _grid(a: float, b: float) -> np.ndarray:
         # midpoint-style grid: stays strictly inside the open interval
-        k = np.arange(n, dtype=float)
-        if math.isfinite((b - a) * n):
-            return a + (b - a) * (k + 0.5) / n
-        return a + (b - a) * ((k + 0.5) / n)  # (b - a) * k would overflow
+        k = np.arange(_VALIDATION_SAMPLES, dtype=float)
+        if math.isfinite((b - a) * _VALIDATION_SAMPLES):
+            return a + (b - a) * (k + 0.5) / _VALIDATION_SAMPLES
+        return a + (b - a) * ((k + 0.5) / _VALIDATION_SAMPLES)  # (b - a) * k overflows
 
     for a, b, sign in ((0.0, 1.0, 1.0), (lo, 0.0, -1.0), (1.0, hi, -1.0)):
         grid = _grid(a, b)
@@ -212,7 +209,7 @@ def validate_pair(
                 f"g = {_shown(float(gv[bad[0]]))}",
             )
 
-    full = finite_linspace(lo, hi, n)
+    full = finite_linspace(lo, hi, _VALIDATION_SAMPLES)
     pv = np.asarray(pair.p_prime(full), dtype=float)
     bad = np.nonzero(~(pv > 0.0))[0]
     if bad.size:
@@ -288,30 +285,40 @@ def multiplier(t: float, values: np.ndarray, weights: np.ndarray, pair: Nonlinea
     return gv, pv, lam, den
 
 
-def guarded_multiplier(t, values, weights, omega, pair):
-    """``multiplier`` with the g-integral's margin den / (|Omega| max|g|), its
-    size against its terms, in place of den; raises DenominatorVanishingError
-    when the margin is below 1e-10 (g = 0 at every atom included)."""
+def atom_rates(t, values, weights, omega, pair):
+    """Per-atom rates g*(p - lam), the g-integral's margin, the dissipation
+    sum and lam at one state (guarded).
+
+    The margin is den / (|Omega| max|g|), the g-integral's size against its
+    terms; DenominatorVanishingError is raised when it is below 1e-10 (g = 0
+    at every atom included). The dissipation sum is the pairwise sum of
+    w*g*(p - lam)^2 over the atoms, the energy rate of E_1 that the
+    integrator carries alongside the state.
+    """
     gv, pv, lam, den = multiplier(t, values, weights, pair)
     scale = omega * float(_max(np.abs(gv)))
     margin = den / scale if scale > 0.0 else 0.0
     if abs(margin) < 1e-10:
         raise DenominatorVanishingError(den, 1e-10 * scale)
-    return gv, pv, lam, margin
-
-
-def atom_rates(t, values, weights, omega, pair):
-    """Per-atom rates g*(p - lam), the g-integral's margin (``guarded_multiplier``),
-    the dissipation sum and lam at one state (guarded).
-
-    The dissipation sum is the pairwise sum of w*g*(p - lam)^2 over the
-    atoms, the energy rate of E_1 that the integrator carries alongside the
-    state.
-    """
-    gv, pv, lam, margin = guarded_multiplier(t, values, weights, omega, pair)
     gap = pv - lam
     rates = gv * gap
     return rates, margin, float(_sum(weights * rates * gap)), lam
+
+
+def field_rates(u: AtomField, pair: NonlinearityPair):
+    """``atom_rates`` at t = 0 on u's atoms in ``field.canonical_order``.
+
+    Returns (order, values, weights, rates, lam), the atoms and their rates
+    in that order; a NumericalFailureError carries u's values as u lists them.
+    """
+    order = canonical_order(u.values, u.weights)
+    values, weights = u.values[order], u.weights[order]
+    try:
+        rates, _, _, lam = atom_rates(0.0, values, weights, u.domain_measure, pair)
+    except NumericalFailureError as exc:
+        exc.values = u.values
+        raise
+    return order, values, weights, rates, lam
 
 
 def dissipation_sum(weights: np.ndarray, gv: np.ndarray, pv: np.ndarray, lam: float) -> float:
@@ -326,26 +333,6 @@ def unpermute(a: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-@contextmanager
-def input_order(order: np.ndarray):
-    """Run kernel calls on atoms permuted by ``order``, reporting failures unpermuted.
-
-    A NumericalFailureError raised inside carries its atom values back in
-    the input order, the order its caller knows.
-    """
-    try:
-        yield
-    except NumericalFailureError as exc:
-        exc.values = unpermute(exc.values, order)
-        raise
-
-
-def canonical_atoms(u: AtomField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The field's canonical order, and its values and weights in that order."""
-    order = canonical_order(u.values, u.weights)
-    return order, u.values[order], u.weights[order]
-
-
 # ----------------------------------------------------------- classification
 
 def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClass:
@@ -356,8 +343,8 @@ def classify_hypothesis(u0: AtomField, pair: NonlinearityPair) -> HypothesisClas
     """
     a = float(np.min(u0.values))
     b = float(np.max(u0.values))
-    _, values, weights = canonical_atoms(u0)
-    integral_g = float(_sum(weights * pair.g(values)))
+    order = canonical_order(u0.values, u0.weights)
+    integral_g = float(_sum(u0.weights[order] * pair.g(u0.values[order])))
     tag = None
     if a >= 1.0 and b > 1.0:
         tag = "H1"
@@ -376,11 +363,9 @@ def lambda_of(u: AtomField, pair: NonlinearityPair) -> float:
     Pairwise sums over the atoms in canonical order: the value the
     integrator records for this state, whatever order the field lists its
     atoms in. Raises DenominatorVanishingError when |sum of m*g| falls
-    below the guard (``guarded_multiplier``), NumericalFailureError on overflow.
+    below the guard (``atom_rates``), NumericalFailureError on overflow.
     """
-    order, values, weights = canonical_atoms(u)
-    with input_order(order):
-        return guarded_multiplier(0.0, values, weights, u.domain_measure, pair)[2]
+    return field_rates(u, pair)[4]
 
 
 def rhs(u: AtomField, pair: NonlinearityPair) -> np.ndarray:
@@ -390,9 +375,7 @@ def rhs(u: AtomField, pair: NonlinearityPair) -> np.ndarray:
     ``lambda_of`` gives it. The weighted rate sum vanishes identically,
     which is the discrete mass-conservation identity.
     """
-    order, values, weights = canonical_atoms(u)
-    with input_order(order):
-        rates = atom_rates(0.0, values, weights, u.domain_measure, pair)[0]
+    order, _, _, rates, _ = field_rates(u, pair)
     return unpermute(rates, order)
 
 

@@ -36,6 +36,7 @@ from .quad import adaptive_simpson
 
 _RESIDUAL_TOL = 1e-10
 _BRACKET_LIMIT = 1e6
+CONSISTENCY_TOL = 1e-3  # the predictor-consistency row's bound on each gap
 
 
 @dataclass(frozen=True)
@@ -372,14 +373,12 @@ def extract_limit(tr: Trajectory, cluster_tol: float = 1e-4) -> OmegaPrediction:
 
 # ------------------------------------------------------------- consistency
 
-def consistency_check(
-    analytic: OmegaPrediction, empirical: OmegaPrediction, tol: float = 1e-3
-) -> CheckResult:
+def consistency_check(analytic: OmegaPrediction, empirical: OmegaPrediction) -> CheckResult:
     """Compare an analytic prediction against an extracted limit.
 
     The row passes when the L1 distance of the two staircases is within
-    ``tol`` and, under H1/H3, so are the main plateau's value gap and
-    measure gap; its worst is the largest of these.
+    CONSISTENCY_TOL and, under H1/H3, so are the main plateau's value gap
+    and measure gap; its worst is the largest of these.
     """
     if analytic.hypothesis != empirical.hypothesis:
         raise NldynError(
@@ -394,9 +393,8 @@ def consistency_check(
     if analytic.hypothesis in _REGIMES:
         (av, am), (ev, em) = analytic.main_plateau(), empirical.main_plateau()
         gaps += [abs(av - ev), abs(am - em)]
-    return CheckResult(
-        "predictor-consistency", all(g <= tol for g in gaps), max(gaps), tol
-    )
+    passed = all(g <= CONSISTENCY_TOL for g in gaps)
+    return CheckResult("predictor-consistency", passed, max(gaps), CONSISTENCY_TOL)
 
 
 __all__ = [

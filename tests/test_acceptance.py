@@ -129,7 +129,7 @@ def test_criterion_08_omega_closure_h1(h1_run, logistic):
     )
     elim = energy_limit(h1_run)
     pred = predict_h1(float(h1_run.mass_series[0]), elim.value, 1.0, logistic)
-    rep = consistency_check(pred, emp, tol=1e-3)
+    rep = consistency_check(pred, emp)
     residuals = max(abs(pred.mass_residual), abs(pred.energy_residual))
     ok = shape_ok and rep.passed and residuals <= 1e-10
     _criterion(8, "H1 limit: extraction matches the scalar-equation prediction", ok,
@@ -145,7 +145,7 @@ def test_criterion_09_omega_closure_h3(h3_run, logistic):
     )
     elim = energy_limit(h3_run)
     pred = predict_h3(float(h3_run.mass_series[0]), elim.value, 1.0, logistic)
-    rep = consistency_check(pred, emp, tol=1e-3)
+    rep = consistency_check(pred, emp)
     residuals = max(abs(pred.mass_residual), abs(pred.energy_residual))
     ok = shape_ok and rep.passed and residuals <= 1e-10
     _criterion(9, "H3 limit: extraction matches the scalar-equation prediction", ok,

@@ -90,6 +90,16 @@ output.dir = "{out}"
 output.base = "range"
 """
 
+# H1 (the top atom is above 1), but the mass rounds to exactly |Omega|,
+# outside the H1 predictor's range m0 > |Omega|; stationary at t = 0
+ROUNDED_MASS_CONFIG = """\
+model.builtin = "logistic-identity"
+domain.measure = 1.0
+initial.atoms = "1.0:0.5, 1.0000000000000002:0.5"
+output.dir = "{out}"
+output.base = "rounded"
+"""
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -720,6 +730,13 @@ class TestCheck:
         assert "pass  predictor-residuals" in out
         assert "FAIL" not in out
 
+    def test_mass_outside_the_regime_skips_the_predictor(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "rounded.cfg", ROUNDED_MASS_CONFIG)
+        assert cli.main(["check", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == ("pass  predictor-consistency          worst 0.000e+00  tol 1.000e-03  "
+                           "(skipped: m0 = 1.0 outside the H1 range for |Omega| = 1.0)")
+
 
 class TestPredictorLookup:
     def test_wrapped_predictors_see_every_cli_call(self, tmp_path, monkeypatch):
@@ -875,6 +892,13 @@ class TestSweep:
         assert all(b2 > b1 for b1, b2 in zip(mus, mus[1:]))
         # the pinned-atom family rests immediately, so mu equals the top value
         np.testing.assert_allclose(mus, params, atol=1e-9)
+
+    def test_mass_outside_the_regime_reads_the_settled_run(self, tmp_path):
+        cfg = _write(tmp_path, "rounded.cfg", ROUNDED_MASS_CONFIG)
+        assert cli.main(["sweep", cfg, "--vary", "integrator.rtol=1e-8:1e-7:2"]) == 0
+        lines = (tmp_path / "out" / "rounded.sweep.csv").read_text().splitlines()
+        assert lines[1] == "1e-08,1,1,0.50000000000000011,Stationary"
+        assert lines[2] == "9.9999999999999995e-08,1,1,0.50000000000000011,Stationary"
 
     def test_h2_rows_read_the_settled_run(self, tmp_path):
         # no H2 predictor: the top atom settles at 1 on its own measure

@@ -346,7 +346,7 @@ class TestAuditRows:
         b = dataclasses.replace(
             a, source="Empirical", limit=AtomField(a.limit.values, [0.75, 0.25], 1.0)
         )
-        row = consistency_check(a, b, tol=1e-3)
+        row = consistency_check(a, b)
         assert isinstance(row, CheckResult)
         assert (row.name, row.passed, row.tol) == ("predictor-consistency", False, 1e-3)
         # measure gap 0.25; the staircases differ by 3 - 1 on a set of measure 0.25
@@ -385,7 +385,7 @@ class TestExtractLimit:
         emp = extract_limit(h1_run)
         el = energy_limit(h1_run)
         pred = predict_h1(float(h1_run.mass_series[0]), el.value, 1.0, logistic)
-        rep = consistency_check(pred, emp, tol=1e-3)
+        rep = consistency_check(pred, emp)
         assert rep.passed
 
     def test_h1_genuine_two_plateau_closure(self, logistic):
@@ -402,7 +402,7 @@ class TestExtractLimit:
         pred = predict_h1(
             float(tr.mass_series[0]), energy_limit(tr).value, 1.0, logistic
         )
-        rep = consistency_check(pred, emp, tol=1e-3)
+        rep = consistency_check(pred, emp)
         assert rep.passed
         assert pred.main_plateau()[1] == pytest.approx(0.5, abs=1e-6)
 
@@ -469,7 +469,7 @@ class TestConsistencyCheck:
             source="Empirical",
             limit=AtomField(a.limit.values + [0.1, 0.0], a.limit.weights, 1.0),
         )
-        rep = consistency_check(a, b, tol=1e-3)
+        rep = consistency_check(a, b)
         assert not rep.passed
         assert rep.worst == pytest.approx(0.1, abs=1e-12)
 
